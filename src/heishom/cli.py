@@ -295,10 +295,7 @@ def _cmd_effective(cfg, args):
             for d in rep.diagnostics]
     payload = {"q": list(rep.q), "k_list": list(rep.k_list), "e": rep.e,
                "f0_estimate": rep.f0_estimate, "verdicts": rep.verdicts,
-               "diagnostics": [
-                   {k: v for k, v in d.items() if k != "wall_time_s"}
-                   for d in rep.diagnostics
-               ]}
+               "diagnostics": rep.diagnostics}
     emit("effective", cfg, header, rows, payload, args.format, args.out)
     ok = rep.verdicts["bounds_ok"] and rep.verdicts["solves_converged"] and rep.verdicts["monotone_trend_ok"]
     return 0 if ok else 1
@@ -428,9 +425,6 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         return _HANDLERS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"heishom: config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"heishom: config error: {exc}", file=sys.stderr)
         return 2

@@ -383,7 +383,7 @@ def field_to_csv(u: ScalarField, path):
         fh.write(f"# n={g.n} t={g.t} M={g.M} shape={','.join(map(str, g.shape))}\n")
         for i, a in enumerate(g.axes):
             fh.write(f"# axis{i}=" + ",".join(repr(float(c)) for c in a) + "\n")
-        cols = [f"x{i + 1}" for i in range(g.m)] + ["x3", "value"]
+        cols = [f"x{i + 1}" for i in range(g.N)] + ["value"]
         fh.write(",".join(cols) + "\n")
         mesh = np.meshgrid(*g.axes, indexing="ij")
         flat = [m.reshape(-1) for m in mesh] + [u.values.reshape(-1)]

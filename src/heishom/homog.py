@@ -22,14 +22,13 @@ trustworthy on a grid:
   growth, and evenness.
 """
 
-import time
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .grids import HAffineBoundary, build_grid, centered_box_grid, dilated_box_grid, grid_from_axes
+from .grids import HAffineBoundary, centered_box_grid, dilated_box_grid, grid_from_axes
 from .integrands import Integrand, rescale_integrand
-from .solve import CellProblem, SolverConfig, solve_cell
+from .solve import CellProblem, SolverConfig, mu_q, solve_cell
 
 __all__ = [
     "HomogConfig",
@@ -62,17 +61,9 @@ class HomogReport:
     k_list: tuple
     e: np.ndarray
     f0_estimate: float
-    inf_over_k: float
     deltas: np.ndarray
     diagnostics: list
     verdicts: dict
-
-
-def _solve_scaled_cell(f, q, t, M, n, solver):
-    grid = build_grid(t, M, n)
-    bd = HAffineBoundary(tuple(np.atleast_1d(q)))
-    sol = solve_cell(CellProblem(grid, f, bd, solver))
-    return grid, sol
 
 
 def map_jobs(fn, items, threads=1):
@@ -118,8 +109,8 @@ def energy_density_sequence(
     e = []
     diagnostics = []
     for k in k_list:
-        t0 = time.perf_counter()
-        grid, sol = _solve_scaled_cell(f, q, k, M, n, solver)
+        sol = mu_q(f, q, k, M, n, solver)
+        grid = sol.u.grid
         e.append(sol.energy / grid.volume)
         diagnostics.append(
             {
@@ -129,7 +120,6 @@ def energy_density_sequence(
                 "residual": sol.residual,
                 "converged": bool(sol.converged),
                 "num_nodes": grid.num_nodes,
-                "wall_time_s": time.perf_counter() - t0,
             }
         )
     e = np.asarray(e)
@@ -167,7 +157,6 @@ def energy_density_sequence(
         k_list=k_list,
         e=e,
         f0_estimate=f0,
-        inf_over_k=f0,
         deltas=deltas,
         diagnostics=diagnostics,
         verdicts=verdicts,
@@ -270,11 +259,11 @@ def noninteger_scale_check(
         if t < 1:
             raise ValueError("scales below 1 are not compared against an integer floor")
         k = int(np.floor(t + 1e-12))
-        grid, sol = _solve_scaled_cell(f, q, t, M, n, solver)
-        e_t.append(sol.energy / grid.volume)
+        sol = mu_q(f, q, t, M, n, solver)
+        e_t.append(sol.energy / sol.u.grid.volume)
         if k not in cache:
-            gk, sk = _solve_scaled_cell(f, q, k, M, n, solver)
-            cache[k] = sk.energy / gk.volume
+            sk = mu_q(f, q, k, M, n, solver)
+            cache[k] = sk.energy / sk.u.grid.volume
         e_fl.append(cache[k])
         bounds.append(f.c2 * (qpow + 1.0) * (1.0 - (k / t) ** hdim) + slack)
 

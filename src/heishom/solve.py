@@ -25,12 +25,15 @@ Three routes:
   descent (scipy L-BFGS-B) with the analytic energy gradient, for every
   other convex integrand.
 
+``_quadratic_minimizer`` and ``_first_order_minimizer`` build either path
+once per solve as a runner ``start -> (x, iterations, residual, converged)``;
+``solve_cell`` and the kernel probe run that same runner.
+
 Solves are deterministic; distinct problems share no mutable state.
 """
 
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -41,7 +44,6 @@ from .grids import (
     HAffineBoundary,
     ScalarField,
     build_grid,
-    h_affine_field,
 )
 from .integrands import Integrand, translate_integrand
 
@@ -95,9 +97,7 @@ class CellSolution:
     residual: float
     converged: bool
     method: str
-    wall_time_s: float = 0.0
     probe_gap: float = None
-    energy_history: list = None
 
 
 def discrete_energy(u: ScalarField, f: Integrand, grid: AnisoGrid = None) -> float:
@@ -290,153 +290,36 @@ def _initial_guess(grid, boundary):
     return guess
 
 
-def _solve_quadratic(problem, quad):
+def _with_trace(problem, x):
+    """Full node field: the boundary trace with interior values x."""
+    grid = problem.grid
+    vals = problem.boundary.trace(grid).reshape(-1).copy()
+    vals[grid.interior_flat] = x
+    return ScalarField(grid, vals.reshape(grid.shape))
+
+
+def _quadratic_minimizer(problem, quad):
+    """Assemble the normal system K x = rhs once; return a PCG runner on it."""
     grid, cfg = problem.grid, problem.config
     Bt = _weighted_operator(grid, quad)
     interior = grid.interior_flat
 
-    trace_full = problem.boundary.trace(grid).reshape(-1).copy()
-    u_bd = trace_full.copy()
+    u_bd = problem.boundary.trace(grid).reshape(-1).copy()
     u_bd[interior] = 0.0
-    cvec = Bt @ u_bd
-
     Bi = Bt.tocsc()[:, interior].tocsr()
     K = (Bi.T @ Bi).tocsr()
     if cfg.tikhonov > 0:
         K = K + cfg.tikhonov * sp.identity(K.shape[0], format="csr")
-    rhs = -(Bi.T @ cvec)
+    rhs = -(Bi.T @ (Bt @ u_bd))
 
-    x0 = _initial_guess(grid, problem.boundary).reshape(-1)[interior]
-    x, it, relres, ok = _pcg(K, rhs, x0, cfg.tol_residual, cfg.max_iter)
+    def run(x0):
+        return _pcg(K, rhs, x0, cfg.tol_residual, cfg.max_iter)
 
-    vals = trace_full.copy()
-    vals[interior] = x
-    u = ScalarField(grid, vals.reshape(grid.shape))
-    return u, it, relres, ok
+    return run
 
 
-def _solve_first_order(problem):
-    grid, cfg, f = problem.grid, problem.config, problem.integrand
-    B = gradient_operator(grid)
-    interior = grid.interior_flat
-    X = grid.cell_centers
-    m, vol = grid.m, grid.cell_volume
-
-    trace_full = problem.boundary.trace(grid).reshape(-1).copy()
-    history = []
-
-    def pack(vec):
-        full = trace_full.copy()
-        full[interior] = vec
-        return full
-
-    def fun_jac(vec):
-        full = pack(vec)
-        G = (B @ full).reshape(-1, m)
-        vals = f.eval_cells(X, G)
-        E = float(np.sum(vals) * vol)
-        gq = f.grad_q_cells(X, G) * vol
-        grad_full = B.T @ gq.reshape(-1)
-        return E, grad_full[interior]
-
-    def cb(vec):
-        history.append(fun_jac(vec)[0])
-
-    x0 = _initial_guess(grid, problem.boundary).reshape(-1)[interior]
-    res = scipy.optimize.minimize(
-        fun_jac,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=cb,
-        options={
-            "maxiter": int(cfg.max_iter),
-            "ftol": cfg.tol_rel_energy,
-            "gtol": cfg.tol_grad,
-            "maxcor": 20,
-        },
-    )
-    gnorm = float(np.max(np.abs(fun_jac(res.x)[1]))) if len(res.x) else 0.0
-    converged = bool(res.success) or gnorm <= cfg.tol_grad
-    u = ScalarField(grid, pack(res.x).reshape(grid.shape))
-    return u, int(res.nit), gnorm, converged, history
-
-
-def solve_cell(problem: CellProblem) -> CellSolution:
-    """Minimize the discrete energy subject to the boundary trace."""
-    cfg = problem.config
-    t0 = time.perf_counter()
-    quad = problem.integrand.quad_cells(problem.grid.cell_centers)
-
-    method = cfg.method
-    if method == "auto":
-        method = "cg" if quad is not None else "first_order"
-    if method == "cg" and quad is None:
-        raise ValueError("method='cg' requires an exactly quadratic discrete energy")
-
-    history = None
-    if method == "cg":
-        u, it, residual, converged = _solve_quadratic(problem, quad)
-    else:
-        u, it, residual, converged, history = _solve_first_order(problem)
-
-    energy = discrete_energy(u, problem.integrand, problem.grid)
-    sol = CellSolution(
-        u=u,
-        energy=energy,
-        iterations=it,
-        residual=residual,
-        converged=converged,
-        method=method,
-        wall_time_s=time.perf_counter() - t0,
-        energy_history=history,
-    )
-
-    if cfg.kernel_probe:
-        sol.probe_gap = _kernel_probe(problem, method, quad, energy)
-    return sol
-
-
-def _kernel_probe(problem, method, quad, energy_ref):
-    """Re-minimize from two random interior starts; warn if the minima disagree."""
-    grid, cfg = problem.grid, problem.config
-    rng = np.random.default_rng(12345)
-    gaps = []
-    for _ in range(2):
-        start = _initial_guess(grid, problem.boundary)
-        noise = rng.normal(scale=1.0 + np.abs(start).max(), size=grid.shape)
-        noise[grid.boundary_mask] = 0.0
-        shifted = ScalarField(grid, start + noise)
-        prob = replace(problem, config=replace(cfg, kernel_probe=False))
-        if method == "cg":
-            interior = grid.interior_flat
-            Bt = _weighted_operator(grid, quad)
-            trace_full = problem.boundary.trace(grid).reshape(-1).copy()
-            u_bd = trace_full.copy()
-            u_bd[interior] = 0.0
-            Bi = Bt.tocsc()[:, interior].tocsr()
-            K = (Bi.T @ Bi).tocsr()
-            rhs = -(Bi.T @ (Bt @ u_bd))
-            x, *_ = _pcg(
-                K, rhs, shifted.values.reshape(-1)[interior], cfg.tol_residual, cfg.max_iter
-            )
-            vals = trace_full.copy()
-            vals[interior] = x
-            e = discrete_energy(ScalarField(grid, vals.reshape(grid.shape)), problem.integrand, grid)
-        else:
-            e = _first_order_from(prob, shifted.values)
-        gaps.append(abs(e - energy_ref))
-    gap = max(gaps) / max(1.0, abs(energy_ref))
-    if gap > 10 * cfg.tol_rel_energy:
-        warnings.warn(
-            f"kernel probe: minima from random starts differ by {gap:.3e} (relative); "
-            "the discrete energy may have a flat direction",
-            stacklevel=2,
-        )
-    return float(gap)
-
-
-def _first_order_from(problem, start_values):
+def _first_order_minimizer(problem):
+    """Bind the energy and its gradient once; return an L-BFGS runner on them."""
     grid, cfg, f = problem.grid, problem.config, problem.integrand
     B = gradient_operator(grid)
     interior = grid.interior_flat
@@ -452,16 +335,74 @@ def _first_order_from(problem, start_values):
         gq = f.grad_q_cells(X, G) * vol
         return E, (B.T @ gq.reshape(-1))[interior]
 
-    res = scipy.optimize.minimize(
-        fun_jac,
-        start_values.reshape(-1)[interior],
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": int(cfg.max_iter), "ftol": cfg.tol_rel_energy, "gtol": cfg.tol_grad},
+    options = {
+        "maxiter": int(cfg.max_iter),
+        "ftol": cfg.tol_rel_energy,
+        "gtol": cfg.tol_grad,
+        "maxcor": 20,
+    }
+
+    def run(x0):
+        res = scipy.optimize.minimize(fun_jac, x0, jac=True, method="L-BFGS-B", options=options)
+        gnorm = float(np.max(np.abs(fun_jac(res.x)[1]))) if len(res.x) else 0.0
+        return res.x, int(res.nit), gnorm, bool(res.success) or gnorm <= cfg.tol_grad
+
+    return run
+
+
+def solve_cell(problem: CellProblem) -> CellSolution:
+    """Minimize the discrete energy subject to the boundary trace."""
+    grid, cfg = problem.grid, problem.config
+    quad = problem.integrand.quad_cells(grid.cell_centers)
+
+    method = cfg.method
+    if method == "auto":
+        method = "cg" if quad is not None else "first_order"
+    if method == "cg" and quad is None:
+        raise ValueError("method='cg' requires an exactly quadratic discrete energy")
+
+    if method == "cg":
+        minimize = _quadratic_minimizer(problem, quad)
+    else:
+        minimize = _first_order_minimizer(problem)
+    x0 = _initial_guess(grid, problem.boundary).reshape(-1)[grid.interior_flat]
+    x, it, residual, converged = minimize(x0)
+    u = _with_trace(problem, x)
+
+    energy = discrete_energy(u, problem.integrand, grid)
+    sol = CellSolution(
+        u=u,
+        energy=energy,
+        iterations=it,
+        residual=residual,
+        converged=converged,
+        method=method,
     )
-    full = trace_full.copy()
-    full[interior] = res.x
-    return discrete_energy(ScalarField(grid, full.reshape(grid.shape)), f, grid)
+    if cfg.kernel_probe:
+        sol.probe_gap = _kernel_probe(problem, minimize, energy)
+    return sol
+
+
+def _kernel_probe(problem, minimize, energy_ref):
+    """Re-minimize from two random interior starts; warn if the minima disagree."""
+    grid, cfg = problem.grid, problem.config
+    rng = np.random.default_rng(12345)
+    gaps = []
+    for _ in range(2):
+        start = _initial_guess(grid, problem.boundary)
+        noise = rng.normal(scale=1.0 + np.abs(start).max(), size=grid.shape)
+        noise[grid.boundary_mask] = 0.0
+        x, *_ = minimize((start + noise).reshape(-1)[grid.interior_flat])
+        e = discrete_energy(_with_trace(problem, x), problem.integrand, grid)
+        gaps.append(abs(e - energy_ref))
+    gap = max(gaps) / max(1.0, abs(energy_ref))
+    if gap > 10 * cfg.tol_rel_energy:
+        warnings.warn(
+            f"kernel probe: minima from random starts differ by {gap:.3e} (relative); "
+            "the discrete energy may have a flat direction",
+            stacklevel=2,
+        )
+    return float(gap)
 
 
 def mu_q(f: Integrand, q, t, M, n=1, config: SolverConfig = None) -> CellSolution:

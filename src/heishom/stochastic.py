@@ -114,16 +114,9 @@ class RandomTileCoefficient(CoefficientField):
     def values_at(self, X):
         X = np.asarray(X, dtype=float)
         K = tile_index(X, guard=BIN_GUARD).reshape(-1, X.shape[-1])
-        out = np.empty(len(K))
         uniq, inv = np.unique(K, axis=0, return_inverse=True)
         vals = np.array([self.value_for_tile(k) for k in uniq])
-        out = vals[inv]
-        return out.reshape(X.shape[:-1])
-
-    def freeze_for_grid(self, grid):
-        """Materialize every tile value the grid's cell centers touch."""
-        self.values_at(grid.cell_centers)
-        return self
+        return vals[inv].reshape(X.shape[:-1])
 
 
 def sample_random_integrand(seed, law, alpha=2.0, n=1) -> PowerIntegrand:

@@ -197,11 +197,15 @@ def test_stencil_consistency_on_smooth_field():
     assert rate.min() > 1.7
 
 
-def test_csv_round_trip(tmp_path):
-    g = build_grid(1.0, 2)
+@pytest.mark.parametrize("n", (1, 2))
+def test_csv_round_trip(tmp_path, n):
+    g = build_grid(1.0, 2, n)
     u = ScalarField.from_function(g, lambda X: np.sin(X[..., 0]) + X[..., 2] ** 2)
     p = os.path.join(tmp_path, "field.csv")
     field_to_csv(u, p)
+    with open(p) as fh:
+        header = [line for line in fh if not line.startswith("#")][0]
+    assert header == ",".join(f"x{i + 1}" for i in range(2 * n + 1)) + ",value\n"
     v = field_from_csv(p)
     np.testing.assert_array_equal(v.values, u.values)
     assert v.grid.shape == g.shape

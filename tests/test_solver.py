@@ -14,6 +14,7 @@ from heishom import (
     CellProblem,
     ConstantCoefficient,
     HAffineBoundary,
+    PowerIntegrand,
     ScalarField,
     SolverConfig,
     apply_boundary,
@@ -179,12 +180,38 @@ def test_tikhonov_regularization_stays_close():
     assert reg.energy == pytest.approx(base.energy, rel=1e-8)
 
 
-def test_kernel_probe_reports_flat_valley():
+@pytest.mark.parametrize(
+    "method, tikhonov, bound",
+    [
+        pytest.param("cg", 0.0, 1e-8, id="cg"),
+        pytest.param("first_order", 0.0, 1e-8, id="first_order"),
+        # the probe re-solves the problem it probes, Tikhonov term included
+        pytest.param("cg", 1e-6, 1e-13, id="cg-tikhonov"),
+    ],
+)
+def test_kernel_probe_reports_flat_valley(method, tikhonov, bound):
     g = build_grid(1.0, 2)
     bd = HAffineBoundary((1.0, 0.0))
-    sol = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig(kernel_probe=True)))
+    cfg = SolverConfig(kernel_probe=True, method=method, tikhonov=tikhonov)
+    sol = solve_cell(CellProblem(g, CHECKER, bd, cfg))
+    assert sol.method == method
     assert sol.probe_gap is not None
-    assert sol.probe_gap < 1e-8
+    assert sol.probe_gap < bound
+
+
+def test_first_order_evaluates_the_energy_about_once_per_iteration(monkeypatch):
+    """No per-iteration callback re-runs the objective."""
+    calls = []
+    original = PowerIntegrand.eval_cells
+
+    def counted(self, X, Q):
+        calls.append(len(Q))
+        return original(self, X, Q)
+
+    monkeypatch.setattr(PowerIntegrand, "eval_cells", counted)
+    sol = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 2)
+    assert sol.method == "first_order" and sol.converged
+    assert len(calls) <= 1.3 * sol.iterations + 2
 
 
 def test_alpha3_first_order_converges_and_improves():

@@ -77,6 +77,7 @@ from .integrands import (
 from .solve import (
     CellProblem,
     CellSolution,
+    NumericalError,
     SolverConfig,
     check_translation_invariance,
     dense_reference_minimum,

@@ -14,10 +14,12 @@ The problem description lives in a JSON config file (``--config``); every
 command runs with sensible defaults when the flag is omitted.  Results go to
 stdout or, with ``--out``, are written atomically as CSV or JSON.
 
-Exit status: 0 all verdicts pass, 1 a verdict failed, 2 configuration error.
+Exit status: 0 all verdicts pass, 1 a verdict failed, 2 configuration error,
+3 numerical failure of a solver.
 """
 
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -44,7 +46,7 @@ from .integrands import (
     SmoothCoefficient,
     checkerboard_coefficient,
 )
-from .solve import SolverConfig, mu_q
+from .solve import NumericalError, SolverConfig, mu_q
 from .stochastic import (
     RandomTileCoefficient,
     TwoPointLaw,
@@ -127,21 +129,62 @@ _EXPR_NS = {
 }
 
 
+_EXPR_FUNCS = {name for name, v in _EXPR_NS.items() if callable(v)}
+_EXPR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call,
+    ast.UnaryOp, ast.UAdd, ast.USub,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
+def _check_expr(tree, N):
+    """Admit only arithmetic on numbers, x1..xN, pi, e and calls of _EXPR_NS functions.
+
+    Constants become floats, so no integer arithmetic can grow without bound.
+    """
+    values = {f"x{i + 1}" for i in range(N)} | {"pi", "e"}
+    callees = set()
+    for node in ast.walk(tree):  # breadth first: a call precedes its callee name
+        if not isinstance(node, _EXPR_NODES):
+            raise ConfigError(f"expr may not contain {type(node).__name__}")
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if not (isinstance(fn, ast.Name) and fn.id in _EXPR_FUNCS):
+                raise ConfigError(f"expr may only call {sorted(_EXPR_FUNCS)}")
+            if node.keywords or len(node.args) != _EXPR_NS[fn.id].nin:
+                raise ConfigError(f"{fn.id}() takes {_EXPR_NS[fn.id].nin} positional argument(s)")
+            callees.add(fn)
+        elif isinstance(node, ast.Name) and node not in callees and node.id not in values:
+            raise ConfigError(f"unknown name {node.id!r} in expr")
+        elif isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ConfigError(f"expr constant {node.value!r} is not a number")
+            node.value = float(node.value)
+        elif isinstance(node, ast.Compare) and len(node.ops) > 1:
+            raise ConfigError("expr may not chain comparisons")
+
+
 def _expr_coefficient(spec, n):
     expr = spec.get("expr")
-    if not expr:
+    if not expr or not isinstance(expr, str):
         raise ConfigError("smooth_expr coefficient needs an 'expr' string")
     try:
-        code = compile(expr, "<config>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(expr, "<config>", "eval")
+    except (SyntaxError, RecursionError) as exc:
         raise ConfigError(f"cannot parse expr: {exc}") from None
     N = GroupParams(n).N
+    _check_expr(tree, N)
+    code = compile(tree, "<config>", "eval")
 
     def fn(X):
         X = np.asarray(X, dtype=float)
         ns = dict(_EXPR_NS)
         ns.update({f"x{i + 1}": X[..., i] for i in range(N)})
-        out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted names only
+        try:
+            out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked by _check_expr
+        except ArithmeticError as exc:
+            raise ConfigError(f"cannot evaluate expr: {exc}") from None
         return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
 
     return SmoothCoefficient(
@@ -425,6 +468,9 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         return _HANDLERS[args.command](cfg, args)
+    except NumericalError as exc:
+        print(f"heishom: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"heishom: config error: {exc}", file=sys.stderr)
         return 2

@@ -69,8 +69,11 @@ class HomogReport:
 def map_jobs(fn, items, threads=1):
     """Order-preserving map, optionally over a thread pool.
 
-    The heavy work (sparse matvecs, LAPACK) releases the interpreter lock, so
-    threads give a real speedup for batches of independent solves.
+    The Jacobi-PCG path makes no BLAS call and spends its time in sparse
+    matvecs and ufuncs that release the interpreter lock, so batches of
+    independent quadratic solves scale with threads.  The L-BFGS objective
+    closure is bound by the interpreter and small arrays, so first-order
+    solves gain little or lose from threads.
     """
     items = list(items)
     if threads and int(threads) > 1 and len(items) > 1:

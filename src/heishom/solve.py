@@ -20,7 +20,10 @@ Three routes:
   operator, forms the symmetric positive (semi)definite normal system and
   runs diagonally preconditioned conjugate gradients to a relative residual
   tolerance.  Valid exactly when the integrand reports a quadratic structure
-  (power integrands with alpha = 2, matrix powers with p = 2).
+  (power integrands with alpha = 2, matrix powers with p = 2).  Its inner
+  products are single-threaded and bypass BLAS, so iteration counts and
+  energies do not depend on the BLAS thread setting, and the path makes no
+  BLAS call at all (scipy sparse matvecs, numpy ufunc updates).
 * first-order path (``method='first_order'``)  limited-memory quasi-Newton
   descent (scipy L-BFGS-B) with the analytic energy gradient, for every
   other convex integrand.
@@ -29,9 +32,13 @@ Three routes:
 once per solve as a runner ``start -> (x, iterations, residual, converged)``;
 ``solve_cell`` and the kernel probe run that same runner.
 
+A diagonal entry or a curvature on the quadratic path that is not positive
+(NaN included) raises ``NumericalError``.
+
 Solves are deterministic; distinct problems share no mutable state.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +55,7 @@ from .grids import (
 from .integrands import Integrand, translate_integrand
 
 __all__ = [
+    "NumericalError",
     "SolverConfig",
     "CellProblem",
     "CellSolution",
@@ -247,34 +255,49 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
 # iterative paths
 # ---------------------------------------------------------------------------
 
+class NumericalError(RuntimeError):
+    """The assembled system or the iteration broke an assumption of the solver."""
+
+
+def _dot(a, b):
+    """Single-threaded inner product that never calls into BLAS.
+
+    BLAS ``dot``/``nrm2`` split a reduction over the library's own thread
+    pool, so their rounding (and with it CG iteration counts) would depend on
+    the BLAS thread setting, and those pools contend with ``map_jobs`` worker
+    threads.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def _pcg(K, rhs, x0, tol_rel, max_iter):
     """Diagonally preconditioned conjugate gradients for SPD / consistent SPSD K."""
     diag = K.diagonal()
-    if np.any(diag <= 0):
-        raise RuntimeError("assembled normal system has non-positive diagonal entries")
+    if not np.all(diag > 0):  # also catches NaN
+        raise NumericalError("assembled normal system has diagonal entries that are not positive")
     minv = 1.0 / diag
 
     x = x0.copy()
     r = rhs - K @ x
-    denom = max(float(np.linalg.norm(rhs)), float(np.linalg.norm(r)), 1e-300)
+    denom = max(math.sqrt(_dot(rhs, rhs)), math.sqrt(_dot(r, r)), 1e-300)
     z = minv * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     it = 0
-    relres = float(np.linalg.norm(r)) / denom
+    relres = math.sqrt(_dot(r, r)) / denom
     while relres > tol_rel and it < max_iter:
         Kp = K @ p
-        pKp = float(p @ Kp)
-        if pKp <= 0:
-            raise RuntimeError(
+        pKp = _dot(p, Kp)
+        if not pKp > 0:
+            raise NumericalError(
                 f"conjugate gradients met a non-positive curvature direction (pKp={pKp:.3e})"
             )
         alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
-        relres = float(np.linalg.norm(r)) / denom
+        relres = math.sqrt(_dot(r, r)) / denom
         z = minv * r
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1

@@ -63,9 +63,45 @@ def test_smooth_expr_coefficient():
          "a_min": 1.0, "a_max": 3.0}, 1)
     x = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
     np.testing.assert_allclose(c.values_at(x), [3.0, 2.0], rtol=1e-12)
+    c = coefficient_from_spec(
+        {"type": "smooth_expr", "expr": "1 + minimum(x3*x3, 3.0)", "a_min": 1.0}, 1)
+    np.testing.assert_allclose(c.values_at(x), [1.0, 1.0], rtol=0)
     from heishom.cli import ConfigError
     with pytest.raises(ConfigError):
         coefficient_from_spec({"type": "smooth_expr", "expr": "2 +* broken"}, 1)
+
+
+@pytest.mark.parametrize("expr", [
+    "1 + 0*(().__class__.__base__.__subclasses__().__len__())",
+    "(1.0).__class__.__name__ and 2",
+    "x1.real",
+    "x1[0]",
+    "(lambda: 1)()",
+    "sum([x1 for _ in (0, 1)])",
+    "[x1 for _ in (0, 1)][0]",
+    "'2'",
+    "__import__('os').getpid()",
+    "y1 + 1",
+    "x4 + 1",
+    "sin",
+    "sin(x1, x2)",
+    "minimum(x1, x2, x3)",
+    "sin(x=x1)",
+    "1 < x1 < 2",
+    "True + x1",
+])
+def test_smooth_expr_rejects_escapes_at_load(expr):
+    from heishom.cli import ConfigError
+    with pytest.raises(ConfigError):
+        coefficient_from_spec({"type": "smooth_expr", "expr": expr}, 1)
+
+
+@pytest.mark.parametrize("expr", ["x1 + 1/0", "x1 + 10**400"])
+def test_smooth_expr_arithmetic_failure_is_a_config_error(expr):
+    from heishom.cli import ConfigError
+    c = coefficient_from_spec({"type": "smooth_expr", "expr": expr, "a_min": 1.0}, 1)
+    with pytest.raises(ConfigError, match="cannot evaluate"):
+        c.values_at(np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +259,16 @@ def test_verdict_failure_exit_code(tmp_path):
     assert rc == 1
     bad_threads = write_cfg(tmp_path, {"integrand": CHECKER_SPEC})
     assert main(["effective", "--config", bad_threads, "--threads", "0"]) == 2
+
+
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    from heishom import NumericalError
+
+    def broken(*args, **kwargs):
+        raise NumericalError("conjugate gradients met a non-positive curvature direction")
+
+    monkeypatch.setattr("heishom.cli.mu_q", broken)
+    assert main(["cell"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "heishom: numerical failure: conjugate gradients met a non-positive curvature direction"]

@@ -7,13 +7,20 @@ it shares no assembly code with the iterative solvers, so agreement is a
 two-route check.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import heishom
 from heishom import (
     CellProblem,
     ConstantCoefficient,
     HAffineBoundary,
+    NumericalError,
     PowerIntegrand,
     ScalarField,
     SolverConfig,
@@ -32,6 +39,7 @@ from heishom import (
     power_integrand,
     solve_cell,
 )
+from heishom.solve import _pcg
 
 
 def rng(seed):
@@ -212,6 +220,49 @@ def test_first_order_evaluates_the_energy_about_once_per_iteration(monkeypatch):
     sol = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 2)
     assert sol.method == "first_order" and sol.converged
     assert len(calls) <= 1.3 * sol.iterations + 2
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, np.nan])
+def test_pcg_rejects_non_positive_diagonal(d):
+    K = sp.csr_matrix(np.diag([1.0, d]))
+    with pytest.raises(NumericalError, match="diagonal"):
+        _pcg(K, np.ones(2), np.zeros(2), 1e-12, 100)
+
+
+def test_pcg_rejects_non_positive_curvature():
+    K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NumericalError, match="curvature"):
+        _pcg(K, np.array([1.0, -1.0]), np.zeros(2), 1e-12, 100)
+
+
+def test_pcg_reports_non_convergence_and_solves_spd():
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    _, it, relres, converged = _pcg(sp.csr_matrix(A), b, np.zeros(3), 1e-12, 1)
+    assert it == 1 and relres > 1e-12 and converged is False
+    x, it, relres, converged = _pcg(sp.csr_matrix(A), b, np.zeros(3), 1e-12, 100)
+    assert converged is True and it <= 3
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
+
+
+_CG_FINGERPRINT = """
+from heishom import checkerboard_coefficient, mu_q, power_integrand
+s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0), (1.0, 0.0), 1, 12)
+print(s.iterations, s.residual.hex(), s.energy.hex())
+"""
+
+
+def test_cg_result_does_not_depend_on_blas_threads():
+    """The PCG reductions bypass BLAS, whose threaded dot/nrm2 round differently."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _CG_FINGERPRINT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outs.append(proc.stdout.split())
+    assert outs[0] == outs[1]
 
 
 def test_alpha3_first_order_converges_and_improves():

@@ -30,7 +30,7 @@ def main():
     g = hh.discrete_h_gradient(u)
     print("\nslope q =", q)
     print("discrete gradient min/max per component:")
-    print("  ", g.values.reshape(-1, 2).min(axis=0), g.values.reshape(-1, 2).max(axis=0))
+    print("  ", g.reshape(-1, 2).min(axis=0), g.reshape(-1, 2).max(axis=0))
 
     # -- overwrite every interior node with noise; with the boundary trace
     #    intact the volume-averaged gradient still equals q exactly.

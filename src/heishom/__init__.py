@@ -43,9 +43,7 @@ from .heisenberg import (
 from .closedform import LeftTranslate, Polynomial, SmoothFunction, h_linear
 from .grids import (
     AnisoGrid,
-    ExplicitBoundary,
     HAffineBoundary,
-    HGradField,
     ScalarField,
     apply_boundary,
     build_grid,

@@ -23,16 +23,13 @@ x-independent convex integrands.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 __all__ = [
     "AnisoGrid",
     "ScalarField",
-    "HGradField",
     "HAffineBoundary",
-    "ExplicitBoundary",
     "build_grid",
     "dilated_box_grid",
     "centered_box_grid",
@@ -131,10 +128,6 @@ class AnisoGrid:
     @cached_property
     def interior_flat(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary_mask.reshape(-1))
-
-    @cached_property
-    def boundary_flat(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary_mask.reshape(-1))
 
     def h_affine_values(self, q, a=0.0) -> np.ndarray:
         """Node values of q . (x1, x2) + a over the whole grid."""
@@ -262,14 +255,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class HGradField:
-    """Per-cell horizontal gradient values, shape cell_shape + (2n,)."""
-
-    grid: AnisoGrid
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class HAffineBoundary:
     """Boundary trace of the H-affine function q . (x1, x2) + a."""
 
@@ -282,19 +267,6 @@ class HAffineBoundary:
 
     def trace(self, grid: AnisoGrid) -> np.ndarray:
         return grid.h_affine_values(np.asarray(self.q), self.a)
-
-
-@dataclass(frozen=True)
-class ExplicitBoundary:
-    """Arbitrary trace values; only boundary entries of the array are used."""
-
-    values: np.ndarray
-
-    def trace(self, grid: AnisoGrid) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != grid.shape:
-            raise ValueError("explicit trace shape does not match grid")
-        return v
 
 
 def h_affine_field(grid, q, a=0.0) -> ScalarField:
@@ -325,8 +297,8 @@ def _edge_averaged_diff(vals, axis, step, N):
     return d
 
 
-def discrete_h_gradient(u: ScalarField) -> HGradField:
-    """Cellwise discrete horizontal gradient of a node field."""
+def discrete_h_gradient(u: ScalarField) -> np.ndarray:
+    """Cellwise discrete horizontal gradient of a node field, shape cell_shape + (2n,)."""
     g = u.grid
     n, N = g.n, g.N
     vals = u.values
@@ -340,7 +312,7 @@ def discrete_h_gradient(u: ScalarField) -> HGradField:
         dj = _edge_averaged_diff(vals, n + j, g.steps[n + j], N)
         x1c = g.axis_broadcast(g.cell_center_axes[j], j)
         comps.append(dj + 0.5 * x1c * vert)
-    return HGradField(g, np.stack([np.broadcast_to(c, g.cell_shape) for c in comps], axis=-1))
+    return np.stack([np.broadcast_to(c, g.cell_shape) for c in comps], axis=-1)
 
 
 def integrate_cells(values, grid: AnisoGrid) -> float:
@@ -369,7 +341,7 @@ def mean_h_gradient(u: ScalarField, bd: HAffineBoundary, tol=1e-12) -> np.ndarra
     gap = float(np.max(np.abs(u.values[mask] - tr[mask]))) if tr[mask].size else 0.0
     if gap > tol * scale:
         raise ValueError(f"boundary trace mismatch {gap:.3e} exceeds tolerance")
-    g = discrete_h_gradient(u).values
+    g = discrete_h_gradient(u)
     return np.asarray(
         [float(np.mean(g[..., c])) for c in range(u.grid.m)]
     )

@@ -61,7 +61,6 @@ class HomogReport:
     k_list: tuple
     e: np.ndarray
     f0_estimate: float
-    deltas: np.ndarray
     diagnostics: list
     verdicts: dict
 
@@ -160,7 +159,6 @@ def energy_density_sequence(
         k_list=k_list,
         e=e,
         f0_estimate=f0,
-        deltas=deltas,
         diagnostics=diagnostics,
         verdicts=verdicts,
     )

@@ -22,7 +22,6 @@ from .heisenberg import (
     dilate,
     group_mul,
     pullback_to_cell,
-    tile_index,
     translate_tau,
 )
 
@@ -135,7 +134,9 @@ def checkerboard_coefficient(lo, hi, n=1) -> CellTableCoefficient:
 
 
 class SmoothCoefficient(CoefficientField):
-    """Closed-form coefficient; bounds are declared, periodicity is a claim."""
+    """Closed-form coefficient; periodicity is a claim, the declared bounds are
+    checked on every lookup (a value outside [a_min, a_max] or not finite is a
+    ValueError)."""
 
     def __init__(self, fn, a_min, a_max, h_periodic=False, description=""):
         if not (0 < a_min <= a_max):
@@ -147,7 +148,14 @@ class SmoothCoefficient(CoefficientField):
         self.description = description
 
     def values_at(self, X):
-        return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
+        a = np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
+        bad = ~((a >= self.a_min) & (a <= self.a_max) & np.isfinite(a))
+        if np.any(bad):
+            raise ValueError(
+                f"coefficient takes the value {float(a[bad].flat[0])}, outside its "
+                f"declared bounds [{self.a_min}, {self.a_max}] or not finite"
+            )
+        return a
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ Three routes:
   descent (scipy L-BFGS-B) with the analytic energy gradient, for every
   other convex integrand.
 
-``_quadratic_minimizer`` and ``_first_order_minimizer`` build either path
-once per solve as a runner ``start -> (x, iterations, residual, converged)``;
-``solve_cell`` and the kernel probe run that same runner.
+``solve_cell`` computes the H-affine boundary trace once and calls
+``_solve_quadratic`` or ``_solve_first_order`` once, started from it: the
+affine field is also the initial guess of the interior.
 
 A diagonal entry or a curvature on the quadratic path that is not positive
 (NaN included) raises ``NumericalError``.
@@ -39,7 +39,6 @@ Solves are deterministic; distinct problems share no mutable state.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +50,7 @@ from .grids import (
     HAffineBoundary,
     ScalarField,
     build_grid,
+    discrete_h_gradient,
 )
 from .integrands import Integrand, translate_integrand
 
@@ -76,7 +76,6 @@ class SolverConfig:
     max_iter: int = 100_000
     method: str = "auto"          # auto | cg | first_order
     tikhonov: float = 0.0
-    kernel_probe: bool = False
 
     def __post_init__(self):
         if min(self.tol_rel_energy, self.tol_grad, self.tol_residual) <= 0:
@@ -93,7 +92,7 @@ class SolverConfig:
 class CellProblem:
     grid: AnisoGrid
     integrand: Integrand
-    boundary: object
+    boundary: HAffineBoundary
     config: SolverConfig = field(default_factory=SolverConfig)
 
 
@@ -105,15 +104,12 @@ class CellSolution:
     residual: float
     converged: bool
     method: str
-    probe_gap: float = None
 
 
-def discrete_energy(u: ScalarField, f: Integrand, grid: AnisoGrid = None) -> float:
+def discrete_energy(u: ScalarField, f: Integrand) -> float:
     """E(u) recomputed from scratch (never an accumulated solver quantity)."""
-    grid = grid or u.grid
-    from .grids import discrete_h_gradient
-
-    G = discrete_h_gradient(u).values.reshape(-1, grid.m)
+    grid = u.grid
+    G = discrete_h_gradient(u).reshape(-1, grid.m)
     vals = f.eval_cells(grid.cell_centers, G)
     return float(np.sum(vals) * grid.cell_volume)
 
@@ -221,7 +217,7 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
     def energy_of(vec):
         vals = base.copy()
         vals.reshape(-1)[interior] = vec
-        return discrete_energy(ScalarField(grid, vals), f, grid)
+        return discrete_energy(ScalarField(grid, vals), f)
 
     e0 = energy_of(np.zeros(k))
     if k == 0:
@@ -248,7 +244,7 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
     vals = base.copy()
     vals.reshape(-1)[interior] = v
     u = ScalarField(grid, vals)
-    return discrete_energy(u, f, grid), u
+    return discrete_energy(u, f), u
 
 
 # ---------------------------------------------------------------------------
@@ -304,54 +300,33 @@ def _pcg(K, rhs, x0, tol_rel, max_iter):
     return x, it, relres, relres <= tol_rel
 
 
-def _initial_guess(grid, boundary):
-    if isinstance(boundary, HAffineBoundary):
-        return boundary.trace(grid)
-    tr = boundary.trace(grid)
-    guess = np.full(grid.shape, float(np.mean(tr[grid.boundary_mask])))
-    guess[grid.boundary_mask] = tr[grid.boundary_mask]
-    return guess
-
-
-def _with_trace(problem, x):
-    """Full node field: the boundary trace with interior values x."""
-    grid = problem.grid
-    vals = problem.boundary.trace(grid).reshape(-1).copy()
-    vals[grid.interior_flat] = x
-    return ScalarField(grid, vals.reshape(grid.shape))
-
-
-def _quadratic_minimizer(problem, quad):
-    """Assemble the normal system K x = rhs once; return a PCG runner on it."""
+def _solve_quadratic(problem, quad, trace):
+    """Assemble the normal system K x = rhs and run PCG on it from the trace."""
     grid, cfg = problem.grid, problem.config
     Bt = _weighted_operator(grid, quad)
     interior = grid.interior_flat
 
-    u_bd = problem.boundary.trace(grid).reshape(-1).copy()
+    u_bd = trace.copy()
     u_bd[interior] = 0.0
     Bi = Bt.tocsc()[:, interior].tocsr()
     K = (Bi.T @ Bi).tocsr()
     if cfg.tikhonov > 0:
         K = K + cfg.tikhonov * sp.identity(K.shape[0], format="csr")
     rhs = -(Bi.T @ (Bt @ u_bd))
-
-    def run(x0):
-        return _pcg(K, rhs, x0, cfg.tol_residual, cfg.max_iter)
-
-    return run
+    del Bt, Bi, u_bd  # free the assembly before the iteration
+    return _pcg(K, rhs, trace[interior], cfg.tol_residual, cfg.max_iter)
 
 
-def _first_order_minimizer(problem):
-    """Bind the energy and its gradient once; return an L-BFGS runner on them."""
+def _solve_first_order(problem, trace):
+    """L-BFGS on the energy and its analytic gradient, started from the trace."""
     grid, cfg, f = problem.grid, problem.config, problem.integrand
     B = gradient_operator(grid)
     interior = grid.interior_flat
     X = grid.cell_centers
     m, vol = grid.m, grid.cell_volume
-    trace_full = problem.boundary.trace(grid).reshape(-1).copy()
 
     def fun_jac(vec):
-        full = trace_full.copy()
+        full = trace.copy()
         full[interior] = vec
         G = (B @ full).reshape(-1, m)
         E = float(np.sum(f.eval_cells(X, G)) * vol)
@@ -364,13 +339,11 @@ def _first_order_minimizer(problem):
         "gtol": cfg.tol_grad,
         "maxcor": 20,
     }
-
-    def run(x0):
-        res = scipy.optimize.minimize(fun_jac, x0, jac=True, method="L-BFGS-B", options=options)
-        gnorm = float(np.max(np.abs(fun_jac(res.x)[1]))) if len(res.x) else 0.0
-        return res.x, int(res.nit), gnorm, bool(res.success) or gnorm <= cfg.tol_grad
-
-    return run
+    res = scipy.optimize.minimize(
+        fun_jac, trace[interior], jac=True, method="L-BFGS-B", options=options
+    )
+    gnorm = float(np.max(np.abs(fun_jac(res.x)[1]))) if len(res.x) else 0.0
+    return res.x, int(res.nit), gnorm, bool(res.success) or gnorm <= cfg.tol_grad
 
 
 def solve_cell(problem: CellProblem) -> CellSolution:
@@ -384,48 +357,23 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     if method == "cg" and quad is None:
         raise ValueError("method='cg' requires an exactly quadratic discrete energy")
 
+    trace = problem.boundary.trace(grid).reshape(-1)
     if method == "cg":
-        minimize = _quadratic_minimizer(problem, quad)
+        x, it, residual, converged = _solve_quadratic(problem, quad, trace)
     else:
-        minimize = _first_order_minimizer(problem)
-    x0 = _initial_guess(grid, problem.boundary).reshape(-1)[grid.interior_flat]
-    x, it, residual, converged = minimize(x0)
-    u = _with_trace(problem, x)
+        x, it, residual, converged = _solve_first_order(problem, trace)
+    vals = trace.copy()
+    vals[grid.interior_flat] = x
+    u = ScalarField(grid, vals.reshape(grid.shape))
 
-    energy = discrete_energy(u, problem.integrand, grid)
-    sol = CellSolution(
+    return CellSolution(
         u=u,
-        energy=energy,
+        energy=discrete_energy(u, problem.integrand),
         iterations=it,
         residual=residual,
         converged=converged,
         method=method,
     )
-    if cfg.kernel_probe:
-        sol.probe_gap = _kernel_probe(problem, minimize, energy)
-    return sol
-
-
-def _kernel_probe(problem, minimize, energy_ref):
-    """Re-minimize from two random interior starts; warn if the minima disagree."""
-    grid, cfg = problem.grid, problem.config
-    rng = np.random.default_rng(12345)
-    gaps = []
-    for _ in range(2):
-        start = _initial_guess(grid, problem.boundary)
-        noise = rng.normal(scale=1.0 + np.abs(start).max(), size=grid.shape)
-        noise[grid.boundary_mask] = 0.0
-        x, *_ = minimize((start + noise).reshape(-1)[grid.interior_flat])
-        e = discrete_energy(_with_trace(problem, x), problem.integrand, grid)
-        gaps.append(abs(e - energy_ref))
-    gap = max(gaps) / max(1.0, abs(energy_ref))
-    if gap > 10 * cfg.tol_rel_energy:
-        warnings.warn(
-            f"kernel probe: minima from random starts differ by {gap:.3e} (relative); "
-            "the discrete energy may have a flat direction",
-            stacklevel=2,
-        )
-    return float(gap)
 
 
 def mu_q(f: Integrand, q, t, M, n=1, config: SolverConfig = None) -> CellSolution:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_verify_command(tmp_path, capsys):
     out = os.path.join(tmp_path, "verify.csv")
     rc = main(["verify", "--out", out])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("check,passed,")
     assert len(lines) == 4
     assert all(",true," in ln for ln in lines[1:])
@@ -123,7 +124,7 @@ def test_cell_command_json(tmp_path):
     out = os.path.join(tmp_path, "cell.json")
     rc = main(["cell", "--config", cfg, "--out", out, "--format", "json"])
     assert rc == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["schema"] == 1
     assert doc["command"] == "cell"
     assert doc["converged"] is True
@@ -136,7 +137,7 @@ def test_effective_command_csv(tmp_path):
     out = os.path.join(tmp_path, "eff.csv")
     rc = main(["effective", "--config", cfg, "--out", out])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "k,e_k,iterations,residual"
     assert len(lines) == 3
     e1 = float(lines[1].split(",")[1])
@@ -162,7 +163,7 @@ def test_sweep_command(tmp_path):
     out = os.path.join(tmp_path, "sweep.csv")
     rc = main(["sweep", "--config", cfg, "--out", out, "--threads", "2"])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "q1,q2,f0"
     assert len(lines) == 10
 
@@ -174,7 +175,7 @@ def test_stochastic_command(tmp_path):
     out = os.path.join(tmp_path, "mc.json")
     rc = main(["stochastic", "--config", cfg, "--out", out, "--format", "json"])
     assert rc == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["schema"] == 1
     assert len(doc["seeds"]) == 8
     assert np.asarray(doc["e"]).shape == (8, 2)
@@ -190,8 +191,8 @@ def test_stochastic_seed_override(tmp_path):
     o2 = os.path.join(tmp_path, "b.json")
     assert main(["stochastic", "--config", cfg, "--out", o1, "--format", "json", "--seed", "5"]) == 0
     assert main(["stochastic", "--config", cfg, "--out", o2, "--format", "json", "--seed", "9"]) == 0
-    assert json.load(open(o1))["seeds"] == [5, 6]
-    assert json.load(open(o2))["seeds"] == [9, 10]
+    assert json.loads(Path(o1).read_text())["seeds"] == [5, 6]
+    assert json.loads(Path(o2).read_text())["seeds"] == [9, 10]
 
 
 def test_ultimo_command(tmp_path):
@@ -200,7 +201,7 @@ def test_ultimo_command(tmp_path):
     out = os.path.join(tmp_path, "ult.csv")
     rc = main(["ultimo", "--config", cfg, "--out", out])
     assert rc == 0
-    rows = open(out).read().strip().splitlines()
+    rows = Path(out).read_text().strip().splitlines()
     assert rows[1].endswith("true")
 
 
@@ -214,10 +215,29 @@ def test_recover_command(tmp_path):
     out = os.path.join(tmp_path, "rec.csv")
     rc = main(["recover", "--config", cfg, "--out", out])
     assert rc == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "rho,value,error"
     errs = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert errs[1] < errs[0]
+
+
+def test_n2_effective_and_ultimo(tmp_path):
+    spec = {"type": "power", "alpha": 2.0,
+            "coefficient": {"type": "checkerboard", "lo": 1.0, "hi": 4.0}}
+    cfg = write_cfg(tmp_path, {"n": 2, "integrand": spec, "q": [1.0, 0.0, 0.0, 0.0],
+                               "k_list": [1, 2], "t": 2.0, "M": 1})
+    out = os.path.join(tmp_path, "eff.json")
+    assert main(["effective", "--config", cfg, "--out", out, "--format", "json"]) == 0
+    doc = json.loads(Path(out).read_text())
+    assert all(doc["verdicts"][k] for k in ("bounds_ok", "monotone_trend_ok", "solves_converged"))
+    # growth bounds c1 |q|^2 <= e_k <= c2 (|q|^2 + 1) with c1 = 1, c2 = 4, |q| = 1
+    assert len(doc["e"]) == 2
+    assert all(1.0 <= e <= 8.0 for e in doc["e"])
+    out = os.path.join(tmp_path, "ult.json")
+    assert main(["ultimo", "--config", cfg, "--out", out, "--format", "json"]) == 0
+    doc = json.loads(Path(out).read_text())
+    assert doc["ok"] is True
+    assert doc["rel_diff"] <= 1e-10
 
 
 def test_stdout_when_no_out(tmp_path, capsys):
@@ -244,6 +264,24 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["effective", "--config", notdict]) == 2
     badgrid = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "t": 0.25, "M": 1})
     assert main(["cell", "--config", badgrid]) == 2
+    badsolver = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"kernel_probe": True}})
+    assert main(["cell", "--config", badsolver]) == 2
+
+
+@pytest.mark.parametrize("expr, bounds", [
+    ("-1 + 0*x1", {"a_min": 1.0}),
+    ("50 + 0*x1", {"a_min": 1.0, "a_max": 2.0}),
+])
+def test_coefficient_outside_declared_bounds_is_a_config_error(tmp_path, capsys, expr, bounds):
+    spec = {"type": "power", "alpha": 2.0,
+            "coefficient": {"type": "smooth_expr", "expr": expr, **bounds}}
+    cfg = write_cfg(tmp_path, {"integrand": spec, "q": [1.0, 0.0], "t": 1.0, "M": 2})
+    assert main(["cell", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("heishom: config error: ")
+    assert "declared bounds" in err[0]
 
 
 def test_verdict_failure_exit_code(tmp_path):

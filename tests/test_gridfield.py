@@ -154,8 +154,8 @@ def test_affine_fields_have_exact_constant_gradient():
         q = gen.uniform(-3, 3, size=2)
         u = h_affine_field(g, q, a=0.5)
         hg = discrete_h_gradient(u)
-        assert hg.values.shape == g.cell_shape + (2,)
-        np.testing.assert_allclose(hg.values, np.broadcast_to(q, hg.values.shape),
+        assert hg.shape == g.cell_shape + (2,)
+        np.testing.assert_allclose(hg, np.broadcast_to(q, hg.shape),
                                    rtol=0, atol=1e-13)
 
 
@@ -189,7 +189,7 @@ def test_stencil_consistency_on_smooth_field():
         uf = ScalarField.from_function(g, u.value)
         hg = discrete_h_gradient(uf)
         exact = h_gradient_exact(u, g.cell_centers).reshape(g.cell_shape + (2,))
-        errs.append(np.abs(hg.values - exact).max())
+        errs.append(np.abs(hg - exact).max())
     errs = np.asarray(errs)
     assert np.all(errs[1:] < errs[:-1])
     # convergence order ~ h^2

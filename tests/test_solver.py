@@ -61,7 +61,7 @@ def test_gradient_operator_matches_stencil():
     for _ in range(5):
         u = gen.uniform(-2, 2, size=g.shape)
         via_op = (B @ u.reshape(-1)).reshape(g.cell_shape + (g.m,))
-        via_stencil = discrete_h_gradient(ScalarField(g, u)).values
+        via_stencil = discrete_h_gradient(ScalarField(g, u))
         np.testing.assert_allclose(via_op, via_stencil, rtol=1e-13, atol=1e-13)
 
 
@@ -69,7 +69,7 @@ def test_discrete_energy_is_cell_quadrature():
     g = build_grid(1.0, 2)
     gen = rng(61)
     u = ScalarField(g, gen.uniform(-1, 1, g.shape))
-    hg = discrete_h_gradient(u).values
+    hg = discrete_h_gradient(u)
     X = g.cell_centers
     vals = CHECKER.eval_cells(X, hg.reshape(-1, g.m))
     expect = integrate_cells(vals.reshape(g.cell_shape), g)
@@ -186,25 +186,6 @@ def test_tikhonov_regularization_stays_close():
     base = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig()))
     reg = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig(tikhonov=1e-12)))
     assert reg.energy == pytest.approx(base.energy, rel=1e-8)
-
-
-@pytest.mark.parametrize(
-    "method, tikhonov, bound",
-    [
-        pytest.param("cg", 0.0, 1e-8, id="cg"),
-        pytest.param("first_order", 0.0, 1e-8, id="first_order"),
-        # the probe re-solves the problem it probes, Tikhonov term included
-        pytest.param("cg", 1e-6, 1e-13, id="cg-tikhonov"),
-    ],
-)
-def test_kernel_probe_reports_flat_valley(method, tikhonov, bound):
-    g = build_grid(1.0, 2)
-    bd = HAffineBoundary((1.0, 0.0))
-    cfg = SolverConfig(kernel_probe=True, method=method, tikhonov=tikhonov)
-    sol = solve_cell(CellProblem(g, CHECKER, bd, cfg))
-    assert sol.method == method
-    assert sol.probe_gap is not None
-    assert sol.probe_gap < bound
 
 
 def test_first_order_evaluates_the_energy_about_once_per_iteration(monkeypatch):

@@ -40,7 +40,7 @@ from .heisenberg import (
     tile_index,
     translate_tau,
 )
-from .closedform import LeftTranslate, Polynomial, SmoothFunction, h_linear
+from .closedform import LeftTranslate, Polynomial, h_linear
 from .grids import (
     AnisoGrid,
     HAffineBoundary,
@@ -60,7 +60,6 @@ from .grids import (
 from .integrands import (
     CellTableCoefficient,
     ConstantCoefficient,
-    ConstantMatrixField,
     Integrand,
     MatrixPowerIntegrand,
     PowerIntegrand,

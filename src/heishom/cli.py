@@ -40,7 +40,6 @@ from .homog import (
 from .integrands import (
     CellTableCoefficient,
     ConstantCoefficient,
-    ConstantMatrixField,
     MatrixPowerIntegrand,
     PowerIntegrand,
     SmoothCoefficient,
@@ -60,6 +59,21 @@ COMMANDS = ("verify", "cell", "effective", "sweep", "stochastic", "ultimo", "rec
 
 class ConfigError(ValueError):
     pass
+
+
+def _json_matches(value, default):
+    """True when a JSON value has the type of a RunConfig default: an int takes
+    integers, a float any number, a tuple a list of items like its first, and
+    None (x0) null or a list of numbers."""
+    if default is None:
+        return value is None or _json_matches(value, (0.0,))
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_matches(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 @dataclasses.dataclass
@@ -97,6 +111,10 @@ class RunConfig:
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        defaults = cls()
+        for name, value in data.items():
+            if not _json_matches(value, getattr(defaults, name)):
+                raise ConfigError(f"config key {name!r} has the wrong type: {value!r}")
         cfg = cls(**data)
         for name in ("q", "k_list", "rho_list", "q_axis", "x0"):
             v = getattr(cfg, name)
@@ -182,26 +200,43 @@ def _expr_coefficient(spec, n):
         ns = dict(_EXPR_NS)
         ns.update({f"x{i + 1}": X[..., i] for i in range(N)})
         try:
-            out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked by _check_expr
+            # a value outside the function's domain becomes nan or inf, which
+            # SmoothCoefficient reports against the declared bounds
+            with np.errstate(all="ignore"):
+                out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked by _check_expr
         except ArithmeticError as exc:
             raise ConfigError(f"cannot evaluate expr: {exc}") from None
         return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
 
     return SmoothCoefficient(
         fn,
-        a_min=float(spec.get("a_min", 0.0)),
-        a_max=float(spec.get("a_max", np.inf)),
+        a_min=_number(spec, "a_min", 0.0),
+        a_max=_number(spec, "a_max", np.inf),
         h_periodic=bool(spec.get("h_periodic", False)),
         description=expr,
     )
 
 
+def _object(spec, what):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
+    return spec
+
+
+def _number(spec, key, default=None):
+    """spec[key] as a float; a missing key without default or a non-number is a ConfigError."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} must be a number in {spec!r}")
+    return float(value)
+
+
 def coefficient_from_spec(spec: dict, n: int):
-    kind = spec.get("type")
+    kind = _object(spec, "coefficient").get("type")
     if kind == "constant":
-        return ConstantCoefficient(float(spec.get("value", 1.0)))
+        return ConstantCoefficient(_number(spec, "value", 1.0))
     if kind == "checkerboard":
-        return checkerboard_coefficient(float(spec.get("lo", 1.0)), float(spec.get("hi", 4.0)), n=n)
+        return checkerboard_coefficient(_number(spec, "lo", 1.0), _number(spec, "hi", 4.0), n=n)
     if kind == "cell_table":
         if "table" not in spec:
             raise ConfigError("cell_table coefficient needs a 'table' array")
@@ -210,29 +245,28 @@ def coefficient_from_spec(spec: dict, n: int):
         return _expr_coefficient(spec, n)
     if kind == "random_tiles":
         law = law_from_spec(spec.get("law", {"kind": "uniform", "lo": 1.0, "hi": 2.0}))
-        return RandomTileCoefficient(law, int(spec.get("seed", 0)), n=n)
+        return RandomTileCoefficient(law, int(_number(spec, "seed", 0)), n=n)
     raise ConfigError(f"unknown coefficient type {kind!r}")
 
 
 def integrand_from_spec(spec: dict, n: int):
-    kind = spec.get("type", "power")
+    kind = _object(spec, "integrand").get("type", "power")
     if kind == "power":
         coeff = coefficient_from_spec(spec.get("coefficient", {"type": "constant", "value": 1.0}), n)
-        return PowerIntegrand(coeff, alpha=float(spec.get("alpha", 2.0)))
+        return PowerIntegrand(coeff, alpha=_number(spec, "alpha", 2.0))
     if kind == "matrix_p":
         if "matrix" not in spec:
             raise ConfigError("matrix_p integrand needs a 'matrix' (2n x 2n, symmetric positive)")
-        field = ConstantMatrixField(np.asarray(spec["matrix"], dtype=float))
-        return MatrixPowerIntegrand(field, p=float(spec.get("p", 2.0)))
+        return MatrixPowerIntegrand(np.asarray(spec["matrix"], dtype=float), p=_number(spec, "p", 2.0))
     raise ConfigError(f"unknown integrand type {kind!r}")
 
 
 def law_from_spec(spec: dict):
-    kind = spec.get("kind")
+    kind = _object(spec, "law").get("kind")
     if kind == "uniform":
-        return UniformLaw(float(spec["lo"]), float(spec["hi"]))
+        return UniformLaw(_number(spec, "lo"), _number(spec, "hi"))
     if kind == "two_point":
-        return TwoPointLaw(float(spec["a"]), float(spec["b"]), float(spec.get("prob", 0.5)))
+        return TwoPointLaw(_number(spec, "a"), _number(spec, "b"), _number(spec, "prob", 0.5))
     raise ConfigError(f"unknown law kind {spec.get('kind')!r}")
 
 
@@ -314,9 +348,7 @@ def _cmd_verify(cfg, args):
 def _cmd_cell(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
     sol = mu_q(f, cfg.q, cfg.t, cfg.M, n=cfg.n, config=cfg.solver_config())
-    from .grids import build_grid
-
-    vol = build_grid(cfg.t, cfg.M, cfg.n).volume
+    vol = sol.u.grid.volume
     header = ["t", "M", "energy", "energy_density", "iterations", "residual", "converged", "method"]
     rows = [(cfg.t, cfg.M, sol.energy, sol.energy / vol, sol.iterations,
              sol.residual, sol.converged, sol.method)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .heisenberg import group_mul, sigma_ext
 
-__all__ = ["Polynomial", "SmoothFunction", "LeftTranslate", "h_linear"]
+__all__ = ["Polynomial", "LeftTranslate", "h_linear"]
 
 
 class Polynomial:
@@ -126,20 +126,6 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         cols = [self.partial(i).value(x) for i in range(self.nvars)]
         return np.stack(np.broadcast_arrays(*cols), axis=-1)
-
-
-class SmoothFunction:
-    """Pairs a vectorized value callable with its exact gradient callable."""
-
-    def __init__(self, value_fn, gradient_fn):
-        self._v = value_fn
-        self._g = gradient_fn
-
-    def value(self, x):
-        return self._v(np.asarray(x, dtype=float))
-
-    def gradient(self, x):
-        return self._g(np.asarray(x, dtype=float))
 
 
 class LeftTranslate:

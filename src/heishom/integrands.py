@@ -3,12 +3,16 @@
 Shipped families:
 
 * power integrands      f(x, q) = a(x) |q|^alpha        (alpha > 1, a > 0)
-* matrix-power          f(x, q) = |A(x) q|^p            (A symmetric positive)
+* matrix-power          f(x, q) = |A q|^p               (A constant, symmetric positive)
 
 Coefficients a(x) come as constants, value tables on a sub-grid of the unit
 cell extended by the group tiling (exactly periodic under the lattice
 translations tau_k by construction), smooth closed-form expressions, or
 random tile fields (see heishom.stochastic).
+
+Position enters only through ``coefficients_at(X)`` (transform, then lookup);
+``eval_cells(c, Q)``, ``grad_q_cells(c, Q)`` and ``quad_cells(c)`` do pure
+per-cell arithmetic on its result, so a solve looks its coefficients up once.
 
 ``rescale_integrand`` and ``translate_integrand`` compose the position
 argument with a dilation resp. a left translation.  Both transforms are kept
@@ -31,8 +35,6 @@ __all__ = [
     "CellTableCoefficient",
     "SmoothCoefficient",
     "checkerboard_coefficient",
-    "MatrixField",
-    "ConstantMatrixField",
     "Integrand",
     "PowerIntegrand",
     "MatrixPowerIntegrand",
@@ -159,44 +161,6 @@ class SmoothCoefficient(CoefficientField):
 
 
 # ---------------------------------------------------------------------------
-# matrix fields
-# ---------------------------------------------------------------------------
-
-class MatrixField:
-    """Symmetric positive m x m matrix A(x); eig_min/eig_max bound the spectrum."""
-
-    eig_min = None
-    eig_max = None
-    h_periodic = False
-    x_independent = False
-
-    def matrices_at(self, X):
-        raise NotImplementedError
-
-
-class ConstantMatrixField(MatrixField):
-    x_independent = True
-    h_periodic = True
-
-    def __init__(self, matrix):
-        A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(A, A.T, rtol=0, atol=1e-12):
-            raise ValueError("matrix must be symmetric")
-        w = np.linalg.eigvalsh(A)
-        if w[0] <= 0:
-            raise ValueError("matrix must be positive definite")
-        self.matrix = 0.5 * (A + A.T)
-        self.eig_min = float(w[0])
-        self.eig_max = float(w[-1])
-
-    def matrices_at(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(self.matrix, X.shape[:-1] + self.matrix.shape)
-
-
-# ---------------------------------------------------------------------------
 # integrands
 # ---------------------------------------------------------------------------
 
@@ -205,13 +169,12 @@ class Integrand:
 
     alpha          growth exponent (> 1)
     c1, c2         growth constants: c1 |q|^alpha <= f <= c2 (|q|^alpha + 1)
-    convex_in_q, h_periodic, x_independent   structural flags
+    h_periodic, x_independent   structural flags
     """
 
     alpha = None
     c1 = None
     c2 = None
-    convex_in_q = True
     h_periodic = False
     x_independent = False
 
@@ -228,16 +191,21 @@ class Integrand:
         return X
 
     def eval(self, x, q) -> float:
-        return float(self.eval_cells(np.asarray(x, dtype=float), np.asarray(q, dtype=float)))
+        return float(self.eval_cells(self.coefficients_at(x), np.asarray(q, dtype=float)))
 
-    def eval_cells(self, X, Q):
+    def coefficients_at(self, X):
+        """Coefficients at the points X (shape (..., N)); the only position lookup."""
         raise NotImplementedError
 
-    def grad_q_cells(self, X, Q):
+    def eval_cells(self, c, Q):
+        """f at slopes Q (shape (..., m)) for coefficients c = coefficients_at(X)."""
         raise NotImplementedError
 
-    def quad_cells(self, X):
-        """Exact quadratic structure, if any.
+    def grad_q_cells(self, c, Q):
+        raise NotImplementedError
+
+    def quad_cells(self, c):
+        """Exact quadratic structure, if any, for coefficients c.
 
         Returns ('scalar', a) with f = a |q|^2, or ('matrix', S) with
         f = |S q|^2, or None when the energy is not a quadratic form.
@@ -274,15 +242,14 @@ class PowerIntegrand(Integrand):
         self.h_periodic = coefficient.h_periodic
         self.x_independent = coefficient.x_independent
 
-    def _coeff(self, X):
+    def coefficients_at(self, X):
         return self.coefficient.values_at(self._map_points(X))
 
-    def eval_cells(self, X, Q):
-        return self._coeff(X) * _norm_pow(Q, self.alpha)
+    def eval_cells(self, a, Q):
+        return a * _norm_pow(Q, self.alpha)
 
-    def grad_q_cells(self, X, Q):
+    def grad_q_cells(self, a, Q):
         Q = np.asarray(Q, dtype=float)
-        a = self._coeff(X)
         if self.alpha == 2.0:
             return 2.0 * a[..., None] * Q
         s = np.sum(Q * Q, axis=-1)
@@ -291,36 +258,45 @@ class PowerIntegrand(Integrand):
             fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
         return (self.alpha * a * fac)[..., None] * Q
 
-    def quad_cells(self, X):
+    def quad_cells(self, a):
         if self.alpha == 2.0:
-            return ("scalar", self._coeff(X))
+            return ("scalar", a)
         return None
 
 
 class MatrixPowerIntegrand(Integrand):
-    """f(x, q) = |A(x) q|^p for a symmetric positive matrix field A."""
+    """f(x, q) = |A q|^p for a constant symmetric positive definite matrix A."""
 
-    def __init__(self, field: MatrixField, p=2.0):
+    h_periodic = True
+    x_independent = True
+
+    def __init__(self, matrix, p=2.0):
         p = float(p)
         if p <= 1.0:
             raise ValueError("p must exceed 1")
-        self.field = field
+        A = np.asarray(matrix, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("matrix must be square")
+        if not np.allclose(A, A.T, rtol=0, atol=1e-12):
+            raise ValueError("matrix must be symmetric")
+        w = np.linalg.eigvalsh(A)
+        if w[0] <= 0:
+            raise ValueError("matrix must be positive definite")
+        self.matrix = 0.5 * (A + A.T)
+        self.eig_min = float(w[0])
+        self.eig_max = float(w[-1])
         self.alpha = p
-        self.c1 = field.eig_min**p
-        self.c2 = max(field.eig_max**p, 1.0)
-        self.h_periodic = field.h_periodic
-        self.x_independent = field.x_independent
+        self.c1 = self.eig_min**p
+        self.c2 = max(self.eig_max**p, 1.0)
 
-    def _mats(self, X):
-        return self.field.matrices_at(self._map_points(X))
+    def coefficients_at(self, X):
+        return self.matrix
 
-    def eval_cells(self, X, Q):
-        A = self._mats(X)
+    def eval_cells(self, A, Q):
         Aq = np.einsum("...ij,...j->...i", A, np.asarray(Q, dtype=float))
         return _norm_pow(Aq, self.alpha)
 
-    def grad_q_cells(self, X, Q):
-        A = self._mats(X)
+    def grad_q_cells(self, A, Q):
         Q = np.asarray(Q, dtype=float)
         Aq = np.einsum("...ij,...j->...i", A, Q)
         AtAq = np.einsum("...ji,...j->...i", A, Aq)
@@ -331,9 +307,9 @@ class MatrixPowerIntegrand(Integrand):
             fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
         return self.alpha * fac[..., None] * AtAq
 
-    def quad_cells(self, X):
+    def quad_cells(self, A):
         if self.alpha == 2.0:
-            return ("matrix", self._mats(X))
+            return ("matrix", A)
         return None
 
 
@@ -341,8 +317,8 @@ def power_integrand(coefficient, alpha=2.0) -> PowerIntegrand:
     return PowerIntegrand(coefficient, alpha)
 
 
-def matrix_p_integrand(field, p=2.0) -> MatrixPowerIntegrand:
-    return MatrixPowerIntegrand(field, p)
+def matrix_p_integrand(matrix, p=2.0) -> MatrixPowerIntegrand:
+    return MatrixPowerIntegrand(matrix, p)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +416,8 @@ def verify_assumptions(
     Q = rng.normal(size=(samples, m))
     Q *= (radii / np.maximum(np.linalg.norm(Q, axis=1), 1e-300))[:, None]
 
-    vals = f.eval_cells(X, Q)
+    c = f.coefficients_at(X)
+    vals = f.eval_cells(c, Q)
     qpow = np.sum(Q * Q, axis=-1) ** (0.5 * f.alpha)
     lower_gap = f.c1 * qpow - vals
     upper_gap = vals - f.c2 * (qpow + 1.0)
@@ -451,22 +428,21 @@ def verify_assumptions(
     if not rep.growth_ok:
         rep.witness = (X[worst].copy(), Q[worst].copy())
 
-    if f.convex_in_q:
-        Q2 = rng.normal(size=(samples, m)) * radii[:, None]
-        mid = f.eval_cells(X, 0.5 * (Q + Q2))
-        avg = 0.5 * (vals + f.eval_cells(X, Q2))
-        viol = mid - avg
-        scale = np.maximum(1.0, np.abs(avg))
-        w = int(np.argmax(viol / scale))
-        rep.worst_convexity_violation = float(viol[w] / scale[w])
-        rep.convexity_ok = bool(rep.worst_convexity_violation <= convexity_tol)
-        if not rep.convexity_ok and rep.witness is None:
-            rep.witness = (X[w].copy(), Q[w].copy(), Q2[w].copy())
+    Q2 = rng.normal(size=(samples, m)) * radii[:, None]
+    mid = f.eval_cells(c, 0.5 * (Q + Q2))
+    avg = 0.5 * (vals + f.eval_cells(c, Q2))
+    viol = mid - avg
+    scale = np.maximum(1.0, np.abs(avg))
+    w = int(np.argmax(viol / scale))
+    rep.worst_convexity_violation = float(viol[w] / scale[w])
+    rep.convexity_ok = bool(rep.worst_convexity_violation <= convexity_tol)
+    if not rep.convexity_ok and rep.witness is None:
+        rep.witness = (X[w].copy(), Q[w].copy(), Q2[w].copy())
 
     if f.h_periodic:
         K = rng.integers(-3, 4, size=(samples, N))
         shifted = translate_tau(K.astype(float), X)
-        gap = np.abs(f.eval_cells(shifted, Q) - vals)
+        gap = np.abs(f.eval_cells(f.coefficients_at(shifted), Q) - vals)
         scale = np.maximum(1.0, np.abs(vals))
         w = int(np.argmax(gap / scale))
         rep.worst_periodicity_gap = float(gap[w] / scale[w])

@@ -28,9 +28,11 @@ Three routes:
   descent (scipy L-BFGS-B) with the analytic energy gradient, for every
   other convex integrand.
 
-``solve_cell`` computes the H-affine boundary trace once and calls
-``_solve_quadratic`` or ``_solve_first_order`` once, started from it: the
-affine field is also the initial guess of the interior.
+``solve_cell`` looks the coefficients up once at the cell centres, computes
+the H-affine boundary trace once and calls ``_solve_quadratic`` or
+``_solve_first_order`` once, started from it: the affine field is also the
+initial guess of the interior, and every objective call reuses the
+coefficients.  ``discrete_energy`` makes its own single lookup.
 
 A diagonal entry or a curvature on the quadratic path that is not positive
 (NaN included) raises ``NumericalError``.
@@ -75,7 +77,6 @@ class SolverConfig:
     tol_residual: float = 1e-12   # stopping rule of the quadratic path
     max_iter: int = 100_000
     method: str = "auto"          # auto | cg | first_order
-    tikhonov: float = 0.0
 
     def __post_init__(self):
         if min(self.tol_rel_energy, self.tol_grad, self.tol_residual) <= 0:
@@ -84,8 +85,6 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tikhonov < 0:
-            raise ValueError("tikhonov must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def discrete_energy(u: ScalarField, f: Integrand) -> float:
     """E(u) recomputed from scratch (never an accumulated solver quantity)."""
     grid = u.grid
     G = discrete_h_gradient(u).reshape(-1, grid.m)
-    vals = f.eval_cells(grid.cell_centers, G)
+    vals = f.eval_cells(f.coefficients_at(grid.cell_centers), G)
     return float(np.sum(vals) * grid.cell_volume)
 
 
@@ -204,7 +203,8 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
     energy evaluations (finite probing is exact for quadratic forms) and
     solves the dense normal system.  Returns (energy, ScalarField).
     """
-    if f.quad_cells(grid.cell_centers[:1]) is None:
+    c = f.coefficients_at(grid.cell_centers)
+    if f.quad_cells(c) is None:
         raise ValueError("dense reference requires an exactly quadratic energy")
     interior = grid.interior_flat
     k = len(interior)
@@ -217,7 +217,8 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
     def energy_of(vec):
         vals = base.copy()
         vals.reshape(-1)[interior] = vec
-        return discrete_energy(ScalarField(grid, vals), f)
+        G = discrete_h_gradient(ScalarField(grid, vals)).reshape(-1, grid.m)
+        return float(np.sum(f.eval_cells(c, G)) * grid.cell_volume)
 
     e0 = energy_of(np.zeros(k))
     if k == 0:
@@ -243,8 +244,7 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
         v, *_ = np.linalg.lstsq(H, -g, rcond=None)
     vals = base.copy()
     vals.reshape(-1)[interior] = v
-    u = ScalarField(grid, vals)
-    return discrete_energy(u, f), u
+    return energy_of(v), ScalarField(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,11 @@ def _pcg(K, rhs, x0, tol_rel, max_iter):
 
 
 def _solve_quadratic(problem, quad, trace):
-    """Assemble the normal system K x = rhs and run PCG on it from the trace."""
+    """Assemble the normal system K x = rhs and run PCG on it from the trace.
+
+    rhs = -Bi^T (Bt u_bd) lies in the range of K = Bi^T Bi, so PCG needs no
+    regularisation even where K is only semidefinite.
+    """
     grid, cfg = problem.grid, problem.config
     Bt = _weighted_operator(grid, quad)
     interior = grid.interior_flat
@@ -310,27 +314,24 @@ def _solve_quadratic(problem, quad, trace):
     u_bd[interior] = 0.0
     Bi = Bt.tocsc()[:, interior].tocsr()
     K = (Bi.T @ Bi).tocsr()
-    if cfg.tikhonov > 0:
-        K = K + cfg.tikhonov * sp.identity(K.shape[0], format="csr")
     rhs = -(Bi.T @ (Bt @ u_bd))
     del Bt, Bi, u_bd  # free the assembly before the iteration
     return _pcg(K, rhs, trace[interior], cfg.tol_residual, cfg.max_iter)
 
 
-def _solve_first_order(problem, trace):
+def _solve_first_order(problem, coeffs, trace):
     """L-BFGS on the energy and its analytic gradient, started from the trace."""
     grid, cfg, f = problem.grid, problem.config, problem.integrand
     B = gradient_operator(grid)
     interior = grid.interior_flat
-    X = grid.cell_centers
     m, vol = grid.m, grid.cell_volume
 
     def fun_jac(vec):
         full = trace.copy()
         full[interior] = vec
         G = (B @ full).reshape(-1, m)
-        E = float(np.sum(f.eval_cells(X, G)) * vol)
-        gq = f.grad_q_cells(X, G) * vol
+        E = float(np.sum(f.eval_cells(coeffs, G)) * vol)
+        gq = f.grad_q_cells(coeffs, G) * vol
         return E, (B.T @ gq.reshape(-1))[interior]
 
     options = {
@@ -349,7 +350,8 @@ def _solve_first_order(problem, trace):
 def solve_cell(problem: CellProblem) -> CellSolution:
     """Minimize the discrete energy subject to the boundary trace."""
     grid, cfg = problem.grid, problem.config
-    quad = problem.integrand.quad_cells(grid.cell_centers)
+    coeffs = problem.integrand.coefficients_at(grid.cell_centers)
+    quad = problem.integrand.quad_cells(coeffs)
 
     method = cfg.method
     if method == "auto":
@@ -361,7 +363,7 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     if method == "cg":
         x, it, residual, converged = _solve_quadratic(problem, quad, trace)
     else:
-        x, it, residual, converged = _solve_first_order(problem, trace)
+        x, it, residual, converged = _solve_first_order(problem, coeffs, trace)
     vals = trace.copy()
     vals[grid.interior_flat] = x
     u = ScalarField(grid, vals.reshape(grid.shape))
@@ -414,8 +416,8 @@ def check_translation_invariance(
 
     X = grid.cell_centers
     qrow = np.broadcast_to(np.asarray(q, dtype=float), (X.shape[0], grid.m))
-    a0 = f.eval_cells(X, qrow)
-    a1 = g.eval_cells(X, qrow)
+    a0 = f.eval_cells(f.coefficients_at(X), qrow)
+    a1 = g.eval_cells(g.coefficients_at(X), qrow)
     diff = np.abs(a0 - a1)
     wit = int(np.argmax(diff))
 

@@ -266,11 +266,30 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["cell", "--config", badgrid]) == 2
     badsolver = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"kernel_probe": True}})
     assert main(["cell", "--config", badsolver]) == 2
+    tikhonov = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"tikhonov": 1e-6}})
+    assert main(["cell", "--config", tikhonov]) == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("cell", {"q": 5}),
+    ("cell", {"integrand": "power"}),
+    ("cell", {"t": None}),
+    ("stochastic", {"law": {"kind": "uniform"}}),
+    ("effective", {"k_list": [1, "a"]}),
+], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string"])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload):
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("heishom: config error: ")
 
 
 @pytest.mark.parametrize("expr, bounds", [
     ("-1 + 0*x1", {"a_min": 1.0}),
     ("50 + 0*x1", {"a_min": 1.0, "a_max": 2.0}),
+    ("1 + sqrt(x1)", {"a_min": 1.0, "a_max": 3.0}),
 ])
 def test_coefficient_outside_declared_bounds_is_a_config_error(tmp_path, capsys, expr, bounds):
     spec = {"type": "power", "alpha": 2.0,

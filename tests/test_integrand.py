@@ -6,7 +6,7 @@ import pytest
 from heishom import (
     CellTableCoefficient,
     ConstantCoefficient,
-    ConstantMatrixField,
+    MatrixPowerIntegrand,
     SmoothCoefficient,
     checkerboard_coefficient,
     matrix_p_integrand,
@@ -20,6 +20,11 @@ from heishom.heisenberg import dilate, group_mul, pullback_to_cell, translate_ta
 
 def rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def at(f, X, Q):
+    """f(x, q) per row: one coefficient lookup, then the per-cell arithmetic."""
+    return f.eval_cells(f.coefficients_at(X), Q)
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +78,12 @@ def test_constant_and_smooth_coefficients():
     assert not s.h_periodic
 
 
-def test_matrix_field_validation():
+def test_matrix_integrand_validation():
     with pytest.raises(ValueError):
-        ConstantMatrixField(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
+        MatrixPowerIntegrand(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
-        ConstantMatrixField(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    F = ConstantMatrixField(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        MatrixPowerIntegrand(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    F = MatrixPowerIntegrand(np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert F.eig_min > 0 and F.eig_max < 3.0
 
 
@@ -91,7 +96,7 @@ def test_power_integrand_values_and_growth():
     gen = rng(42)
     X = gen.uniform(-3, 3, size=(200, 3))
     Q = gen.uniform(-2, 2, size=(200, 2))
-    vals = f.eval_cells(X, Q)
+    vals = at(f, X, Q)
     nq = np.sum(Q * Q, axis=-1)
     assert np.all(vals >= f.c1 * nq - 1e-12)
     assert np.all(vals <= f.c2 * (nq + 1.0) + 1e-12)
@@ -104,43 +109,46 @@ def test_power_integrand_gradient_matches_fd():
         gen = rng(43)
         X = gen.uniform(-2, 2, size=(50, 3))
         Q = gen.uniform(0.2, 2, size=(50, 2)) * gen.choice([-1.0, 1.0], size=(50, 2))
-        g = f.grad_q_cells(X, Q)
+        c = f.coefficients_at(X)
+        g = f.grad_q_cells(c, Q)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (f.eval_cells(X, Q + e) - f.eval_cells(X, Q - e)) / (2 * h)
+            fd = (f.eval_cells(c, Q + e) - f.eval_cells(c, Q - e)) / (2 * h)
             np.testing.assert_allclose(g[:, i], fd, rtol=1e-5, atol=1e-5)
 
 
 def test_power_gradient_zero_safe():
     f = power_integrand(ConstantCoefficient(1.0), 1.5)
-    g = f.grad_q_cells(np.zeros((1, 3)), np.zeros((1, 2)))
+    g = f.grad_q_cells(f.coefficients_at(np.zeros((1, 3))), np.zeros((1, 2)))
     assert np.all(np.isfinite(g)) and np.all(g == 0.0)
 
 
 def test_matrix_integrand_quadratic_case():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    f = matrix_p_integrand(ConstantMatrixField(A), 2.0)
+    f = matrix_p_integrand(A, 2.0)
     gen = rng(44)
     X = gen.uniform(-2, 2, size=(80, 3))
     Q = gen.uniform(-2, 2, size=(80, 2))
     expect = np.sum((Q @ A.T) ** 2, axis=-1)
-    np.testing.assert_allclose(f.eval_cells(X, Q), expect, rtol=1e-14)
-    kind, payload = f.quad_cells(X)
-    assert kind == "matrix" and payload.shape == (80, 2, 2)
-    assert f.quad_cells(X) is not None
-    f3 = matrix_p_integrand(ConstantMatrixField(A), 3.0)
-    assert f3.quad_cells(X) is None
+    np.testing.assert_allclose(at(f, X, Q), expect, rtol=1e-14)
+    kind, payload = f.quad_cells(f.coefficients_at(X))
+    assert kind == "matrix"
+    np.testing.assert_array_equal(payload, A)
+    f3 = matrix_p_integrand(A, 3.0)
+    assert f3.quad_cells(f3.coefficients_at(X)) is None
 
 
 def test_quad_cells_only_for_quadratic_power():
     a = checkerboard_coefficient(1.0, 4.0)
     X = rng(45).uniform(-2, 2, size=(30, 3))
-    kind, payload = power_integrand(a, 2.0).quad_cells(X)
+    f = power_integrand(a, 2.0)
+    kind, payload = f.quad_cells(f.coefficients_at(X))
     assert kind == "scalar"
     np.testing.assert_array_equal(payload, a.values_at(X))
-    assert power_integrand(a, 2.5).quad_cells(X) is None
+    f = power_integrand(a, 2.5)
+    assert f.quad_cells(f.coefficients_at(X)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +162,7 @@ def test_rescale_evaluates_at_dilated_points():
     Q = gen.uniform(-2, 2, size=(300, 2))
     for eps in (0.5, 2.0):
         g = rescale_integrand(f, eps)
-        np.testing.assert_array_equal(g.eval_cells(X, Q), f.eval_cells(dilate(1.0 / eps, X), Q))
+        np.testing.assert_array_equal(at(g, X, Q), at(f, dilate(1.0 / eps, X), Q))
         assert not g.h_periodic
     assert rescale_integrand(f, 1.0).h_periodic
 
@@ -166,7 +174,7 @@ def test_translate_evaluates_at_shifted_points():
     Q = gen.uniform(-2, 2, size=(300, 2))
     z = np.array([0.3, -0.7, 0.2])
     g = translate_integrand(f, z)
-    np.testing.assert_array_equal(g.eval_cells(X, Q), f.eval_cells(group_mul(z, X), Q))
+    np.testing.assert_array_equal(at(g, X, Q), at(f, group_mul(z, X), Q))
     # fractional horizontal shift breaks lattice periodicity;
     # integral horizontal shift (any vertical) keeps it
     assert not g.h_periodic
@@ -183,10 +191,10 @@ def test_translate_composition_law():
     z2 = np.array([-1.1, 0.6, -0.3])
     lhs = translate_integrand(translate_integrand(f, z1), z2)
     rhs = translate_integrand(f, group_mul(z1, z2))
-    np.testing.assert_array_equal(lhs.eval_cells(X, Q), rhs.eval_cells(X, Q))
+    np.testing.assert_array_equal(at(lhs, X, Q), at(rhs, X, Q))
     # and both concretely evaluate f at z1 * z2 * x
     np.testing.assert_array_equal(
-        lhs.eval_cells(X, Q), f.eval_cells(group_mul(z1, group_mul(z2, X)), Q))
+        at(lhs, X, Q), at(f, group_mul(z1, group_mul(z2, X)), Q))
 
 
 def test_rescale_translate_interchange():
@@ -198,17 +206,17 @@ def test_rescale_translate_interchange():
     eps = 2.0
     a = rescale_integrand(translate_integrand(f, z), eps)
     b = translate_integrand(rescale_integrand(f, eps), dilate(eps, z))
-    np.testing.assert_array_equal(a.eval_cells(X, Q), b.eval_cells(X, Q))
+    np.testing.assert_array_equal(at(a, X, Q), at(b, X, Q))
 
 
 def test_transforms_do_not_mutate_original():
     f = power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0)
     X = rng(50).uniform(-3, 3, size=(100, 3))
     Q = np.ones((100, 2))
-    before = f.eval_cells(X, Q).copy()
+    before = at(f, X, Q).copy()
     _ = translate_integrand(f, np.array([0.3, 0.1, 0.0]))
     _ = rescale_integrand(f, 3.0)
-    np.testing.assert_array_equal(f.eval_cells(X, Q), before)
+    np.testing.assert_array_equal(at(f, X, Q), before)
     assert f.h_periodic
 
 

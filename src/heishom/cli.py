@@ -62,9 +62,9 @@ class ConfigError(ValueError):
 
 
 def _json_matches(value, default):
-    """True when a JSON value has the type of a RunConfig default: an int takes
-    integers, a float any number, a tuple a list of items like its first, and
-    None (x0) null or a list of numbers."""
+    """True when a JSON value has the type of a RunConfig or SolverConfig
+    default: an int takes integers, a float any number, a tuple a list of
+    items like its first, and None (x0) null or a list of numbers."""
     if default is None:
         return value is None or _json_matches(value, (0.0,))
     if isinstance(default, tuple):
@@ -130,6 +130,10 @@ class RunConfig:
         return d
 
     def solver_config(self) -> SolverConfig:
+        defaults = dataclasses.asdict(SolverConfig())
+        for name, value in self.solver.items():
+            if name in defaults and not _json_matches(value, defaults[name]):
+                raise ConfigError(f"solver key {name!r} has the wrong type: {value!r}")
         try:
             return SolverConfig(**self.solver)
         except TypeError as exc:

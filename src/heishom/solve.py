@@ -18,12 +18,18 @@ Three routes:
   the iterative paths, so it serves as an independent oracle.
 * quadratic path (``method='cg'``)  assembles the sparse weighted gradient
   operator, forms the symmetric positive (semi)definite normal system and
-  runs diagonally preconditioned conjugate gradients to a relative residual
-  tolerance.  Valid exactly when the integrand reports a quadratic structure
-  (power integrands with alpha = 2, matrix powers with p = 2).  Its inner
-  products are single-threaded and bypass BLAS, so iteration counts and
-  energies do not depend on the BLAS thread setting, and the path makes no
-  BLAS call at all (scipy sparse matvecs, numpy ufunc updates).
+  runs conjugate gradients preconditioned by one multigrid V-cycle to a
+  relative residual tolerance.  Valid exactly when the integrand reports a
+  quadratic structure (power integrands with alpha = 2, matrix powers with
+  p = 2).  The hierarchy keeps every second interior node on each axis with
+  at least 3 of them (trilinear Kronecker interpolation, Galerkin coarse
+  operators) until at most 1500 unknowns remain, which a sparse LU factors;
+  the first coarse space also holds the sign-flipped interpolants of the
+  hourglass mode (-1)^(i+j+k), and a degree-3 Chebyshev-Jacobi smoother
+  runs before and after each coarse correction.  Its inner products are
+  single-threaded and bypass BLAS, so iteration counts and energies do not
+  depend on the BLAS thread setting; the only BLAS calls are the small
+  dense blocks of the coarsest sparse LU.
 * first-order path (``method='first_order'``)  limited-memory quasi-Newton
   descent (scipy L-BFGS-B) with the analytic energy gradient, for every
   other convex integrand.
@@ -40,12 +46,14 @@ A diagonal entry or a curvature on the quadratic path that is not positive
 Solves are deterministic; distinct problems share no mutable state.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .grids import (
     AnisoGrid,
@@ -266,17 +274,140 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def _pcg(K, rhs, x0, tol_rel, max_iter):
-    """Diagonally preconditioned conjugate gradients for SPD / consistent SPSD K."""
-    diag = K.diagonal()
+def _positive_diagonal(A):
+    diag = A.diagonal()
     if not np.all(diag > 0):  # also catches NaN
         raise NumericalError("assembled normal system has diagonal entries that are not positive")
-    minv = 1.0 / diag
+    return diag
 
+
+# Multigrid preconditioner.  The sign field (-1)^(i+j+k) has zero discrete
+# gradient in every cell (an hourglass mode of the edge-averaged stencil).
+# Pinned to zero on the boundary and times a smooth envelope it is a
+# near-kernel vector of K that no point smoother damps and no linear
+# interpolation represents, so the first coarse space also holds the
+# sign-flipped interpolants S P (near-kernel augmentation, as in smoothed
+# aggregation).
+
+_COARSE_UNKNOWNS = 1500   # factor directly at or below this size
+_CHEB_DEGREE = 3
+_CHEB_RATIO = 30.0        # smoothed part of the spectrum: [lmax / ratio, lmax]
+_POWER_STEPS = 15
+
+
+def _interpolation(shape):
+    """Linear interpolation onto the interior nodes of ``shape`` from every
+    second node (grid indices 2, 4, ...) of each axis with at least 3 of them;
+    shorter axes are kept.  Returns the Kronecker product and the coarse shape."""
+    P, coarse = None, []
+    for nf in shape:
+        if nf < 3:
+            P1, nc = sp.identity(nf, format="csr"), nf
+        else:
+            nc = nf // 2
+            c = np.arange(nc)
+            rows = np.concatenate([2 * c + 1, 2 * c, 2 * c + 2])
+            vals = np.repeat([1.0, 0.5, 0.5], nc)
+            keep = rows < nf
+            P1 = sp.csr_matrix((vals[keep], (rows[keep], np.tile(c, 3)[keep])), shape=(nf, nc))
+        P = P1 if P is None else sp.kron(P, P1, format="csr")
+        coarse.append(nc)
+    return P, tuple(coarse)
+
+
+def _chebyshev(A, dinv):
+    """Degree-3 Chebyshev smoother on D^-1 A (Adams et al., JCP 2003).
+
+    The largest eigenvalue comes from power iterations started from a fixed
+    vector, so the smoother (and the V-cycle) is deterministic.
+    """
+    v = np.cos(np.arange(A.shape[0]))
+    for _ in range(_POWER_STEPS):
+        w = dinv * (A @ v)
+        v = w / math.sqrt(_dot(w, w))
+    hi = 1.1 * _dot(v, A @ v) / _dot(v, v / dinv)
+    lo = hi / _CHEB_RATIO
+    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    sigma = theta / delta
+
+    def smooth(b, x=None):
+        r = dinv * (b if x is None else b - A @ x)
+        d = r / theta
+        x = d if x is None else x + d
+        rho = 1.0 / sigma
+        for _ in range(_CHEB_DEGREE - 1):
+            r -= dinv * (A @ d)
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            d = (rho_new * rho) * d + (2.0 * rho_new / delta) * r
+            rho = rho_new
+            x += d
+        return x
+
+    return smooth
+
+
+def _multigrid(K, shape):
+    """One symmetric V-cycle for K on the interior node shape, as r -> z.
+
+    Levels are coarsened by ``_interpolation`` with Galerkin operators until
+    at most ``_COARSE_UNKNOWNS`` remain, which ``splu`` factors.  The first
+    coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
+    later levels interpolate both halves with blockdiag(P', P').
+    """
+    levels = []
+    A = K
+    sign = (-1.0) ** np.indices(shape).sum(axis=0).reshape(-1)
+    while A.shape[0] > _COARSE_UNKNOWNS and max(shape) >= 3:
+        P, shape = _interpolation(shape)
+        smooth = _chebyshev(A, 1.0 / _positive_diagonal(A))
+        if levels:
+            P, sign = sp.block_diag((P, P), format="csr"), None
+        PT = P.T.tocsr()
+        if sign is None:
+            Ac = PT @ A @ P
+        else:
+            # the four Galerkin blocks of [P, S P], each K @ . freed before the next
+            SP = sp.diags(sign) @ P
+            SPT = SP.T.tocsr()
+            KP = A @ P
+            A11, A21 = PT @ KP, SPT @ KP
+            del KP
+            KSP = A @ SP
+            A22 = SPT @ KSP
+            del KSP, SP, SPT
+            Ac = sp.bmat([[A11, A21.T], [A21, A22]], format="csr")
+        levels.append((A, smooth, P, PT, sign))
+        A = Ac
+    _positive_diagonal(A)
+    return functools.partial(_vcycle, levels, scipy.sparse.linalg.splu(A.tocsc()))
+
+
+def _vcycle(levels, coarse, b, level=0):
+    if level == len(levels):
+        return coarse.solve(b)
+    A, smooth, P, PT, sign = levels[level]
+    x = smooth(b)
+    r = b - A @ x
+    if sign is None:
+        x += P @ _vcycle(levels, coarse, PT @ r, level + 1)
+    else:
+        e = _vcycle(levels, coarse, np.concatenate([PT @ r, PT @ (sign * r)]), level + 1)
+        nc = P.shape[1]
+        x += P @ e[:nc] + sign * (P @ e[nc:])
+    return smooth(b, x)
+
+
+def _pcg(K, rhs, x0, precond, tol_rel, max_iter):
+    """Preconditioned conjugate gradients for SPD / consistent SPSD K.
+
+    ``precond`` maps a residual r to z = M^-1 r for a symmetric positive
+    definite M.
+    """
+    _positive_diagonal(K)
     x = x0.copy()
     r = rhs - K @ x
     denom = max(math.sqrt(_dot(rhs, rhs)), math.sqrt(_dot(r, r)), 1e-300)
-    z = minv * r
+    z = precond(r)
     p = z.copy()
     rz = _dot(r, z)
     it = 0
@@ -292,7 +423,7 @@ def _pcg(K, rhs, x0, tol_rel, max_iter):
         x += alpha * p
         r -= alpha * Kp
         relres = math.sqrt(_dot(r, r)) / denom
-        z = minv * r
+        z = precond(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -303,8 +434,9 @@ def _pcg(K, rhs, x0, tol_rel, max_iter):
 def _solve_quadratic(problem, quad, trace):
     """Assemble the normal system K x = rhs and run PCG on it from the trace.
 
-    rhs = -Bi^T (Bt u_bd) lies in the range of K = Bi^T Bi, so PCG needs no
-    regularisation even where K is only semidefinite.
+    rhs = -Bi^T (Bt u_bd) lies in the range of K = Bi^T Bi, and the pinned
+    boundary keeps K definite (the hourglass modes are nonzero there), so
+    neither PCG nor the coarse LU of the V-cycle needs regularisation.
     """
     grid, cfg = problem.grid, problem.config
     Bt = _weighted_operator(grid, quad)
@@ -316,7 +448,8 @@ def _solve_quadratic(problem, quad, trace):
     K = (Bi.T @ Bi).tocsr()
     rhs = -(Bi.T @ (Bt @ u_bd))
     del Bt, Bi, u_bd  # free the assembly before the iteration
-    return _pcg(K, rhs, trace[interior], cfg.tol_residual, cfg.max_iter)
+    precond = _multigrid(K, tuple(s - 2 for s in grid.shape))
+    return _pcg(K, rhs, trace[interior], precond, cfg.tol_residual, cfg.max_iter)
 
 
 def _solve_first_order(problem, coeffs, trace):

@@ -221,6 +221,14 @@ def test_recover_command(tmp_path):
     assert errs[1] < errs[0]
 
 
+def test_recover_default_config_is_an_exact_recovery(tmp_path):
+    """A constant coefficient is recovered exactly: errors of 0 pass the verdict."""
+    out = os.path.join(tmp_path, "rec.csv")
+    assert main(["recover", "--out", out]) == 0
+    errs = [float(ln.split(",")[2]) for ln in Path(out).read_text().strip().splitlines()[1:]]
+    assert max(errs) <= 1e-10
+
+
 def test_n2_effective_and_ultimo(tmp_path):
     spec = {"type": "power", "alpha": 2.0,
             "coefficient": {"type": "checkerboard", "lo": 1.0, "hi": 4.0}}
@@ -253,7 +261,7 @@ def test_stdout_when_no_out(tmp_path, capsys):
 # exit codes
 # ---------------------------------------------------------------------------
 
-def test_config_error_exit_codes(tmp_path):
+def test_config_error_exit_codes(tmp_path, capsys):
     missing = os.path.join(tmp_path, "missing.json")
     assert main(["effective", "--config", missing]) == 2
     bad = write_cfg(tmp_path, {"unknown_key": 1})
@@ -268,6 +276,12 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["cell", "--config", badsolver]) == 2
     tikhonov = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"tikhonov": 1e-6}})
     assert main(["cell", "--config", tikhonov]) == 2
+    for solver in ({"max_iter": 1.5}, {"tol_residual": "1e-12"}):
+        capsys.readouterr()
+        typed = write_cfg(tmp_path, {"M": 2, "t": 1, "solver": solver})
+        assert main(["cell", "--config", typed]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("heishom: config error: ")
 
 
 @pytest.mark.parametrize("command, payload", [

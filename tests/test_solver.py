@@ -25,6 +25,7 @@ from heishom import (
     PowerIntegrand,
     ScalarField,
     SolverConfig,
+    TwoPointLaw,
     apply_boundary,
     build_grid,
     checkerboard_coefficient,
@@ -35,12 +36,15 @@ from heishom import (
     gradient_operator,
     h_affine_field,
     integrate_cells,
+    matrix_p_integrand,
     mean_h_gradient,
     mu_q,
     power_integrand,
+    sample_random_integrand,
     solve_cell,
 )
-from heishom.solve import _pcg
+from heishom import solve
+from heishom.solve import _multigrid, _pcg
 
 
 def rng(seed):
@@ -64,6 +68,19 @@ def test_gradient_operator_matches_stencil():
         via_op = (B @ u.reshape(-1)).reshape(g.cell_shape + (g.m,))
         via_stencil = discrete_h_gradient(ScalarField(g, u))
         np.testing.assert_allclose(via_op, via_stencil, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("t, M", [(1.0, 2), (2.0, 4), (2.5, 2)])
+def test_gradient_operator_has_hourglass_kernel(t, M):
+    """The alternating sign fields have zero discrete gradient in every cell:
+    the multigrid preconditioner augments its coarse space for this reason."""
+    g = build_grid(t, M)
+    B = gradient_operator(g)
+    i, j, k = np.indices(g.shape)
+    for parity in (i + j + k, i + j, i + k, j + k):
+        assert np.max(np.abs(B @ (-1.0) ** parity.reshape(-1))) == 0.0
+    control = np.max(np.abs(B @ (-1.0) ** i.reshape(-1)))
+    assert 4.0 <= control <= 8.0
 
 
 def test_discrete_energy_is_cell_quadrature():
@@ -212,38 +229,92 @@ def test_coefficients_are_looked_up_at_most_twice_per_solve(monkeypatch, alpha):
     assert len(calls) <= 2
 
 
+def jacobi(K):
+    """The diagonal preconditioner, the reference the multigrid path is held to."""
+    return lambda r: r / K.diagonal()
+
+
 @pytest.mark.parametrize("d", [0.0, -1.0, np.nan])
 def test_pcg_rejects_non_positive_diagonal(d):
     K = sp.csr_matrix(np.diag([1.0, d]))
     with pytest.raises(NumericalError, match="diagonal"):
-        _pcg(K, np.ones(2), np.zeros(2), 1e-12, 100)
+        _pcg(K, np.ones(2), np.zeros(2), jacobi(K), 1e-12, 100)
+    with pytest.raises(NumericalError, match="diagonal"):
+        _multigrid(K, (2,))
 
 
 def test_pcg_rejects_non_positive_curvature():
     K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NumericalError, match="curvature"):
-        _pcg(K, np.array([1.0, -1.0]), np.zeros(2), 1e-12, 100)
+        _pcg(K, np.array([1.0, -1.0]), np.zeros(2), jacobi(K), 1e-12, 100)
 
 
 def test_pcg_reports_non_convergence_and_solves_spd():
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     b = np.array([1.0, 2.0, 3.0])
-    _, it, relres, converged = _pcg(sp.csr_matrix(A), b, np.zeros(3), 1e-12, 1)
+    K = sp.csr_matrix(A)
+    _, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi(K), 1e-12, 1)
     assert it == 1 and relres > 1e-12 and converged is False
-    x, it, relres, converged = _pcg(sp.csr_matrix(A), b, np.zeros(3), 1e-12, 100)
+    x, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi(K), 1e-12, 100)
     assert converged is True and it <= 3
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 
 
+def _random_tile_sample():
+    return sample_random_integrand(3, TwoPointLaw(1.0, 4.0, 0.5))
+
+
+@pytest.mark.parametrize("make_f, q, t, M, n", [
+    (lambda: CHECKER, (1.0, 0.0), 3.0, 3, 1),        # misaligned with the table
+    (lambda: CHECKER, (1.0, -0.5), 2.5, 2, 1),       # odd vertical interval count
+    (lambda: matrix_p_integrand([[2.0, 0.5], [0.5, 1.0]], 2.0), (1.0, 0.5), 2.0, 4, 1),
+    (_random_tile_sample, (1.0, 0.0), 2.0, 4, 1),
+    (lambda: power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0),
+     (1.0, 0.0, 0.0, 0.0), 1.0, 3, 2),              # 3125 unknowns: one coarse level
+], ids=["checker_t3_M3", "checker_t2.5_M2", "matrix_p2", "random_tiles", "checker_n2"])
+def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
+    """Both preconditioners reach the same minimum from a perturbed start (the
+    H-affine start is already exact for x-independent integrands)."""
+    f, grid = make_f(), build_grid(t, M, n)
+    problem = CellProblem(grid, f, HAffineBoundary(q))
+    quad = f.quad_cells(f.coefficients_at(grid.cell_centers))
+    trace = problem.boundary.trace(grid).reshape(-1)
+    start = trace.copy()
+    start[grid.interior_flat] += rng(63).uniform(-1.0, 1.0, grid.interior_flat.size)
+
+    def energy_and_iterations():
+        x, it, _, converged = solve._solve_quadratic(problem, quad, start)
+        assert converged
+        vals = trace.copy()
+        vals[grid.interior_flat] = x
+        return discrete_energy(ScalarField(grid, vals.reshape(grid.shape)), f), it
+
+    e_mg, it_mg = energy_and_iterations()
+    monkeypatch.setattr(solve, "_multigrid", lambda K, shape: jacobi(K))
+    e_ref, it_ref = energy_and_iterations()
+    assert e_mg == pytest.approx(e_ref, rel=1e-10)
+    assert it_mg < it_ref
+
+
+def test_multigrid_iterations_grow_slowly_with_the_cell():
+    its = {k: mu_q(CHECKER, (1.0, 0.0), k, 4).iterations for k in (1, 2, 3)}
+    assert its[1] == 1  # 343 unknowns: the coarse factorisation solves it
+    assert its[3] <= 2 * its[2]
+
+
 _CG_FINGERPRINT = """
 from heishom import checkerboard_coefficient, mu_q, power_integrand
-s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0), (1.0, 0.0), 1, 12)
-print(s.iterations, s.residual.hex(), s.energy.hex())
+f = power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0)
+for t, M in ((1, 12), (2, 4)):  # (2, 4): the coarsest level has 1470 unknowns
+    s = mu_q(f, (1.0, 0.0), t, M)
+    print(s.iterations, s.residual.hex(), s.energy.hex())
 """
 
 
 def test_cg_result_does_not_depend_on_blas_threads():
-    """The PCG reductions bypass BLAS, whose threaded dot/nrm2 round differently."""
+    """The PCG and smoother reductions bypass BLAS, whose threaded dot/nrm2
+    round differently; the sparse LU of the coarsest level must not depend on
+    the BLAS thread count either."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
     outs = []
     for threads in ("1", "2"):

@@ -13,8 +13,8 @@ Layout:
                  gradient, boundary traces
 ``integrands``   coefficient fields and convex integrands f(x, q)
 ``solve``        cell-problem minimization (preconditioned CG for quadratic
-                 energies, a first-order method otherwise, a dense probe
-                 oracle for small grids)
+                 energies, inexact Newton otherwise, a dense probe oracle
+                 for small grids)
 ``homog``        energy-density ladders, effective-integrand estimation,
                  rescaling and recovery diagnostics, slope sweeps
 ``stochastic``   random tile coefficients and Monte Carlo concentration

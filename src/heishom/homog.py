@@ -68,13 +68,13 @@ class HomogReport:
 def map_jobs(fn, items, threads=1):
     """Order-preserving map, optionally over a thread pool.
 
-    The quadratic path (CG preconditioned by a multigrid V-cycle) spends its
-    time in sparse matvecs and ufuncs that release the interpreter lock; its
-    only BLAS calls are the small dense blocks of the ``splu`` factor and
-    solves on the coarsest level (at most 1500 unknowns).  So batches of
-    independent quadratic solves scale with threads.  The L-BFGS objective
-    closure is bound by the interpreter and small arrays, so first-order
-    solves gain little or lose from threads.
+    Both solver paths spend their time in sparse assembly, matvecs and
+    ufuncs that release the interpreter lock: CG preconditioned by a
+    multigrid V-cycle on the quadratic path, inexact Newton with Jacobi-PCG
+    inner solves otherwise.  The only BLAS calls are the small dense blocks
+    of the ``splu`` factor and solves on the coarsest multigrid level (at
+    most 1500 unknowns).  So batches of independent solves scale with
+    threads.
     """
     items = list(items)
     if threads and int(threads) > 1 and len(items) > 1:

@@ -11,14 +11,17 @@ translations tau_k by construction), smooth closed-form expressions, or
 random tile fields (see heishom.stochastic).
 
 Position enters only through ``coefficients_at(X)`` (transform, then lookup);
-``eval_cells(c, Q)``, ``grad_q_cells(c, Q)`` and ``quad_cells(c)`` do pure
-per-cell arithmetic on its result, so a solve looks its coefficients up once.
+``eval_cells(c, Q)``, ``grad_q_cells(c, Q)``, ``hessian_factor_cells(c, Q)``
+and ``quad_cells(c)`` do pure per-cell arithmetic on its result, so a solve
+looks its coefficients up once.
 
 ``rescale_integrand`` and ``translate_integrand`` compose the position
 argument with a dilation resp. a left translation.  Both transforms are kept
 flat: an already transformed integrand only updates its (scale, shift)
 parameters, so repeated composition stays exact instead of stacking closures.
 """
+
+import math
 
 import numpy as np
 
@@ -58,6 +61,11 @@ __all__ = [
 # while ordinary lookups are untouched.  The public tiling (tile_index with
 # the default guard 0) still realizes the exact half-open partition.
 BIN_GUARD = 1e-9
+
+# Floor on |q| (resp. |A q|) inside Hessian factors: keeps them finite at
+# q = 0 and for alpha < 2, where the exact Hessian blows up.  Above the floor
+# the factors are exact.
+HESSIAN_FLOOR = 1e-8
 
 
 class CoefficientField:
@@ -204,6 +212,11 @@ class Integrand:
     def grad_q_cells(self, c, Q):
         raise NotImplementedError
 
+    def hessian_factor_cells(self, c, Q):
+        """Per-cell S (shape (..., m, m)) with S^T S the Hessian of f in q at Q,
+        the slope magnitude floored at HESSIAN_FLOOR."""
+        raise NotImplementedError
+
     def quad_cells(self, c):
         """Exact quadratic structure, if any, for coefficients c.
 
@@ -226,6 +239,17 @@ def _norm_pow(Q, alpha):
     if alpha == 2.0:
         return s
     return s ** (0.5 * alpha)
+
+
+def _power_factor(Q, alpha):
+    """S with S^T S = alpha r^(alpha-2) (I + (alpha-2) qh qh^T), the Hessian of
+    |q|^alpha, for r = max(|q|, HESSIAN_FLOOR) and qh = q / r."""
+    Q = np.asarray(Q, dtype=float)
+    r = np.maximum(np.sqrt(np.sum(Q * Q, axis=-1)), HESSIAN_FLOOR)
+    qh = Q / r[..., None]
+    S = (math.sqrt(alpha - 1.0) - 1.0) * (qh[..., :, None] * qh[..., None, :])
+    S += np.eye(Q.shape[-1])
+    return S * np.sqrt(alpha * r ** (alpha - 2.0))[..., None, None]
 
 
 class PowerIntegrand(Integrand):
@@ -257,6 +281,9 @@ class PowerIntegrand(Integrand):
         with np.errstate(divide="ignore"):
             fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
         return (self.alpha * a * fac)[..., None] * Q
+
+    def hessian_factor_cells(self, a, Q):
+        return np.sqrt(np.asarray(a, dtype=float))[..., None, None] * _power_factor(Q, self.alpha)
 
     def quad_cells(self, a):
         if self.alpha == 2.0:
@@ -306,6 +333,11 @@ class MatrixPowerIntegrand(Integrand):
         with np.errstate(divide="ignore"):
             fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
         return self.alpha * fac[..., None] * AtAq
+
+    def hessian_factor_cells(self, A, Q):
+        # the Hessian is A^T H(Aq) A, with H that of |w|^p
+        Aq = np.einsum("...ij,...j->...i", A, np.asarray(Q, dtype=float))
+        return np.einsum("...ij,...jk->...ik", _power_factor(Aq, self.alpha), A)
 
     def quad_cells(self, A):
         if self.alpha == 2.0:

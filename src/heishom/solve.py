@@ -11,47 +11,34 @@ H-affine with slope q.
 
 Three routes:
 
-* ``dense_reference_minimum``  a direct reference for small quadratic
-  problems (<= 500 interior unknowns).  The Hessian and gradient are probed
-  through energy evaluations alone, which is exact for quadratic energies,
-  and the normal system is solved densely.  It shares no assembly code with
-  the iterative paths, so it serves as an independent oracle.
-* quadratic path (``method='cg'``)  assembles the sparse weighted gradient
-  operator, forms the symmetric positive (semi)definite normal system and
-  runs conjugate gradients preconditioned by one multigrid V-cycle to a
-  relative residual tolerance.  Valid exactly when the integrand reports a
-  quadratic structure (power integrands with alpha = 2, matrix powers with
-  p = 2).  The hierarchy keeps every second interior node on each axis with
-  at least 3 of them (trilinear Kronecker interpolation, Galerkin coarse
-  operators) until at most 1500 unknowns remain, which a sparse LU factors;
-  the first coarse space also holds the sign-flipped interpolants of the
-  hourglass mode (-1)^(i+j+k), and a degree-3 Chebyshev-Jacobi smoother
-  runs before and after each coarse correction.  Its inner products are
-  single-threaded and bypass BLAS, so iteration counts and energies do not
-  depend on the BLAS thread setting; the only BLAS calls are the small
-  dense blocks of the coarsest sparse LU.
-* first-order path (``method='first_order'``)  limited-memory quasi-Newton
-  descent (scipy L-BFGS-B) with the analytic energy gradient, for every
-  other convex integrand.
+* ``dense_reference_minimum``  a dense solve for small quadratic problems
+  (<= 500 unknowns) probed through energy evaluations alone; it shares no
+  assembly code with the iterative paths (an independent oracle).
+* quadratic path (``method='cg'``, alpha = 2 or p = 2)  CG on the normal
+  system of the weighted gradient operator, preconditioned by one multigrid
+  V-cycle (``_multigrid``), to a relative residual tolerance.
+* first-order path (``method='first_order'``, any other convex integrand)
+  inexact Newton: each step solves the normal system of Bh = blockdiag(S_c
+  sqrt(vol)) Bi, S_c the per-cell Hessian factor, on the quadratic path's
+  assembly by Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
+  0.9 (|g_k| / |g_k-1|)^2) (SISC 1996), then backtracks on the energy
+  (Armijo); it stops at max|g| <= tol_grad (0 steps at q = 0), unconverged
+  when a step cannot decrease the energy.
 
-``solve_cell`` looks the coefficients up once at the cell centres, computes
-the H-affine boundary trace once and calls ``_solve_quadratic`` or
-``_solve_first_order`` once, started from it: the affine field is also the
-initial guess of the interior, and every objective call reuses the
-coefficients.  ``discrete_energy`` makes its own single lookup.
-
-A diagonal entry or a curvature on the quadratic path that is not positive
-(NaN included) raises ``NumericalError``.
-
-Solves are deterministic; distinct problems share no mutable state.
+``solve_cell`` looks the coefficients up once and calls ``_solve_quadratic``
+or ``_solve_newton`` once, from the H-affine trace.  Inner products bypass
+BLAS, so results do not depend on its thread setting (its only calls are in
+the coarsest sparse LU).  A non-positive (or NaN) diagonal entry or CG
+curvature raises ``NumericalError``.  Solves are deterministic; distinct
+problems share no mutable state.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -81,18 +68,18 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     tol_rel_energy: float = 1e-10
-    tol_grad: float = 1e-8
+    tol_grad: float = 1e-8        # Newton stop: max|gradient|
     tol_residual: float = 1e-12   # stopping rule of the quadratic path
-    max_iter: int = 100_000
+    max_iter: int = 100_000       # bounds CG iterations and Newton steps
     method: str = "auto"          # auto | cg | first_order
 
     def __post_init__(self):
-        if min(self.tol_rel_energy, self.tol_grad, self.tol_residual) <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_rel_energy", "tol_grad", "tol_residual", "max_iter"):
+            v, kind = getattr(self, name), numbers.Integral if name == "max_iter" else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind) or not 0 < v < math.inf:
+                raise ValueError(f"{name} must be a positive finite {kind.__name__.lower()}: {v!r}")
         if self.method not in ("auto", "cg", "first_order"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,9 +171,8 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
     return B.tocsr()
 
 
-def _weighted_operator(grid, quad):
-    """Scale/mix gradient rows so the energy is ||Btilde u||^2."""
-    B = gradient_operator(grid)
+def _weighted_operator(B, grid, quad):
+    """Scale/mix the rows of B (m per cell) so the energy is ||Btilde u||^2."""
     m, C = grid.m, grid.num_cells
     sqv = np.sqrt(grid.cell_volume)
     kind, payload = quad
@@ -439,7 +425,7 @@ def _solve_quadratic(problem, quad, trace):
     neither PCG nor the coarse LU of the V-cycle needs regularisation.
     """
     grid, cfg = problem.grid, problem.config
-    Bt = _weighted_operator(grid, quad)
+    Bt = _weighted_operator(gradient_operator(grid), grid, quad)
     interior = grid.interior_flat
 
     u_bd = trace.copy()
@@ -452,32 +438,46 @@ def _solve_quadratic(problem, quad, trace):
     return _pcg(K, rhs, trace[interior], precond, cfg.tol_residual, cfg.max_iter)
 
 
-def _solve_first_order(problem, coeffs, trace):
-    """L-BFGS on the energy and its analytic gradient, started from the trace."""
+_ARMIJO = 1e-4      # sufficient decrease, as a fraction of the directional slope
+_MAX_HALVINGS = 40  # backtracking gives up below a step of 2^-40
+
+
+def _solve_newton(problem, coeffs, trace):
+    """Inexact Newton from the trace, B and Bi built once.  ``max_iter`` bounds the
+    steps and each inner solve, whose tolerance stops at |r| <= tol_grad / 2."""
     grid, cfg, f = problem.grid, problem.config, problem.integrand
-    B = gradient_operator(grid)
-    interior = grid.interior_flat
-    m, vol = grid.m, grid.cell_volume
+    B, interior = gradient_operator(grid), grid.interior_flat
+    Bi = B.tocsc()[:, interior].tocsr()
+    vol, full = grid.cell_volume, trace.copy()
 
-    def fun_jac(vec):
-        full = trace.copy()
-        full[interior] = vec
-        G = (B @ full).reshape(-1, m)
-        E = float(np.sum(f.eval_cells(coeffs, G)) * vol)
-        gq = f.grad_q_cells(coeffs, G) * vol
-        return E, (B.T @ gq.reshape(-1))[interior]
+    def energy(x):
+        full[interior] = x
+        G = (B @ full).reshape(-1, grid.m)
+        return float(np.sum(f.eval_cells(coeffs, G)) * vol), G
 
-    options = {
-        "maxiter": int(cfg.max_iter),
-        "ftol": cfg.tol_rel_energy,
-        "gtol": cfg.tol_grad,
-        "maxcor": 20,
-    }
-    res = scipy.optimize.minimize(
-        fun_jac, trace[interior], jac=True, method="L-BFGS-B", options=options
-    )
-    gnorm = float(np.max(np.abs(fun_jac(res.x)[1]))) if len(res.x) else 0.0
-    return res.x, int(res.nit), gnorm, bool(res.success) or gnorm <= cfg.tol_grad
+    x = trace[interior].copy()
+    E, G = energy(x)
+    steps, gnorm_prev = 0, None
+    while True:
+        g = Bi.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol)
+        gmax = float(np.max(np.abs(g))) if g.size else 0.0
+        if gmax <= cfg.tol_grad or steps == cfg.max_iter:
+            return x, steps, gmax, gmax <= cfg.tol_grad
+        gnorm = math.sqrt(_dot(g, g))
+        eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
+        eta, gnorm_prev = max(eta, 0.5 * cfg.tol_grad / gnorm), gnorm
+        Bh = _weighted_operator(Bi, grid, ("matrix", f.hessian_factor_cells(coeffs, G)))
+        K = (Bh.T @ Bh).tocsr()
+        d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, cfg.max_iter)[0]
+        del K, Bh  # the next step's assembly should not overlap these
+        slope = _dot(g, d)
+        for s in 0.5 ** np.arange(_MAX_HALVINGS):
+            E_new, G_new = energy(x + s * d)
+            if E_new <= E + _ARMIJO * s * slope:
+                break
+        else:  # no decrease along d (or a NaN): stop unconverged at the last iterate
+            return x, steps, gmax, False
+        x, E, G, steps = x + s * d, E_new, G_new, steps + 1
 
 
 def solve_cell(problem: CellProblem) -> CellSolution:
@@ -496,7 +496,7 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     if method == "cg":
         x, it, residual, converged = _solve_quadratic(problem, quad, trace)
     else:
-        x, it, residual, converged = _solve_first_order(problem, coeffs, trace)
+        x, it, residual, converged = _solve_newton(problem, coeffs, trace)
     vals = trace.copy()
     vals[grid.interior_flat] = x
     u = ScalarField(grid, vals.reshape(grid.shape))

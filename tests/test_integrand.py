@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heishom import (
     CellTableCoefficient,
@@ -15,6 +17,7 @@ from heishom import (
     translate_integrand,
     verify_assumptions,
 )
+from heishom.integrands import HESSIAN_FLOOR
 from heishom.heisenberg import dilate, group_mul, pullback_to_cell, translate_tau
 
 
@@ -123,6 +126,46 @@ def test_power_gradient_zero_safe():
     f = power_integrand(ConstantCoefficient(1.0), 1.5)
     g = f.grad_q_cells(f.coefficients_at(np.zeros((1, 3))), np.zeros((1, 2)))
     assert np.all(np.isfinite(g)) and np.all(g == 0.0)
+
+
+_HESSIAN_CASES = {
+    "power": lambda e: power_integrand(ConstantCoefficient(2.5), e),
+    "matrix_p": lambda e: matrix_p_integrand([[2.0, 0.5], [0.5, 1.0]], e),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_HESSIAN_CASES)),
+    exponent=st.sampled_from([1.5, 3.0, 4.0]),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    log_radius=st.floats(np.log10(20 * HESSIAN_FLOOR), 1.0),
+)
+def test_hessian_factor_matches_fd_jacobian_of_gradient(kind, exponent, angle, log_radius):
+    """S^T S is the Jacobian of grad_q (central differences) once the slope,
+    resp. A q, is well above the floor."""
+    f = _HESSIAN_CASES[kind](exponent)
+    c = f.coefficients_at(np.zeros((1, 3)))
+    q = 10.0**log_radius * np.array([[np.cos(angle), np.sin(angle)]])
+    Aq = q @ np.asarray(c).T if kind == "matrix_p" else q
+    assume(np.linalg.norm(Aq) > 10 * HESSIAN_FLOOR)
+    S = f.hessian_factor_cells(c, q)[0]
+    h = 1e-5 * np.linalg.norm(q)
+    jac = np.empty((2, 2))
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        jac[:, i] = (f.grad_q_cells(c, q + e) - f.grad_q_cells(c, q - e))[0] / (2 * h)
+    np.testing.assert_allclose(S.T @ S, jac, rtol=0, atol=1e-6 * np.abs(jac).max())
+
+
+@pytest.mark.parametrize("kind", sorted(_HESSIAN_CASES))
+@pytest.mark.parametrize("exponent", [1.5, 3.0, 4.0])
+def test_hessian_factor_is_finite_at_zero_slope(kind, exponent):
+    f = _HESSIAN_CASES[kind](exponent)
+    S = f.hessian_factor_cells(f.coefficients_at(np.zeros((3, 3))), np.zeros((3, 2)))
+    assert S.shape == (3, 2, 2) and np.all(np.isfinite(S))
+    assert np.all(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S) > 0)
 
 
 def test_matrix_integrand_quadratic_case():

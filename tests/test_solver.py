@@ -7,6 +7,7 @@ it shares no assembly code with the iterative solvers, so agreement is a
 two-route check.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -192,6 +193,21 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 1.5}, {"max_iter": True}, {"max_iter": "10"}, {"tol_residual": True},
+    {"tol_grad": "1e-8"}, {"tol_rel_energy": None}, {"tol_grad": math.nan},
+    {"tol_residual": math.inf}, {"max_iter": 1.5, "tol_residual": True},
+])
+def test_solver_config_rejects_wrong_types(kwargs):
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_integer_tolerances_and_numpy_scalars():
+    cfg = SolverConfig(tol_grad=1, tol_rel_energy=np.float64(1e-9), max_iter=np.int64(7))
+    assert cfg.tol_grad == 1 and cfg.max_iter == 7
+
+
 def test_energy_is_recomputed_from_returned_field():
     """The reported energy must equal the functional at the returned u."""
     sol = mu_q(CHECKER, (0.7, 1.1), 1.0, 4)
@@ -303,18 +319,20 @@ def test_multigrid_iterations_grow_slowly_with_the_cell():
 
 
 _CG_FINGERPRINT = """
+import hashlib
 from heishom import checkerboard_coefficient, mu_q, power_integrand
-f = power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0)
-for t, M in ((1, 12), (2, 4)):  # (2, 4): the coarsest level has 1470 unknowns
-    s = mu_q(f, (1.0, 0.0), t, M)
-    print(s.iterations, s.residual.hex(), s.energy.hex())
+for alpha, t, M in ((2.0, 1, 12), (2.0, 2, 4), (3.0, 2, 4)):
+    # (2, 4) at alpha=2: the coarsest level has 1470 unknowns; alpha=3: Newton
+    s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), alpha), (1.0, 0.0), t, M)
+    print(s.iterations, s.residual.hex(), s.energy.hex(),
+          hashlib.sha256(s.u.values.tobytes()).hexdigest())
 """
 
 
 def test_cg_result_does_not_depend_on_blas_threads():
-    """The PCG and smoother reductions bypass BLAS, whose threaded dot/nrm2
-    round differently; the sparse LU of the coarsest level must not depend on
-    the BLAS thread count either."""
+    """The PCG, smoother and Newton reductions bypass BLAS, whose threaded
+    dot/nrm2 round differently; the sparse LU of the coarsest level must not
+    depend on the BLAS thread count either."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
     outs = []
     for threads in ("1", "2"):
@@ -334,6 +352,58 @@ def test_alpha3_first_order_converges_and_improves():
     assert sol.converged
     e_aff = discrete_energy(apply_boundary(h_affine_field(g, np.array([1.0, 0.0])), bd), f3)
     assert sol.energy < e_aff
+
+
+# energies of the L-BFGS solver this path replaced, q = (1, 0) on the
+# checkerboard (1, 4) and q = (1, 0.5) for |A q|^3, M = 4
+_LBFGS_ENERGY = {
+    ("checker", 1.5, 1): 17.930031699370346,
+    ("checker", 1.5, 2): 282.31556256453246,
+    ("checker", 3.0, 1): 17.980751198686665,
+    ("checker", 3.0, 2): 288.9975036150196,
+    ("checker", 4.0, 1): 17.901244982391113,
+    ("checker", 4.0, 2): 288.88823871221257,
+    ("matrix_p", 3.0, 1): 119.4174008467778,
+    ("matrix_p", 3.0, 2): 1910.6784135484447,
+}
+
+
+@pytest.mark.parametrize("kind, alpha, t", sorted(_LBFGS_ENERGY))
+def test_newton_energy_is_not_above_lbfgs(kind, alpha, t):
+    if kind == "checker":
+        f, q = power_integrand(checkerboard_coefficient(1.0, 4.0), alpha), (1.0, 0.0)
+    else:
+        f, q = matrix_p_integrand([[2.0, 0.5], [0.5, 1.0]], alpha), (1.0, 0.5)
+    sol = mu_q(f, q, t, 4)
+    assert sol.method == "first_order" and sol.converged
+    assert sol.residual <= SolverConfig().tol_grad
+    assert sol.energy <= _LBFGS_ENERGY[kind, alpha, t] * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_newton_at_zero_slope_returns_the_trace(alpha):
+    f = power_integrand(checkerboard_coefficient(1.0, 4.0), alpha)
+    sol = mu_q(f, (0.0, 0.0), 2, 4)
+    grid = sol.u.grid
+    assert sol.iterations == 0 and sol.converged and sol.energy == 0.0
+    np.testing.assert_array_equal(sol.u.values, HAffineBoundary((0.0, 0.0)).trace(grid))
+
+
+class _WrongGradient(PowerIntegrand):
+    """Reports the negated gradient, so every Newton direction ascends."""
+
+    def grad_q_cells(self, a, Q):
+        return -super().grad_q_cells(a, Q)
+
+
+def test_newton_without_descent_ends_unconverged():
+    f = _WrongGradient(checkerboard_coefficient(1.0, 4.0), 3.0)
+    bd = HAffineBoundary((1.0, 0.0))
+    g = build_grid(1.0, 4)
+    sol = solve_cell(CellProblem(g, f, bd))
+    assert sol.method == "first_order" and not sol.converged
+    assert sol.iterations == 0 and sol.residual > SolverConfig().tol_grad
+    assert sol.energy == discrete_energy(h_affine_field(g, np.array([1.0, 0.0])), f)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,10 @@ Three routes:
   (Armijo); it stops at max|g| <= tol_grad (0 steps at q = 0), unconverged
   when a step cannot decrease the energy.
 
-``solve_cell`` looks the coefficients up once and calls ``_solve_quadratic``
-or ``_solve_newton`` once, from the H-affine trace.  Inner products bypass
+``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` or
+``_solve_newton`` once from the H-affine trace, and recomputes the energy of
+the returned field from those coefficients (the arithmetic of
+``discrete_energy``, without its second lookup).  Inner products bypass
 BLAS, so results do not depend on its thread setting (its only calls are in
 the coarsest sparse LU).  A non-positive (or NaN) diagonal entry or CG
 curvature raises ``NumericalError``.  Solves are deterministic; distinct
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .grids import (
     AnisoGrid,
@@ -102,10 +103,13 @@ class CellSolution:
 
 def discrete_energy(u: ScalarField, f: Integrand) -> float:
     """E(u) recomputed from scratch (never an accumulated solver quantity)."""
-    grid = u.grid
-    G = discrete_h_gradient(u).reshape(-1, grid.m)
-    vals = f.eval_cells(f.coefficients_at(grid.cell_centers), G)
-    return float(np.sum(vals) * grid.cell_volume)
+    return _energy(u, f, f.coefficients_at(u.grid.cell_centers))
+
+
+def _energy(u, f, coeffs):
+    """E(u) for coefficients already looked up at the cell centres of u's grid."""
+    G = discrete_h_gradient(u).reshape(-1, u.grid.m)
+    return float(np.sum(f.eval_cells(coeffs, G)) * u.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,8 @@ def _multigrid(K, shape):
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate both halves with blockdiag(P', P').
     """
+    from scipy.sparse.linalg import splu  # imported on first use: the Newton path never factors
+
     levels = []
     A = K
     sign = (-1.0) ** np.indices(shape).sum(axis=0).reshape(-1)
@@ -365,7 +371,7 @@ def _multigrid(K, shape):
         levels.append((A, smooth, P, PT, sign))
         A = Ac
     _positive_diagonal(A)
-    return functools.partial(_vcycle, levels, scipy.sparse.linalg.splu(A.tocsc()))
+    return functools.partial(_vcycle, levels, splu(A.tocsc()))
 
 
 def _vcycle(levels, coarse, b, level=0):
@@ -503,7 +509,7 @@ def solve_cell(problem: CellProblem) -> CellSolution:
 
     return CellSolution(
         u=u,
-        energy=discrete_energy(u, problem.integrand),
+        energy=_energy(u, problem.integrand, coeffs),
         iterations=it,
         residual=residual,
         converged=converged,

@@ -112,10 +112,22 @@ class RandomTileCoefficient(CoefficientField):
         return v
 
     def values_at(self, X):
+        """Tile values at the points X (shape (..., N)), one draw per distinct tile.
+
+        The integer tile rows are grouped by one lexicographic sort and a scan
+        for the rows that differ from their predecessor, which yields the
+        distinct tiles in ascending order and each point's tile position.  No
+        row is packed into a single integer, so indices of any int64 size work.
+        """
         X = np.asarray(X, dtype=float)
         K = tile_index(X, guard=BIN_GUARD).reshape(-1, X.shape[-1])
-        uniq, inv = np.unique(K, axis=0, return_inverse=True)
-        vals = np.array([self.value_for_tile(k) for k in uniq])
+        order = np.lexsort(K.T[::-1])
+        Ks = K[order]
+        new = np.ones(len(Ks), dtype=bool)
+        np.any(Ks[1:] != Ks[:-1], axis=1, out=new[1:])
+        inv = np.empty(len(Ks), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        vals = np.array([self.value_for_tile(k) for k in Ks[new]], dtype=float)
         return vals[inv].reshape(X.shape[:-1])
 
 

@@ -19,11 +19,11 @@ import scipy.sparse as sp
 import heishom
 from heishom import (
     CellProblem,
-    CellTableCoefficient,
     ConstantCoefficient,
     HAffineBoundary,
     NumericalError,
     PowerIntegrand,
+    RandomTileCoefficient,
     ScalarField,
     SolverConfig,
     TwoPointLaw,
@@ -209,9 +209,23 @@ def test_solver_config_accepts_integer_tolerances_and_numpy_scalars():
 
 
 def test_energy_is_recomputed_from_returned_field():
-    """The reported energy must equal the functional at the returned u."""
+    """The reported energy is the functional at the returned u, bit for bit."""
     sol = mu_q(CHECKER, (0.7, 1.1), 1.0, 4)
-    assert sol.energy == pytest.approx(discrete_energy(sol.u, CHECKER), rel=1e-14)
+    assert sol.energy == discrete_energy(sol.u, CHECKER)
+
+
+@pytest.mark.parametrize("f, q, t, M, n", [
+    (power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1.0, 3, 1),
+    (sample_random_integrand(4, TwoPointLaw(1.0, 4.0, 0.5)), (0.3, -1.0), 2.0, 2, 1),
+    (sample_random_integrand(4, TwoPointLaw(1.0, 4.0, 0.5), alpha=3.0), (1.0, 0.5), 1.0, 3, 1),
+    (power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0), (1.0, 0.0, 0.5, 0.0), 1.0, 2, 2),
+], ids=["checker_alpha3", "random_tile", "random_tile_alpha3", "checker_n2"])
+def test_energy_equals_discrete_energy_bitwise(f, q, t, M, n):
+    """The solve's energy, computed from its own coefficient lookup, is the
+    recompute-from-scratch value on both paths, random tiles and n = 2."""
+    sol = mu_q(f, q, t, M, n=n)
+    assert sol.method == ("cg" if f.alpha == 2.0 else "first_order")
+    assert sol.energy == discrete_energy(sol.u, f)
 
 
 def test_first_order_evaluates_the_energy_about_once_per_iteration(monkeypatch):
@@ -230,19 +244,24 @@ def test_first_order_evaluates_the_energy_about_once_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
-def test_coefficients_are_looked_up_at_most_twice_per_solve(monkeypatch, alpha):
-    """One lookup binds the solve's coefficients, one recomputes the energy."""
+@pytest.mark.parametrize("coefficient", [
+    checkerboard_coefficient(1.0, 4.0),
+    RandomTileCoefficient(TwoPointLaw(1.0, 4.0, 0.5), seed=2),
+], ids=["cell_table", "random_tile"])
+def test_coefficients_are_looked_up_exactly_once_per_solve(monkeypatch, coefficient, alpha):
+    """One lookup binds the solve's coefficients; the energy is recomputed from them."""
     calls = []
-    original = CellTableCoefficient.values_at
+    cls = type(coefficient)
+    original = cls.values_at
 
     def counted(self, X):
         calls.append(len(X))
         return original(self, X)
 
-    monkeypatch.setattr(CellTableCoefficient, "values_at", counted)
-    sol = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), alpha), (1.0, 0.0), 1, 2)
+    monkeypatch.setattr(cls, "values_at", counted)
+    sol = mu_q(power_integrand(coefficient, alpha), (1.0, 0.0), 1, 2)
     assert sol.converged and sol.method == ("cg" if alpha == 2.0 else "first_order")
-    assert len(calls) <= 2
+    assert calls == [build_grid(1, 2).num_cells]
 
 
 def jacobi(K):

@@ -3,6 +3,8 @@ variance decay across scales."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heishom import (
     RandomTileCoefficient,
@@ -13,7 +15,8 @@ from heishom import (
     sample_random_integrand,
     tile_correlation_radius,
 )
-from heishom.heisenberg import homogeneous_distance, translate_tau
+from heishom.heisenberg import homogeneous_distance, tile_index, translate_tau
+from heishom.integrands import BIN_GUARD
 
 
 def rng(seed):
@@ -87,11 +90,47 @@ def test_values_at_consistent_with_tiles():
     g = rng(72)
     x = g.uniform(-6, 6, size=(400, 3))
     vals = a.values_at(x)
-    from heishom.integrands import BIN_GUARD
-    from heishom.heisenberg import tile_index
     for xi, vi in zip(x[:50], vals[:50]):
         k = tile_index(xi, guard=BIN_GUARD)
         assert vi == a.value_for_tile(tuple(int(c) for c in k))
+
+
+@st.composite
+def point_clouds(draw):
+    """Points of H^n (n = 1, 2) with repeats, up to +-1e17 per coordinate.
+
+    In each horizontal pair (x1_j, x2_j) at most one coordinate is large, so
+    the vertical tile index, which holds k1_j x2_j and k2_j x1_j, stays in
+    int64; the tile indices of a cloud still span far more than a packed
+    one-integer key could hold.
+    """
+    n = draw(st.sampled_from((1, 2)))
+    small = st.floats(-10.0, 10.0, allow_nan=False)
+    big = st.floats(-1e17, 1e17, allow_nan=False)
+    big_axes = [j + n * draw(st.sampled_from((0, 1))) for j in range(n)] + [2 * n]
+    coord = [big if a in big_axes else small for a in range(2 * n + 1)]
+    distinct = draw(st.lists(st.tuples(*coord), max_size=12))
+    if not distinct:
+        return np.zeros((0, 2 * n + 1))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    return np.array([distinct[i] for i in picks])
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=point_clouds(), seed=st.integers(0, 2**32 - 1))
+@example(X=np.zeros((0, 3)), seed=0)
+@example(X=np.zeros((0, 5)), seed=0)
+@example(X=np.array([[1e17, -3.0, 1e17], [-1e17, 10.0, -1e17], [3.0, 1e17, -5e16]] * 2), seed=1)
+def test_values_at_equals_per_point_tile_lookup(X, seed):
+    """Tiling round trip: the grouped lookup returns, at every point, the value
+    of the tile that ``tile_index`` assigns to that point alone."""
+    law = UniformLaw(1.0, 2.0)  # continuous: a point given another tile's value shows
+    n = (X.shape[-1] - 1) // 2
+    vals = RandomTileCoefficient(law, seed, n=n).values_at(X)
+    ref = RandomTileCoefficient(law, seed, n=n)
+    expected = [ref.value_for_tile(tile_index(x, guard=BIN_GUARD)) for x in X]
+    assert vals.shape == (len(X),)
+    assert vals.tolist() == expected
 
 
 def test_field_constant_on_each_tile():

@@ -38,8 +38,7 @@ def main():
 
     # -- sweep f0 over a 5x5 grid of slopes and check the structure it must
     #    inherit: quadratic growth, midpoint convexity, evenness.
-    tab = hh.q_sweep(f, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0),
-                     cfg=hh.HomogConfig(k_list=(1, 2), M=4), threads=4)
+    tab = hh.q_sweep(f, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), k_list=(1, 2), M=4, threads=4)
     grid = tab.f0.reshape(5, 5)
     print("\nf0 on the slope grid (rows: q1, cols: q2):")
     print(np.array2string(grid, precision=4))

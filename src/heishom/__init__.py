@@ -84,9 +84,7 @@ from .solve import (
     solve_cell,
 )
 from .homog import (
-    HomogConfig,
     HomogReport,
-    effective_integrand,
     energy_density_sequence,
     noninteger_scale_check,
     q_sweep,

@@ -22,7 +22,7 @@ trustworthy on a grid:
   growth, and evenness.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from .integrands import Integrand, rescale_integrand
 from .solve import CellProblem, SolverConfig, mu_q, solve_cell
 
 __all__ = [
-    "HomogConfig",
     "HomogReport",
     "energy_density_sequence",
-    "effective_integrand",
     "UltimoReport",
     "ultimo_check",
     "ScaleBandReport",
@@ -44,15 +42,6 @@ __all__ = [
     "EffectiveIntegrandTable",
     "q_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class HomogConfig:
-    k_list: tuple = (1, 2, 3, 4)
-    M: int = 4
-    n: int = 1
-    solver: SolverConfig = dfield(default_factory=SolverConfig)
-    trend_slack: float = 1e-6
 
 
 @dataclass
@@ -164,14 +153,6 @@ def energy_density_sequence(
         diagnostics=diagnostics,
         verdicts=verdicts,
     )
-
-
-def effective_integrand(f: Integrand, q, cfg: HomogConfig = None) -> float:
-    cfg = cfg or HomogConfig()
-    rep = energy_density_sequence(
-        f, q, k_list=cfg.k_list, M=cfg.M, n=cfg.n, solver=cfg.solver, trend_slack=cfg.trend_slack
-    )
-    return rep.f0_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +270,11 @@ class RecoveryReport:
     values: np.ndarray
     reference: float
     errors: np.ndarray
-    strictly_decreasing: bool  # non-increasing, and strictly where above solver tolerance
+    strictly_decreasing: bool  # non-increasing, and strictly where above RECOVERY_ZERO
+
+
+# relative recovery error at or below which a value counts as exact
+RECOVERY_ZERO = 1e-10
 
 
 def recover_integrand_pointwise(
@@ -318,9 +303,9 @@ def recover_integrand_pointwise(
         vals.append(sol.energy / grid.volume)
     vals = np.asarray(vals)
     errors = np.abs(vals - ref)
-    # errors within the solver's energy tolerance count as zero: they may stay
+    # errors within RECOVERY_ZERO (relative) count as zero: they may stay
     # there (an exact recovery), but may not rise out of it
-    resolved = np.where(errors > solver.tol_rel_energy * max(1.0, abs(ref)), errors, 0.0)
+    resolved = np.where(errors > RECOVERY_ZERO * max(1.0, abs(ref)), errors, 0.0)
     return RecoveryReport(
         x0=tuple(x0),
         q=tuple(q),
@@ -362,26 +347,30 @@ def _collinear_triples(qs, decimals=9):
 def q_sweep(
     f: Integrand,
     q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0),
-    cfg: HomogConfig = None,
+    k_list=(1, 2, 3, 4),
+    M=4,
+    n=1,
+    solver: SolverConfig = None,
+    trend_slack=1e-6,
     convexity_tol=1e-3,
-    symmetry_tol=None,
+    symmetry_tol=2e-10,
     threads=1,
 ) -> EffectiveIntegrandTable:
     """Tabulate f0 over the grid q_axis x ... x q_axis (m factors).
 
     Audits, with tolerances relative to the local value scale:
     growth bounds per entry, midpoint convexity on all collinear triples
-    inside the table, and evenness f0(q) = f0(-q).
+    inside the table, and evenness f0(q) = f0(-q).  ``k_list``, ``M``, ``n``,
+    ``solver`` and ``trend_slack`` are passed to ``energy_density_sequence``.
     """
-    cfg = cfg or HomogConfig()
-    m = 2 * cfg.n
+    m = 2 * n
     axes = [np.asarray(q_axis, dtype=float)] * m
     mesh = np.meshgrid(*axes, indexing="ij")
     qs = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
 
     def one(qv):
         return energy_density_sequence(
-            f, qv, k_list=cfg.k_list, M=cfg.M, n=cfg.n, solver=cfg.solver, trend_slack=cfg.trend_slack
+            f, qv, k_list=k_list, M=M, n=n, solver=solver, trend_slack=trend_slack
         )
 
     reports = map_jobs(one, qs, threads)
@@ -395,8 +384,6 @@ def q_sweep(
         worst_conv = max(worst_conv, viol)
     convex_ok = worst_conv <= convexity_tol
 
-    if symmetry_tol is None:
-        symmetry_tol = 2.0 * cfg.solver.tol_rel_energy
     lookup = {tuple(np.round(p, 9)): i for i, p in enumerate(qs)}
     worst_sym = 0.0
     for i, qv in enumerate(qs):

@@ -90,8 +90,8 @@ class ConstantCoefficient(CoefficientField):
 
     def __init__(self, value):
         value = float(value)
-        if value <= 0:
-            raise ValueError("coefficient must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"coefficient must be positive and finite: {value!r}")
         self.value = value
         self.a_min = value
         self.a_max = value
@@ -117,8 +117,8 @@ class CellTableCoefficient(CoefficientField):
         N = 2 * n + 1
         if table.ndim != N:
             raise ValueError(f"table must have {N} axes for n={n}")
-        if np.any(table <= 0):
-            raise ValueError("table values must be positive")
+        if not np.all((0 < table) & (table < math.inf)):
+            raise ValueError("table values must be positive and finite")
         self.n = n
         self.table = table
         self.a_min = float(table.min())
@@ -257,8 +257,8 @@ class PowerIntegrand(Integrand):
 
     def __init__(self, coefficient: CoefficientField, alpha=2.0):
         alpha = float(alpha)
-        if alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
+        if not 1.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed 1: {alpha!r}")
         self.coefficient = coefficient
         self.alpha = alpha
         self.c1 = coefficient.a_min
@@ -299,11 +299,13 @@ class MatrixPowerIntegrand(Integrand):
 
     def __init__(self, matrix, p=2.0):
         p = float(p)
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
+        if not 1.0 < p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1: {p!r}")
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix entries must be finite")
         if not np.allclose(A, A.T, rtol=0, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         w = np.linalg.eigvalsh(A)

@@ -14,10 +14,11 @@ Three routes:
 * ``dense_reference_minimum``  a dense solve for small quadratic problems
   (<= 500 unknowns) probed through energy evaluations alone; it shares no
   assembly code with the iterative paths (an independent oracle).
-* quadratic path (``method='cg'``, alpha = 2 or p = 2)  CG on the normal
-  system of the weighted gradient operator, preconditioned by one multigrid
-  V-cycle (``_multigrid``), to a relative residual tolerance.
-* first-order path (``method='first_order'``, any other convex integrand)
+* quadratic path (reported as method "cg"; alpha = 2 or p = 2, where
+  ``quad_cells`` returns a quadratic form)  CG on the normal system of the
+  weighted gradient operator, preconditioned by one multigrid V-cycle
+  (``_multigrid``), to a relative residual tolerance.
+* first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton: each step solves the normal system of Bh = blockdiag(S_c
   sqrt(vol)) Bi, S_c the per-cell Hessian factor, on the quadratic path's
   assembly by Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
@@ -25,8 +26,9 @@ Three routes:
   (Armijo); it stops at max|g| <= tol_grad (0 steps at q = 0), unconverged
   when a step cannot decrease the energy.
 
-``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` or
-``_solve_newton`` once from the H-affine trace, and recomputes the energy of
+``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` when
+the integrand's ``quad_cells`` returns a quadratic form and ``_solve_newton``
+otherwise, once from the H-affine trace, and recomputes the energy of
 the returned field from those coefficients (the arithmetic of
 ``discrete_energy``, without its second lookup).  Inner products bypass
 BLAS, so results do not depend on its thread setting (its only calls are in
@@ -68,19 +70,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_rel_energy: float = 1e-10
     tol_grad: float = 1e-8        # Newton stop: max|gradient|
     tol_residual: float = 1e-12   # stopping rule of the quadratic path
     max_iter: int = 100_000       # bounds CG iterations and Newton steps
-    method: str = "auto"          # auto | cg | first_order
 
     def __post_init__(self):
-        for name in ("tol_rel_energy", "tol_grad", "tol_residual", "max_iter"):
+        for name in ("tol_grad", "tol_residual", "max_iter"):
             v, kind = getattr(self, name), numbers.Integral if name == "max_iter" else numbers.Real
             if isinstance(v, bool) or not isinstance(v, kind) or not 0 < v < math.inf:
                 raise ValueError(f"{name} must be a positive finite {kind.__name__.lower()}: {v!r}")
-        if self.method not in ("auto", "cg", "first_order"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -488,20 +486,15 @@ def _solve_newton(problem, coeffs, trace):
 
 def solve_cell(problem: CellProblem) -> CellSolution:
     """Minimize the discrete energy subject to the boundary trace."""
-    grid, cfg = problem.grid, problem.config
+    grid = problem.grid
     coeffs = problem.integrand.coefficients_at(grid.cell_centers)
     quad = problem.integrand.quad_cells(coeffs)
-
-    method = cfg.method
-    if method == "auto":
-        method = "cg" if quad is not None else "first_order"
-    if method == "cg" and quad is None:
-        raise ValueError("method='cg' requires an exactly quadratic discrete energy")
-
     trace = problem.boundary.trace(grid).reshape(-1)
-    if method == "cg":
+    if quad is not None:
+        method = "cg"
         x, it, residual, converged = _solve_quadratic(problem, quad, trace)
     else:
+        method = "first_order"
         x, it, residual, converged = _solve_newton(problem, coeffs, trace)
     vals = trace.copy()
     vals[grid.interior_flat] = x

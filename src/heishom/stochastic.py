@@ -13,6 +13,7 @@ distance always lie in different tiles, hence carry independent values; that
 diameter is recorded in reports as the correlation radius.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class UniformLaw:
     hi: float
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi):
-            raise ValueError("need 0 < lo <= hi")
+        if not (0 < self.lo <= self.hi < math.inf):
+            raise ValueError("need 0 < lo <= hi < inf")
 
     @property
     def support(self):
@@ -62,8 +63,8 @@ class TwoPointLaw:
     prob: float = 0.5  # probability of drawing a
 
     def __post_init__(self):
-        if not (0 < self.a and 0 < self.b):
-            raise ValueError("values must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("values must be positive and finite")
         if not (0 <= self.prob <= 1):
             raise ValueError("prob must lie in [0, 1]")
 
@@ -228,8 +229,8 @@ def concentration_report(mc: MonteCarloReport, delta) -> ConcentrationReport:
     a single inversion (small-sample noise).
     """
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite: {delta!r}")
     if len(mc.k_list) < 2:
         raise ValueError("need at least two scales")
     if len(mc.seeds) < 8:

@@ -267,8 +267,7 @@ def test_08_checkerboard_ladder_stays_in_band(acceptance_log):
 def test_09_effective_integrand_properties(acceptance_log):
     f = _checkerboard_quadratic()
     t0 = time.perf_counter()
-    cfg = hh.HomogConfig(k_list=(1, 2), M=4)
-    tab = hh.q_sweep(f, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), cfg=cfg, threads=4)
+    tab = hh.q_sweep(f, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), k_list=(1, 2), M=4, threads=4)
     elapsed = time.perf_counter() - t0
 
     nq = np.sum(np.asarray(tab.qs) ** 2, axis=1)

@@ -1,6 +1,7 @@
 """Command-line front end: configs, formats, exit codes."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -270,13 +271,19 @@ def test_config_error_exit_codes(tmp_path, capsys):
     with open(notdict, "w") as fh:
         fh.write("[1, 2]")
     assert main(["effective", "--config", notdict]) == 2
+    overflow = os.path.join(tmp_path, "overflow.json")
+    with open(overflow, "w") as fh:
+        fh.write('{"t": 1e400}')  # parses to inf unless rejected
+    assert main(["cell", "--config", overflow]) == 2
     badgrid = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "t": 0.25, "M": 1})
     assert main(["cell", "--config", badgrid]) == 2
     badsolver = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"kernel_probe": True}})
     assert main(["cell", "--config", badsolver]) == 2
     tikhonov = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "solver": {"tikhonov": 1e-6}})
     assert main(["cell", "--config", tikhonov]) == 2
-    for solver in ({"max_iter": 1.5}, {"tol_residual": "1e-12"}):
+    # no method key: the integrand picks the path; no energy tolerance either
+    for solver in ({"max_iter": 1.5}, {"tol_residual": "1e-12"},
+                   {"method": "cg"}, {"tol_rel_energy": 1e-10}):
         capsys.readouterr()
         typed = write_cfg(tmp_path, {"M": 2, "t": 1, "solver": solver})
         assert main(["cell", "--config", typed]) == 2
@@ -290,7 +297,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("cell", {"t": None}),
     ("stochastic", {"law": {"kind": "uniform"}}),
     ("effective", {"k_list": [1, "a"]}),
-], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string"])
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": math.nan}}),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "constant", "value": math.inf}}}),
+    ("stochastic", {"M": 2, "k_list": [1, 2], "n_samples": 8, "delta": math.nan}),
+], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
+        "alpha-NaN", "value-Infinity", "delta-NaN"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert main([command, "--config", cfg]) == 2

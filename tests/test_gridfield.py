@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heishom import (
     HAffineBoundary,
@@ -170,6 +172,27 @@ def test_mean_gradient_ignores_interior():
                 bd = HAffineBoundary(tuple(q), a=float(gen.uniform(-1, 1)))
                 u = apply_boundary(ScalarField(g, gen.uniform(-5, 5, g.shape)), bd)
                 np.testing.assert_allclose(mean_h_gradient(u, bd), q, rtol=0, atol=1e-12)
+
+
+@st.composite
+def small_grids(draw):
+    """build_grid(t, M, n) for n in {1, 2} and t = intervals / (2M), so that
+    2tM is an integer while t itself often is not."""
+    n = draw(st.sampled_from([1, 2]))
+    M = draw(st.integers(1, 3 if n == 1 else 2))
+    intervals = draw(st.integers(1, 8 if n == 1 else 3))
+    return build_grid(intervals / (2 * M), M, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_mean_gradient_telescopes_on_random_grids(g, seed):
+    """Whatever the interior values, the mean discrete gradient is the slope q."""
+    gen = rng(seed)
+    q = gen.uniform(-2, 2, size=g.m)
+    bd = HAffineBoundary(tuple(q), a=float(gen.uniform(-1, 1)))
+    u = apply_boundary(ScalarField(g, gen.uniform(-5, 5, g.shape)), bd)
+    np.testing.assert_allclose(mean_h_gradient(u, bd), q, rtol=0, atol=1e-12)
 
 
 def test_mean_gradient_rejects_wrong_trace():

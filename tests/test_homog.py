@@ -5,10 +5,8 @@ import pytest
 
 from heishom import (
     ConstantCoefficient,
-    HomogConfig,
     SmoothCoefficient,
     checkerboard_coefficient,
-    effective_integrand,
     energy_density_sequence,
     noninteger_scale_check,
     power_integrand,
@@ -51,7 +49,7 @@ def test_ladder_input_validation():
 
 def test_effective_integrand_zero_slope():
     # q = 0: the affine trace is flat, nothing beats the zero field
-    assert effective_integrand(CHECKER, (0.0, 0.0), HomogConfig(k_list=(1,), M=2)) == 0.0
+    assert energy_density_sequence(CHECKER, (0.0, 0.0), k_list=(1,), M=2).f0_estimate == 0.0
 
 
 def test_ultimo_identity_is_exact():
@@ -97,8 +95,7 @@ def test_recovery_validates_rho_list():
 
 
 def test_q_sweep_structure_and_audits():
-    cfg = HomogConfig(k_list=(1,), M=2)
-    tab = q_sweep(CHECKER, q_axis=(-1.0, 0.0, 1.0), cfg=cfg)
+    tab = q_sweep(CHECKER, q_axis=(-1.0, 0.0, 1.0), k_list=(1,), M=2)
     assert tab.qs.shape == (9, 2)
     assert tab.f0.shape == (9,)
     assert tab.verdicts["growth_ok"]
@@ -114,9 +111,8 @@ def test_q_sweep_structure_and_audits():
 
 
 def test_q_sweep_threads_bitwise_equal():
-    cfg = HomogConfig(k_list=(1,), M=2)
-    a = q_sweep(CHECKER, q_axis=(-1.0, 1.0), cfg=cfg, threads=1)
-    b = q_sweep(CHECKER, q_axis=(-1.0, 1.0), cfg=cfg, threads=4)
+    a = q_sweep(CHECKER, q_axis=(-1.0, 1.0), k_list=(1,), M=2, threads=1)
+    b = q_sweep(CHECKER, q_axis=(-1.0, 1.0), k_list=(1,), M=2, threads=4)
     np.testing.assert_array_equal(a.f0, b.f0)
 
 

@@ -1,5 +1,7 @@
 """Coefficient fields, convex integrands, and the position transforms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +11,12 @@ from heishom import (
     CellTableCoefficient,
     ConstantCoefficient,
     MatrixPowerIntegrand,
+    PowerIntegrand,
     SmoothCoefficient,
+    TwoPointLaw,
+    UniformLaw,
     checkerboard_coefficient,
+    concentration_report,
     matrix_p_integrand,
     power_integrand,
     rescale_integrand,
@@ -19,6 +25,7 @@ from heishom import (
 )
 from heishom.integrands import HESSIAN_FLOOR
 from heishom.heisenberg import dilate, group_mul, pullback_to_cell, translate_tau
+from heishom.stochastic import MonteCarloReport
 
 
 def rng(seed):
@@ -79,6 +86,38 @@ def test_constant_and_smooth_coefficients():
     x = rng(41).uniform(-2, 2, size=(100, 3))
     np.testing.assert_allclose(s.values_at(x), 2.0 + np.sin(x[:, 0]), rtol=1e-15)
     assert not s.h_periodic
+    assert SmoothCoefficient(lambda X: 2.0 + 0.0 * X[..., 0], 1.0, math.inf).a_max == math.inf
+
+
+def _mc_report():
+    e = np.arange(16.0).reshape(8, 2)
+    return MonteCarloReport(
+        law=TwoPointLaw(1.0, 4.0), alpha=2.0, q=(1.0, 0.0), k_list=(1, 2), base_seed=0,
+        seeds=tuple(range(8)), e=e, mean=e.mean(axis=0), variance=e.var(axis=0, ddof=1),
+        growth_ok=True, correlation_radius=1.0, diagnostics=[],
+    )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConstantCoefficient(math.nan),
+    lambda: ConstantCoefficient(math.inf),
+    lambda: CellTableCoefficient([[[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, math.nan]]]),
+    lambda: CellTableCoefficient([[[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, math.inf]]]),
+    lambda: checkerboard_coefficient(1.0, math.inf),
+    lambda: PowerIntegrand(ConstantCoefficient(1.0), alpha=math.nan),
+    lambda: PowerIntegrand(ConstantCoefficient(1.0), alpha=math.inf),
+    lambda: MatrixPowerIntegrand(np.eye(2), p=math.nan),
+    lambda: MatrixPowerIntegrand(np.eye(2), p=math.inf),
+    lambda: MatrixPowerIntegrand(np.array([[math.inf, 0.0], [0.0, 1.0]])),
+    lambda: UniformLaw(1.0, math.inf),
+    lambda: TwoPointLaw(math.inf, 1.0),
+    lambda: concentration_report(_mc_report(), math.nan),
+], ids=["constant-nan", "constant-inf", "table-nan", "table-inf", "checkerboard-inf",
+        "alpha-nan", "alpha-inf", "p-nan", "p-inf", "matrix-inf", "uniform-inf",
+        "two_point-inf", "delta-nan"])
+def test_constructors_reject_non_finite_values(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_matrix_integrand_validation():

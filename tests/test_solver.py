@@ -7,6 +7,7 @@ it shares no assembly code with the iterative solvers, so agreement is a
 two-route check.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -15,6 +16,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heishom
 from heishom import (
@@ -84,6 +87,24 @@ def test_gradient_operator_has_hourglass_kernel(t, M):
     assert 4.0 <= control <= 8.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]), M=st.integers(1, 4), intervals=st.integers(1, 8))
+def test_gradient_operator_kernel_on_random_grids(n, M, intervals):
+    """Every sign field alternating along two or more axes (the four of n = 1)
+    has zero gradient up to the rounding of summing one row of B (exact zero
+    holds on some grids only); the field alternating along x1 does not."""
+    if n == 2:
+        M, intervals = min(M, 2), min(intervals, 3)  # keep the 5-d grids small
+    g = build_grid(intervals / (2 * M), M, n)
+    B = gradient_operator(g)
+    bound = 2**g.N * np.finfo(float).eps * (abs(B) @ np.ones(g.num_nodes))
+    idx = np.indices(g.shape).reshape(g.N, -1)
+    for r in range(2, g.N + 1):
+        for axes in itertools.combinations(range(g.N), r):
+            assert np.all(np.abs(B @ (-1.0) ** idx[list(axes)].sum(axis=0)) <= bound)
+    assert np.max(np.abs(B @ (-1.0) ** idx[0])) >= 1.0
+
+
 def test_discrete_energy_is_cell_quadrature():
     g = build_grid(1.0, 2)
     gen = rng(61)
@@ -149,11 +170,15 @@ def test_cg_matches_dense_oracle():
 
 def test_first_order_matches_cg_on_quadratic():
     g = build_grid(1.0, 2)
-    bd = HAffineBoundary((1.0, -1.0))
-    cg = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig(method="cg")))
-    fo = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig(method="first_order")))
-    assert cg.method == "cg" and fo.method == "first_order"
-    assert fo.energy == pytest.approx(cg.energy, rel=1e-7)
+    problem = CellProblem(g, CHECKER, HAffineBoundary((1.0, -1.0)))
+    cg = solve_cell(problem)
+    trace = problem.boundary.trace(g).reshape(-1)
+    x, _, _, converged = solve._solve_newton(problem, CHECKER.coefficients_at(g.cell_centers), trace)
+    vals = trace.copy()
+    vals[g.interior_flat] = x
+    fo = discrete_energy(ScalarField(g, vals.reshape(g.shape)), CHECKER)
+    assert cg.method == "cg" and converged
+    assert fo == pytest.approx(cg.energy, rel=1e-7)
 
 
 def test_dense_oracle_respects_size_cap():
@@ -163,7 +188,7 @@ def test_dense_oracle_respects_size_cap():
 
 
 # ---------------------------------------------------------------------------
-# method selection and validation
+# path selection and validation
 # ---------------------------------------------------------------------------
 
 def test_auto_dispatch():
@@ -177,25 +202,16 @@ def test_auto_dispatch():
     assert sol3.converged
 
 
-def test_cg_refuses_nonquadratic():
-    g = build_grid(1.0, 2)
-    f3 = power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0)
-    with pytest.raises(ValueError):
-        solve_cell(CellProblem(g, f3, HAffineBoundary((1.0, 0.0)), SolverConfig(method="cg")))
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(method="newton")
-    with pytest.raises(ValueError):
-        SolverConfig(tol_rel_energy=-1.0)
+        SolverConfig(tol_grad=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"max_iter": 1.5}, {"max_iter": True}, {"max_iter": "10"}, {"tol_residual": True},
-    {"tol_grad": "1e-8"}, {"tol_rel_energy": None}, {"tol_grad": math.nan},
+    {"tol_grad": "1e-8"}, {"tol_residual": None}, {"tol_grad": math.nan},
     {"tol_residual": math.inf}, {"max_iter": 1.5, "tol_residual": True},
 ])
 def test_solver_config_rejects_wrong_types(kwargs):
@@ -204,7 +220,7 @@ def test_solver_config_rejects_wrong_types(kwargs):
 
 
 def test_solver_config_accepts_integer_tolerances_and_numpy_scalars():
-    cfg = SolverConfig(tol_grad=1, tol_rel_energy=np.float64(1e-9), max_iter=np.int64(7))
+    cfg = SolverConfig(tol_grad=1, tol_residual=np.float64(1e-9), max_iter=np.int64(7))
     assert cfg.tol_grad == 1 and cfg.max_iter == 7
 
 

@@ -75,7 +75,6 @@ from .solve import (
     CellProblem,
     CellSolution,
     NumericalError,
-    SolverConfig,
     check_translation_invariance,
     dense_reference_minimum,
     discrete_energy,

@@ -36,6 +36,9 @@ from .grids import (
 
 __all__ = ["CheckResult", "check_group_algebra", "check_tiling", "check_divergence", "run_verification"]
 
+# every check compares the two sides of an exact identity: rounding only
+CHECK_TOL = 1e-12
+
 
 @dataclass
 class CheckResult:
@@ -57,7 +60,7 @@ def _box_points(gen, count, N, half_width=10.0):
     return gen.uniform(-half_width, half_width, size=(count, N))
 
 
-def check_group_algebra(n=1, samples=10_000, seed=0, tol=1e-12) -> CheckResult:
+def check_group_algebra(n=1, samples=10_000, seed=0) -> CheckResult:
     """Group axioms, dilation homomorphisms, frame normalization, gauge norm."""
     t0 = time.perf_counter()
     par = GroupParams(n)
@@ -88,11 +91,11 @@ def check_group_algebra(n=1, samples=10_000, seed=0, tol=1e-12) -> CheckResult:
     errs["norm_sym"] = np.abs(homogeneous_norm(group_inv(x)) - nm).max()
 
     worst = float(max(errs.values()))
-    return CheckResult("group_algebra", worst <= tol, worst, tol, samples,
+    return CheckResult("group_algebra", worst <= CHECK_TOL, worst, CHECK_TOL, samples,
                        time.perf_counter() - t0, {k: float(v) for k, v in errs.items()})
 
 
-def check_tiling(n=1, samples=10_000, seed=1, tol=1e-12, half_width=10.0) -> CheckResult:
+def check_tiling(n=1, samples=10_000, seed=1, half_width=10.0) -> CheckResult:
     """Tiling is a partition: pullbacks land in the half-open cell and invert exactly."""
     t0 = time.perf_counter()
     par = GroupParams(n)
@@ -116,11 +119,11 @@ def check_tiling(n=1, samples=10_000, seed=1, tol=1e-12, half_width=10.0) -> Che
         errs[f"rescaled_t={t}"] = np.abs(kr - kd).max()
 
     worst = float(max(errs.values()))
-    return CheckResult("tiling", worst <= tol, worst, tol, samples,
+    return CheckResult("tiling", worst <= CHECK_TOL, worst, CHECK_TOL, samples,
                        time.perf_counter() - t0, {k_: float(v) for k_, v in errs.items()})
 
 
-def check_divergence(n=1, fields=100, seed=2, tol=1e-12) -> CheckResult:
+def check_divergence(n=1, fields=100, seed=2) -> CheckResult:
     """Volume-averaged discrete gradient depends only on the boundary trace.
 
     Overwriting the interior of an affine-data field with arbitrary values
@@ -147,7 +150,7 @@ def check_divergence(n=1, fields=100, seed=2, tol=1e-12) -> CheckResult:
     full = ScalarField(g, _affine_fill(g, q))
     hg = discrete_h_gradient(full)
     worst = max(worst, float(np.abs(hg - q).max()))
-    return CheckResult("divergence", worst <= tol, worst, tol, count,
+    return CheckResult("divergence", worst <= CHECK_TOL, worst, CHECK_TOL, count,
                        time.perf_counter() - t0)
 
 

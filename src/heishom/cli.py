@@ -45,7 +45,7 @@ from .integrands import (
     SmoothCoefficient,
     checkerboard_coefficient,
 )
-from .solve import NumericalError, SolverConfig, mu_q
+from .solve import NumericalError, mu_q
 from .stochastic import (
     RandomTileCoefficient,
     TwoPointLaw,
@@ -102,8 +102,6 @@ class RunConfig:
     delta: float = 0.25
     seed: int = 0
     samples: int = 10_000
-    trend_slack: float = 1e-6
-    solver: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -128,12 +126,6 @@ class RunConfig:
             if d[name] is not None:
                 d[name] = list(d[name])
         return d
-
-    def solver_config(self) -> SolverConfig:
-        try:
-            return SolverConfig(**self.solver)
-        except TypeError as exc:
-            raise ConfigError(f"bad solver config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +237,10 @@ def coefficient_from_spec(spec: dict, n: int):
         return _expr_coefficient(spec, n)
     if kind == "random_tiles":
         law = law_from_spec(spec.get("law", {"kind": "uniform", "lo": 1.0, "hi": 2.0}))
-        return RandomTileCoefficient(law, int(_number(spec, "seed", 0)), n=n)
+        seed = spec.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"'seed' must be an integer in {spec!r}")
+        return RandomTileCoefficient(law, seed, n=n)
     raise ConfigError(f"unknown coefficient type {kind!r}")
 
 
@@ -347,7 +342,7 @@ def _cmd_verify(cfg, args):
 
 def _cmd_cell(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
-    sol = mu_q(f, cfg.q, cfg.t, cfg.M, n=cfg.n, config=cfg.solver_config())
+    sol = mu_q(f, cfg.q, cfg.t, cfg.M, n=cfg.n)
     vol = sol.u.grid.volume
     header = ["t", "M", "energy", "energy_density", "iterations", "residual", "converged", "method"]
     rows = [(cfg.t, cfg.M, sol.energy, sol.energy / vol, sol.iterations,
@@ -361,10 +356,7 @@ def _cmd_cell(cfg, args):
 
 def _cmd_effective(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
-    rep = energy_density_sequence(
-        f, cfg.q, k_list=cfg.k_list, M=cfg.M, n=cfg.n,
-        solver=cfg.solver_config(), trend_slack=cfg.trend_slack,
-    )
+    rep = energy_density_sequence(f, cfg.q, k_list=cfg.k_list, M=cfg.M, n=cfg.n)
     header = ["k", "e_k", "iterations", "residual"]
     rows = [(d["k"], d["e_k"], d["iterations"], d["residual"])
             for d in rep.diagnostics]
@@ -379,7 +371,6 @@ def _cmd_effective(cfg, args):
 def _cmd_sweep(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
     table = q_sweep(f, q_axis=cfg.q_axis, k_list=cfg.k_list, M=cfg.M, n=cfg.n,
-                    solver=cfg.solver_config(), trend_slack=cfg.trend_slack,
                     threads=args.threads)
     m = table.qs.shape[1]
     header = [f"q{i + 1}" for i in range(m)] + ["f0"]
@@ -396,7 +387,7 @@ def _cmd_stochastic(cfg, args):
     mc = monte_carlo_effective(
         law, cfg.q, k_list=cfg.k_list, n_samples=cfg.n_samples,
         base_seed=cfg.base_seed, alpha=cfg.alpha, M=cfg.M, n=cfg.n,
-        solver=cfg.solver_config(), threads=args.threads,
+        threads=args.threads,
     )
     conc = concentration_report(mc, cfg.delta) if cfg.delta else None
     header = ["seed", "k", "e_k", "iterations"]
@@ -425,8 +416,7 @@ def _cmd_stochastic(cfg, args):
 
 def _cmd_ultimo(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
-    rep = ultimo_check(f, cfg.q, cfg.t, rho=cfg.rho, M=cfg.M, n=cfg.n,
-                       solver=cfg.solver_config())
+    rep = ultimo_check(f, cfg.q, cfg.t, rho=cfg.rho, M=cfg.M, n=cfg.n)
     header = ["t", "rho", "M", "energy_direct", "scaled_rescaled", "rel_diff", "ok"]
     rows = [(rep.t, rep.rho, cfg.M, rep.energy_direct, rep.scaled_rescaled, rep.rel_diff, rep.ok)]
     payload = dataclasses.asdict(rep)
@@ -437,8 +427,7 @@ def _cmd_ultimo(cfg, args):
 def _cmd_recover(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
     x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * GroupParams(cfg.n).N
-    rep = recover_integrand_pointwise(f, x0, cfg.q, rho_list=cfg.rho_list,
-                                      M=cfg.M, n=cfg.n, solver=cfg.solver_config())
+    rep = recover_integrand_pointwise(f, x0, cfg.q, rho_list=cfg.rho_list, M=cfg.M, n=cfg.n)
     header = ["rho", "value", "error"]
     rows = list(zip(rep.rho_list, rep.values, rep.errors))
     payload = {"x0": list(rep.x0), "q": list(rep.q), "rho_list": list(rep.rho_list),
@@ -484,12 +473,21 @@ def _finite_float(token):
     return value
 
 
+def _float_sized_int(token):
+    """A JSON integer as an int; one too large for a float is a ConfigError
+    (config numbers end up in float arithmetic)."""
+    if not math.isfinite(float(token)):
+        raise ConfigError(f"config integer {token} is too large for a float")
+    return int(token)
+
+
 def load_config(path) -> RunConfig:
     if not path:
         return RunConfig()
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            data = json.load(fh, parse_float=_finite_float, parse_int=_float_sized_int,
+                             parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

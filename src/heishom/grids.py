@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _INTEGRALITY_RTOL = 1e-9
+TRACE_TOL = 1e-12  # boundary mismatch, relative to the trace scale, mean_h_gradient accepts
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,12 @@ def dilated_box_grid(t, rho, M, n=1) -> AnisoGrid:
     """
     t = float(t)
     rho = float(rho)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite: {t!r}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite: {rho!r}")
+    if not 1 <= M < math.inf or int(M) != M:
+        raise ValueError(f"M must be a positive integer: {M!r}")
     M = int(M)
     half_h = t * rho
     half_v = t * t * rho
@@ -202,11 +203,13 @@ def centered_box_grid(center, rho, M, n=1) -> AnisoGrid:
     N = 2 * n + 1
     if center.shape != (N,):
         raise ValueError(f"center must have shape ({N},)")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite: {center.tolist()!r}")
     rho = float(rho)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite: {rho!r}")
+    if not 1 <= M < math.inf or int(M) != M:
+        raise ValueError(f"M must be a positive integer: {M!r}")
     iv = 2 * int(M)
     axes = tuple(np.linspace(c - rho, c + rho, iv + 1) for c in center)
     steps = (2.0 * rho / iv,) * N
@@ -327,11 +330,11 @@ def integrate_cells(values, grid: AnisoGrid) -> float:
     return float(grid.volume * (np.sum(values) / grid.num_cells))
 
 
-def mean_h_gradient(u: ScalarField, bd: HAffineBoundary, tol=1e-12) -> np.ndarray:
+def mean_h_gradient(u: ScalarField, bd: HAffineBoundary) -> np.ndarray:
     """Volume-weighted mean of the discrete horizontal gradient.
 
     Requires the boundary nodes of u to carry the H-affine trace of bd; a
-    mismatch beyond tol (relative to the trace scale) is a contract violation.
+    mismatch beyond TRACE_TOL (relative to the trace scale) is an error.
     By the telescoping property the result equals bd.q up to rounding, no
     matter what the interior values are.
     """
@@ -339,7 +342,7 @@ def mean_h_gradient(u: ScalarField, bd: HAffineBoundary, tol=1e-12) -> np.ndarra
     mask = u.grid.boundary_mask
     scale = max(1.0, float(np.max(np.abs(tr[mask]))) if tr[mask].size else 1.0)
     gap = float(np.max(np.abs(u.values[mask] - tr[mask]))) if tr[mask].size else 0.0
-    if gap > tol * scale:
+    if gap > TRACE_TOL * scale:
         raise ValueError(f"boundary trace mismatch {gap:.3e} exceeds tolerance")
     g = discrete_h_gradient(u)
     return np.asarray(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grids import HAffineBoundary, centered_box_grid, dilated_box_grid, grid_from_axes
 from .integrands import Integrand, rescale_integrand
-from .solve import CellProblem, SolverConfig, mu_q, solve_cell
+from .solve import CellProblem, mu_q, solve_cell
 
 __all__ = [
     "HomogReport",
@@ -42,6 +42,14 @@ __all__ = [
     "EffectiveIntegrandTable",
     "q_sweep",
 ]
+
+# verdict tolerances
+TREND_SLACK = 1e-6           # ladder gaps at or below this are ties (monotone_trend_ok)
+ULTIMO_TOL = 1e-10           # relative gap, direct against rescaled energy
+SCALE_SLACK = 1e-6           # absolute allowance on every non-integer scale band
+RECOVERY_ZERO = 1e-10        # relative recovery error at or below which a value is exact
+SWEEP_CONVEXITY_TOL = 1e-3   # midpoint convexity violation, relative to max(1, |f0|)
+SWEEP_SYMMETRY_TOL = 2e-10   # evenness gap |f0(q) - f0(-q)|, relative to max(1, |f0|)
 
 
 @dataclass
@@ -74,21 +82,19 @@ def map_jobs(fn, items, threads=1):
     return [fn(it) for it in items]
 
 
-def energy_density_sequence(
-    f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1, solver: SolverConfig = None, trend_slack=1e-6
-) -> HomogReport:
+def energy_density_sequence(f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1) -> HomogReport:
     """Compute the ladder e_k = mu_q(delta_k(Q)) / |delta_k(Q)|.
 
     The grid spacing is fixed by M across the whole ladder, so the k-th solve
     refines nothing; it only enlarges the box.  Verdicts:
 
     bounds_ok          c1 |q|^a <= e_k <= c2 (|q|^a + 1) for every k
-    monotone_trend_ok  e_k' <= e_k (within slack) whenever k divides k' --
+    monotone_trend_ok  e_k' <= e_k + TREND_SLACK whenever k divides k' --
                        a dilated box tiles exactly by copies of the smaller
                        one only along divisibility, so consecutive entries
                        need not be ordered -- and the last consecutive gap
                        is smaller than the first (vacuous when all gaps are
-                       within slack, e.g. x-independent integrands)
+                       within TREND_SLACK, e.g. x-independent integrands)
     solves_converged   every cell solve reported convergence
     """
     k_list = tuple(k_list)
@@ -96,13 +102,12 @@ def energy_density_sequence(
         raise ValueError("k_list must contain positive scales")
     if list(k_list) != sorted(k_list):
         raise ValueError("k_list must be increasing")
-    solver = solver or SolverConfig()
     q = np.atleast_1d(np.asarray(q, dtype=float))
 
     e = []
     diagnostics = []
     for k in k_list:
-        sol = mu_q(f, q, k, M, n, solver)
+        sol = mu_q(f, q, k, M, n)
         grid = sol.u.grid
         e.append(sol.energy / grid.volume)
         diagnostics.append(
@@ -132,9 +137,9 @@ def energy_density_sequence(
                 and int(kj) % int(ki) == 0
             )
             if is_multiple:
-                divis_ordered = divis_ordered and (e[j] <= e[i] + trend_slack)
+                divis_ordered = divis_ordered and (e[j] <= e[i] + TREND_SLACK)
     if len(deltas) >= 2:
-        shrinking = bool(deltas[-1] < deltas[0]) or bool(np.all(deltas <= trend_slack))
+        shrinking = bool(deltas[-1] < deltas[0]) or bool(np.all(deltas <= TREND_SLACK))
     else:
         shrinking = True
     verdicts = {
@@ -170,19 +175,16 @@ class UltimoReport:
     ok: bool
 
 
-def ultimo_check(
-    f: Integrand, q, t, rho=1.0, M=4, n=1, solver: SolverConfig = None, tol=1e-10
-) -> UltimoReport:
+def ultimo_check(f: Integrand, q, t, rho=1.0, M=4, n=1) -> UltimoReport:
     """Discrete form of the rescaling identity.
 
     Solve once on the dilated box delta_t([-rho, rho]^N) with integrand f and
     once on [-rho, rho]^N with the rescaled integrand f(delta_t(.), .) on the
     node-for-node dilated grid; the first energy must equal t^(2n+2) times
-    the second, up to solver tolerance (the two discrete problems are images
+    the second to ``ULTIMO_TOL`` (the two discrete problems are images
     of each other under an exact change of variables).
     """
     t = float(t)
-    solver = solver or SolverConfig()
     bd = HAffineBoundary(tuple(np.atleast_1d(q)))
 
     big = dilated_box_grid(t, rho, M, n)
@@ -192,8 +194,8 @@ def ultimo_check(
     small = grid_from_axes(small_axes, n)
     f_small = rescale_integrand(f, 1.0 / t)
 
-    e_big = solve_cell(CellProblem(big, f, bd, solver)).energy
-    e_small = solve_cell(CellProblem(small, f_small, bd, solver)).energy
+    e_big = solve_cell(CellProblem(big, f, bd)).energy
+    e_small = solve_cell(CellProblem(small, f_small, bd)).energy
 
     hdim = 2 * n + 2
     scaled = (t**hdim) * e_small
@@ -205,7 +207,7 @@ def ultimo_check(
         energy_rescaled=e_small,
         scaled_rescaled=scaled,
         rel_diff=float(rel),
-        ok=bool(rel <= tol),
+        ok=bool(rel <= ULTIMO_TOL),
     )
 
 
@@ -222,16 +224,13 @@ class ScaleBandReport:
     ok: bool
 
 
-def noninteger_scale_check(
-    f: Integrand, q, t_list, M=4, n=1, solver: SolverConfig = None, slack=1e-6
-) -> ScaleBandReport:
+def noninteger_scale_check(f: Integrand, q, t_list, M=4, n=1) -> ScaleBandReport:
     """Check |e_t - e_floor(t)| against the volume-ratio band.
 
     The comparison constant is c2 (|q|^alpha + 1) (1 - (floor(t)/t)^hdim),
     the discrete counterpart of sandwiching a non-integer box between the
-    integer ladder: trivially tight at integer t.
+    integer ladder: trivially tight at integer t (up to ``SCALE_SLACK``).
     """
-    solver = solver or SolverConfig()
     q = np.atleast_1d(np.asarray(q, dtype=float))
     hdim = 2 * n + 2
     qpow = float(np.sum(q * q) ** (0.5 * f.alpha))
@@ -243,13 +242,13 @@ def noninteger_scale_check(
         if t < 1:
             raise ValueError("scales below 1 are not compared against an integer floor")
         k = int(np.floor(t + 1e-12))
-        sol = mu_q(f, q, t, M, n, solver)
+        sol = mu_q(f, q, t, M, n)
         e_t.append(sol.energy / sol.u.grid.volume)
         if k not in cache:
-            sk = mu_q(f, q, k, M, n, solver)
+            sk = mu_q(f, q, k, M, n)
             cache[k] = sk.energy / sk.u.grid.volume
         e_fl.append(cache[k])
-        bounds.append(f.c2 * (qpow + 1.0) * (1.0 - (k / t) ** hdim) + slack)
+        bounds.append(f.c2 * (qpow + 1.0) * (1.0 - (k / t) ** hdim) + SCALE_SLACK)
 
     e_t = np.asarray(e_t)
     e_fl = np.asarray(e_fl)
@@ -273,12 +272,8 @@ class RecoveryReport:
     strictly_decreasing: bool  # non-increasing, and strictly where above RECOVERY_ZERO
 
 
-# relative recovery error at or below which a value counts as exact
-RECOVERY_ZERO = 1e-10
-
-
 def recover_integrand_pointwise(
-    f: Integrand, x0, q, rho_list=(0.5, 0.25, 0.125), M=4, n=1, solver: SolverConfig = None
+    f: Integrand, x0, q, rho_list=(0.5, 0.25, 0.125), M=4, n=1
 ) -> RecoveryReport:
     """Normalized minima on shrinking boxes centered at x0 approach f(x0, q).
 
@@ -287,7 +282,6 @@ def recover_integrand_pointwise(
     problems is geometrically similar and the error trend reflects the
     continuum localization.
     """
-    solver = solver or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     rho_list = tuple(float(r) for r in rho_list)
@@ -299,7 +293,7 @@ def recover_integrand_pointwise(
     vals = []
     for rho in rho_list:
         grid = centered_box_grid(x0, rho, M, n)
-        sol = solve_cell(CellProblem(grid, f, bd, solver))
+        sol = solve_cell(CellProblem(grid, f, bd))
         vals.append(sol.energy / grid.volume)
     vals = np.asarray(vals)
     errors = np.abs(vals - ref)
@@ -345,23 +339,15 @@ def _collinear_triples(qs, decimals=9):
 
 
 def q_sweep(
-    f: Integrand,
-    q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0),
-    k_list=(1, 2, 3, 4),
-    M=4,
-    n=1,
-    solver: SolverConfig = None,
-    trend_slack=1e-6,
-    convexity_tol=1e-3,
-    symmetry_tol=2e-10,
-    threads=1,
+    f: Integrand, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), k_list=(1, 2, 3, 4), M=4, n=1, threads=1
 ) -> EffectiveIntegrandTable:
     """Tabulate f0 over the grid q_axis x ... x q_axis (m factors).
 
-    Audits, with tolerances relative to the local value scale:
-    growth bounds per entry, midpoint convexity on all collinear triples
-    inside the table, and evenness f0(q) = f0(-q).  ``k_list``, ``M``, ``n``,
-    ``solver`` and ``trend_slack`` are passed to ``energy_density_sequence``.
+    Audits growth bounds per entry, midpoint convexity on all collinear
+    triples inside the table (to ``SWEEP_CONVEXITY_TOL``) and evenness
+    f0(q) = f0(-q) (to ``SWEEP_SYMMETRY_TOL``), both relative to the local
+    value scale.  ``k_list``, ``M`` and ``n`` are passed to
+    ``energy_density_sequence``; ``threads`` fans the slopes out.
     """
     m = 2 * n
     axes = [np.asarray(q_axis, dtype=float)] * m
@@ -369,9 +355,7 @@ def q_sweep(
     qs = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
 
     def one(qv):
-        return energy_density_sequence(
-            f, qv, k_list=k_list, M=M, n=n, solver=solver, trend_slack=trend_slack
-        )
+        return energy_density_sequence(f, qv, k_list=k_list, M=M, n=n)
 
     reports = map_jobs(one, qs, threads)
     f0 = np.array([rep.f0_estimate for rep in reports])
@@ -382,7 +366,7 @@ def q_sweep(
         avg = 0.5 * (f0[i] + f0[j])
         viol = (f0[k] - avg) / max(1.0, abs(avg))
         worst_conv = max(worst_conv, viol)
-    convex_ok = worst_conv <= convexity_tol
+    convex_ok = worst_conv <= SWEEP_CONVEXITY_TOL
 
     lookup = {tuple(np.round(p, 9)): i for i, p in enumerate(qs)}
     worst_sym = 0.0
@@ -390,7 +374,7 @@ def q_sweep(
         jj = lookup.get(tuple(np.round(-qv, 9)))
         if jj is not None:
             worst_sym = max(worst_sym, abs(f0[i] - f0[jj]) / max(1.0, abs(f0[i])))
-    sym_ok = worst_sym <= symmetry_tol
+    sym_ok = worst_sym <= SWEEP_SYMMETRY_TOL
 
     return EffectiveIntegrandTable(
         qs=qs,

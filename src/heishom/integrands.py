@@ -423,6 +423,12 @@ class AssumptionReport:
         )
 
 
+# verify_assumptions tolerances, relative to max(1, |f|): midpoint
+# convexity violation and the gap under a lattice translation
+CONVEXITY_TOL = 1e-10
+PERIODICITY_TOL = 1e-10
+
+
 def verify_assumptions(
     f: Integrand,
     n=1,
@@ -430,12 +436,11 @@ def verify_assumptions(
     seed=0,
     horizontal_box=3.0,
     vertical_box=9.0,
-    convexity_tol=1e-10,
-    periodicity_tol=1e-10,
 ) -> AssumptionReport:
     """Sample growth bounds, midpoint convexity, and lattice periodicity.
 
-    Violations are reported with a witness point, never raised.
+    Violations beyond ``CONVEXITY_TOL`` and ``PERIODICITY_TOL`` are reported
+    with a witness point, never raised.
     """
     rng = np.random.default_rng(seed)
     N, m = 2 * n + 1, 2 * n
@@ -469,7 +474,7 @@ def verify_assumptions(
     scale = np.maximum(1.0, np.abs(avg))
     w = int(np.argmax(viol / scale))
     rep.worst_convexity_violation = float(viol[w] / scale[w])
-    rep.convexity_ok = bool(rep.worst_convexity_violation <= convexity_tol)
+    rep.convexity_ok = bool(rep.worst_convexity_violation <= CONVEXITY_TOL)
     if not rep.convexity_ok and rep.witness is None:
         rep.witness = (X[w].copy(), Q[w].copy(), Q2[w].copy())
 
@@ -480,7 +485,7 @@ def verify_assumptions(
         scale = np.maximum(1.0, np.abs(vals))
         w = int(np.argmax(gap / scale))
         rep.worst_periodicity_gap = float(gap[w] / scale[w])
-        rep.periodicity_ok = bool(rep.worst_periodicity_gap <= periodicity_tol)
+        rep.periodicity_ok = bool(rep.worst_periodicity_gap <= PERIODICITY_TOL)
         if not rep.periodicity_ok and rep.witness is None:
             rep.witness = (X[w].copy(), K[w].copy())
 

@@ -23,8 +23,12 @@ Three routes:
   sqrt(vol)) Bi, S_c the per-cell Hessian factor, on the quadratic path's
   assembly by Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
   0.9 (|g_k| / |g_k-1|)^2) (SISC 1996), then backtracks on the energy
-  (Armijo); it stops at max|g| <= tol_grad (0 steps at q = 0), unconverged
+  (Armijo); it stops at max|g| <= TOL_GRAD (0 steps at q = 0), unconverged
   when a step cannot decrease the energy.
+
+The stopping rules are constants: a relative residual of ``TOL_RESIDUAL`` on
+the quadratic path, max|g| <= ``TOL_GRAD`` on the Newton path, and at most
+``MAX_ITER`` CG iterations, Newton steps and inner PCG iterations per solve.
 
 ``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` when
 the integrand's ``quad_cells`` returns a quadratic form and ``_solve_newton``
@@ -39,8 +43,7 @@ problems share no mutable state.
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +59,6 @@ from .integrands import Integrand, translate_integrand
 
 __all__ = [
     "NumericalError",
-    "SolverConfig",
     "CellProblem",
     "CellSolution",
     "discrete_energy",
@@ -68,17 +70,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_grad: float = 1e-8        # Newton stop: max|gradient|
-    tol_residual: float = 1e-12   # stopping rule of the quadratic path
-    max_iter: int = 100_000       # bounds CG iterations and Newton steps
-
-    def __post_init__(self):
-        for name in ("tol_grad", "tol_residual", "max_iter"):
-            v, kind = getattr(self, name), numbers.Integral if name == "max_iter" else numbers.Real
-            if isinstance(v, bool) or not isinstance(v, kind) or not 0 < v < math.inf:
-                raise ValueError(f"{name} must be a positive finite {kind.__name__.lower()}: {v!r}")
+TOL_RESIDUAL = 1e-12   # stopping rule of the quadratic path: relative residual
+TOL_GRAD = 1e-8        # Newton stop: max|gradient|
+MAX_ITER = 100_000     # bounds CG iterations, Newton steps and each inner solve
+TOL_TRANSLATION = 1e-10  # relative energy gap allowed under a lattice translation
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,6 @@ class CellProblem:
     grid: AnisoGrid
     integrand: Integrand
     boundary: HAffineBoundary
-    config: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass
@@ -428,7 +422,7 @@ def _solve_quadratic(problem, quad, trace):
     boundary keeps K definite (the hourglass modes are nonzero there), so
     neither PCG nor the coarse LU of the V-cycle needs regularisation.
     """
-    grid, cfg = problem.grid, problem.config
+    grid = problem.grid
     Bt = _weighted_operator(gradient_operator(grid), grid, quad)
     interior = grid.interior_flat
 
@@ -439,7 +433,7 @@ def _solve_quadratic(problem, quad, trace):
     rhs = -(Bi.T @ (Bt @ u_bd))
     del Bt, Bi, u_bd  # free the assembly before the iteration
     precond = _multigrid(K, tuple(s - 2 for s in grid.shape))
-    return _pcg(K, rhs, trace[interior], precond, cfg.tol_residual, cfg.max_iter)
+    return _pcg(K, rhs, trace[interior], precond, TOL_RESIDUAL, MAX_ITER)
 
 
 _ARMIJO = 1e-4      # sufficient decrease, as a fraction of the directional slope
@@ -447,9 +441,9 @@ _MAX_HALVINGS = 40  # backtracking gives up below a step of 2^-40
 
 
 def _solve_newton(problem, coeffs, trace):
-    """Inexact Newton from the trace, B and Bi built once.  ``max_iter`` bounds the
-    steps and each inner solve, whose tolerance stops at |r| <= tol_grad / 2."""
-    grid, cfg, f = problem.grid, problem.config, problem.integrand
+    """Inexact Newton from the trace, B and Bi built once.  ``MAX_ITER`` bounds the
+    steps and each inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2."""
+    grid, f = problem.grid, problem.integrand
     B, interior = gradient_operator(grid), grid.interior_flat
     Bi = B.tocsc()[:, interior].tocsr()
     vol, full = grid.cell_volume, trace.copy()
@@ -465,14 +459,14 @@ def _solve_newton(problem, coeffs, trace):
     while True:
         g = Bi.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol)
         gmax = float(np.max(np.abs(g))) if g.size else 0.0
-        if gmax <= cfg.tol_grad or steps == cfg.max_iter:
-            return x, steps, gmax, gmax <= cfg.tol_grad
+        if gmax <= TOL_GRAD or steps == MAX_ITER:
+            return x, steps, gmax, gmax <= TOL_GRAD
         gnorm = math.sqrt(_dot(g, g))
         eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
-        eta, gnorm_prev = max(eta, 0.5 * cfg.tol_grad / gnorm), gnorm
+        eta, gnorm_prev = max(eta, 0.5 * TOL_GRAD / gnorm), gnorm
         Bh = _weighted_operator(Bi, grid, ("matrix", f.hessian_factor_cells(coeffs, G)))
         K = (Bh.T @ Bh).tocsr()
-        d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, cfg.max_iter)[0]
+        d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, MAX_ITER)[0]
         del K, Bh  # the next step's assembly should not overlap these
         slope = _dot(g, d)
         for s in 0.5 ** np.arange(_MAX_HALVINGS):
@@ -510,11 +504,10 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     )
 
 
-def mu_q(f: Integrand, q, t, M, n=1, config: SolverConfig = None) -> CellSolution:
+def mu_q(f: Integrand, q, t, M, n=1) -> CellSolution:
     """Localized minimum over the dilated cell delta_t(Q) with H-affine datum q."""
     grid = build_grid(t, M, n)
-    problem = CellProblem(grid, f, HAffineBoundary(tuple(np.atleast_1d(q))), config or SolverConfig())
-    return solve_cell(problem)
+    return solve_cell(CellProblem(grid, f, HAffineBoundary(tuple(np.atleast_1d(q)))))
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +526,11 @@ class TranslationInvarianceReport:
     ok: bool
 
 
-def check_translation_invariance(
-    f: Integrand, q, z, t, M, n=1, config: SolverConfig = None, tol=1e-10
-) -> TranslationInvarianceReport:
+def check_translation_invariance(f: Integrand, q, z, t, M, n=1) -> TranslationInvarianceReport:
     """Compare the cell problem for f against the one for f(2z * ., .).
 
     For lattice-periodic f the per-cell integrand samples must agree bit for
-    bit and the minima must coincide up to solver tolerance.  For aperiodic f
+    bit and the minima must coincide to ``TOL_TRANSLATION``.  For aperiodic f
     the report simply carries the witnessed mismatch.
     """
     z = np.asarray(z, dtype=float)
@@ -553,10 +544,9 @@ def check_translation_invariance(
     diff = np.abs(a0 - a1)
     wit = int(np.argmax(diff))
 
-    cfg = config or SolverConfig()
     bd = HAffineBoundary(tuple(np.atleast_1d(q)))
-    e0 = solve_cell(CellProblem(grid, f, bd, cfg)).energy
-    e1 = solve_cell(CellProblem(grid, g, bd, cfg)).energy
+    e0 = solve_cell(CellProblem(grid, f, bd)).energy
+    e1 = solve_cell(CellProblem(grid, g, bd)).energy
     gap = abs(e0 - e1) / max(1.0, abs(e0))
     equal = bool(np.all(a0 == a1))
     return TranslationInvarianceReport(
@@ -567,5 +557,5 @@ def check_translation_invariance(
         energy_base=e0,
         energy_translated=e1,
         rel_energy_gap=float(gap),
-        ok=bool(equal and gap <= tol),
+        ok=bool(equal and gap <= TOL_TRANSLATION),
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from .heisenberg import tile_index
 from .integrands import BIN_GUARD, CoefficientField, PowerIntegrand
-from .solve import SolverConfig
 from .homog import energy_density_sequence, map_jobs
 
 __all__ = [
@@ -171,7 +170,6 @@ def monte_carlo_effective(
     alpha=2.0,
     M=4,
     n=1,
-    solver: SolverConfig = None,
     threads=1,
 ) -> MonteCarloReport:
     """Ladder statistics over independent coefficient realizations.
@@ -181,13 +179,12 @@ def monte_carlo_effective(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for variance estimates")
-    solver = solver or SolverConfig()
     q = np.atleast_1d(np.asarray(q, dtype=float))
     seeds = tuple(int(base_seed) + i for i in range(int(n_samples)))
 
     def one(s):
         f = sample_random_integrand(s, law, alpha=alpha, n=n)
-        return energy_density_sequence(f, q, k_list=k_list, M=M, n=n, solver=solver)
+        return energy_density_sequence(f, q, k_list=k_list, M=M, n=n)
 
     reports = map_jobs(one, seeds, threads)
     e = np.stack([rep.e for rep in reports])

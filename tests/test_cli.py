@@ -249,6 +249,18 @@ def test_n2_effective_and_ultimo(tmp_path):
     assert doc["rel_diff"] <= 1e-10
 
 
+@pytest.mark.parametrize("command", ["verify", "cell", "effective", "sweep", "stochastic",
+                                     "ultimo", "recover"])
+def test_echoed_config_reproduces_the_output(tmp_path, command):
+    """The config object of a JSON output, fed back as --config, gives the same bytes."""
+    first, second = os.path.join(tmp_path, "first.json"), os.path.join(tmp_path, "second.json")
+    cfg = write_cfg(tmp_path, {"M": 2, "k_list": [1, 2], "n_samples": 8})
+    assert main([command, "--config", cfg, "--out", first, "--format", "json"]) == 0
+    echo = write_cfg(tmp_path, json.loads(Path(first).read_text())["config"], "echo.json")
+    assert main([command, "--config", echo, "--out", second, "--format", "json"]) == 0
+    assert Path(second).read_bytes() == Path(first).read_bytes()
+
+
 def test_stdout_when_no_out(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "q": [1.0, 0.0],
                                "t": 1.0, "M": 2})
@@ -301,8 +313,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("cell", {"M": 2, "t": 1, "integrand": {
         "type": "power", "coefficient": {"type": "constant", "value": math.inf}}}),
     ("stochastic", {"M": 2, "k_list": [1, 2], "n_samples": 8, "delta": math.nan}),
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": 10**400}}),
+    ("cell", {"M": 2, "t": 10**400}),
+    ("cell", {"M": 10**400, "t": 1}),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "random_tiles", "seed": 1.5}}}),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
-        "alpha-NaN", "value-Infinity", "delta-NaN"])
+        "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
+        "M-huge-int", "seed-fractional"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert main([command, "--config", cfg]) == 2

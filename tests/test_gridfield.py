@@ -1,5 +1,6 @@
 """Anisotropic grids, node fields, and the cell-based gradient stencil."""
 
+import math
 import os
 
 import numpy as np
@@ -80,6 +81,18 @@ def test_invalid_args_rejected():
         build_grid(1.0, 0)
     with pytest.raises(ValueError):
         centered_box_grid((0.0, 0.0, 0.0), -0.5, 2)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: build_grid(math.inf, 4), "t"),
+    (lambda: build_grid(math.nan, 4), "t"),
+    (lambda: dilated_box_grid(1.0, math.inf, 2), "rho"),
+    (lambda: centered_box_grid((0.0, 0.0, 0.0), math.inf, 2), "rho"),
+    (lambda: centered_box_grid((0.0, 0.0, math.nan), 0.5, 2), "center"),
+], ids=["t-inf", "t-nan", "rho-inf", "centered-rho-inf", "center-nan"])
+def test_non_finite_grid_sizes_are_rejected(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
 
 
 def test_centered_box_is_euclidean_cube():

@@ -8,7 +8,6 @@ two-route check.
 """
 
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -28,7 +27,6 @@ from heishom import (
     PowerIntegrand,
     RandomTileCoefficient,
     ScalarField,
-    SolverConfig,
     TwoPointLaw,
     apply_boundary,
     build_grid,
@@ -163,7 +161,7 @@ def test_cg_matches_dense_oracle():
             q = gen.uniform(-2, 2, size=2)
             bd = HAffineBoundary(tuple(q))
             e_ref, u_ref = dense_reference_minimum(g, CHECKER, bd)
-            sol = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig()))
+            sol = solve_cell(CellProblem(g, CHECKER, bd))
             assert sol.energy == pytest.approx(e_ref, rel=1e-10)
             np.testing.assert_allclose(sol.u.values, u_ref.values, rtol=0, atol=1e-7)
 
@@ -194,34 +192,12 @@ def test_dense_oracle_respects_size_cap():
 def test_auto_dispatch():
     g = build_grid(1.0, 2)
     bd = HAffineBoundary((1.0, 0.0))
-    sol2 = solve_cell(CellProblem(g, CHECKER, bd, SolverConfig()))
+    sol2 = solve_cell(CellProblem(g, CHECKER, bd))
     assert sol2.method == "cg"
     f3 = power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0)
-    sol3 = solve_cell(CellProblem(g, f3, bd, SolverConfig()))
+    sol3 = solve_cell(CellProblem(g, f3, bd))
     assert sol3.method == "first_order"
     assert sol3.converged
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_grad=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"max_iter": 1.5}, {"max_iter": True}, {"max_iter": "10"}, {"tol_residual": True},
-    {"tol_grad": "1e-8"}, {"tol_residual": None}, {"tol_grad": math.nan},
-    {"tol_residual": math.inf}, {"max_iter": 1.5, "tol_residual": True},
-])
-def test_solver_config_rejects_wrong_types(kwargs):
-    with pytest.raises(ValueError):
-        SolverConfig(**kwargs)
-
-
-def test_solver_config_accepts_integer_tolerances_and_numpy_scalars():
-    cfg = SolverConfig(tol_grad=1, tol_residual=np.float64(1e-9), max_iter=np.int64(7))
-    assert cfg.tol_grad == 1 and cfg.max_iter == 7
 
 
 def test_energy_is_recomputed_from_returned_field():
@@ -383,7 +359,7 @@ def test_alpha3_first_order_converges_and_improves():
     f3 = power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0)
     g = build_grid(1.0, 2)
     bd = HAffineBoundary((1.0, 0.0))
-    sol = solve_cell(CellProblem(g, f3, bd, SolverConfig()))
+    sol = solve_cell(CellProblem(g, f3, bd))
     assert sol.converged
     e_aff = discrete_energy(apply_boundary(h_affine_field(g, np.array([1.0, 0.0])), bd), f3)
     assert sol.energy < e_aff
@@ -411,7 +387,7 @@ def test_newton_energy_is_not_above_lbfgs(kind, alpha, t):
         f, q = matrix_p_integrand([[2.0, 0.5], [0.5, 1.0]], alpha), (1.0, 0.5)
     sol = mu_q(f, q, t, 4)
     assert sol.method == "first_order" and sol.converged
-    assert sol.residual <= SolverConfig().tol_grad
+    assert sol.residual <= solve.TOL_GRAD
     assert sol.energy <= _LBFGS_ENERGY[kind, alpha, t] * (1 + 1e-6)
 
 
@@ -437,7 +413,7 @@ def test_newton_without_descent_ends_unconverged():
     g = build_grid(1.0, 4)
     sol = solve_cell(CellProblem(g, f, bd))
     assert sol.method == "first_order" and not sol.converged
-    assert sol.iterations == 0 and sol.residual > SolverConfig().tol_grad
+    assert sol.iterations == 0 and sol.residual > solve.TOL_GRAD
     assert sol.energy == discrete_energy(h_affine_field(g, np.array([1.0, 0.0])), f)
 
 

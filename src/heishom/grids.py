@@ -265,8 +265,13 @@ class HAffineBoundary:
     a: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(float(c) for c in np.atleast_1d(self.q)))
-        object.__setattr__(self, "a", float(self.a))
+        q, a = tuple(float(c) for c in np.atleast_1d(self.q)), float(self.a)
+        if not all(map(math.isfinite, q)):
+            raise ValueError(f"q must be finite: {q!r}")
+        if not math.isfinite(a):
+            raise ValueError(f"a must be finite: {a!r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "a", a)
 
     def trace(self, grid: AnisoGrid) -> np.ndarray:
         return grid.h_affine_values(np.asarray(self.q), self.a)

@@ -89,7 +89,12 @@ def test_invalid_args_rejected():
     (lambda: dilated_box_grid(1.0, math.inf, 2), "rho"),
     (lambda: centered_box_grid((0.0, 0.0, 0.0), math.inf, 2), "rho"),
     (lambda: centered_box_grid((0.0, 0.0, math.nan), 0.5, 2), "center"),
-], ids=["t-inf", "t-nan", "rho-inf", "centered-rho-inf", "center-nan"])
+    (lambda: HAffineBoundary((math.inf, 0.0)), "q"),
+    (lambda: HAffineBoundary((0.0, math.nan)), "q"),
+    (lambda: HAffineBoundary((1.0, 0.0), -math.inf), "a"),
+    (lambda: HAffineBoundary((1.0, 0.0), math.nan), "a"),
+], ids=["t-inf", "t-nan", "rho-inf", "centered-rho-inf", "center-nan",
+        "boundary-q-inf", "boundary-q-nan", "boundary-a-inf", "boundary-a-nan"])
 def test_non_finite_grid_sizes_are_rejected(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build()

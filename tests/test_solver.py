@@ -326,7 +326,81 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
 def test_multigrid_iterations_grow_slowly_with_the_cell():
     its = {k: mu_q(CHECKER, (1.0, 0.0), k, 4).iterations for k in (1, 2, 3)}
     assert its[1] == 1  # 343 unknowns: the coarse factorisation solves it
+    assert its[2] <= 42 and its[3] <= 58  # the counts of a float64 V-cycle
     assert its[3] <= 2 * its[2]
+
+
+def _hierarchy(monkeypatch, f, q, t, M):
+    """The normal matrix K and the preconditioner that ``mu_q`` builds for it."""
+    built, multigrid = [], solve._multigrid
+
+    def capture(K, shape):
+        built.append((K, multigrid(K, shape)))
+        return built[-1][1]
+
+    monkeypatch.setattr(solve, "_multigrid", capture)
+    mu_q(f, q, t, M)
+    (K, precond), = built
+    return K, precond
+
+
+class _Float32Only:
+    """A sparse matrix that fails any product with, or giving, a non-float32 vector."""
+
+    def __init__(self, A):
+        self.A, self.shape = A, A.shape
+
+    def __matmul__(self, v):
+        assert v.dtype == np.float32
+        out = self.A @ v
+        assert out.dtype == np.float32
+        return out
+
+
+def test_multigrid_levels_are_float32(monkeypatch):
+    K, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
+    levels, coarse = precond.args
+    assert len(levels) == 1 and K.dtype == np.float64
+    level = levels[0]
+    assert level.A.dtype == np.float32
+    assert np.shares_memory(level.A.indices, K.indices)
+    assert np.shares_memory(level.A.indptr, K.indptr)
+    for a in (level.dinv, level.P.data, level.PT.data, level.sign):
+        assert a.dtype == np.float32
+    assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
+
+    r = np.cos(np.arange(K.shape[0]))
+    z = precond(r)
+    assert z.dtype == np.float64
+    # one V-cycle, every product checked: no silent float64 promotion inside
+    checked = [lv._replace(A=_Float32Only(lv.A), P=_Float32Only(lv.P), PT=_Float32Only(lv.PT))
+               for lv in levels]
+    b = r.astype(np.float32)
+    e = solve._vcycle(checked, coarse, b)
+    assert e.dtype == np.float32
+    np.testing.assert_array_equal(e, solve._vcycle(levels, coarse, b))
+
+
+def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
+    """CG needs M^-1 symmetric and definite; float32 rounding may break the
+    symmetry only at single precision.  Coefficient jumps of 4 stress it."""
+    K, precond = _hierarchy(monkeypatch, _random_tile_sample(), (1.0, 0.0), 2.0, 4)
+    gen = rng(11)
+    for _ in range(4):
+        r, s = gen.standard_normal((2, K.shape[0]))
+        zr, zs = precond(r), precond(s)
+        assert abs(s @ zr - r @ zs) <= 1e-5 * np.linalg.norm(s) * np.linalg.norm(zr)
+        assert r @ zr > 0 and s @ zs > 0
+
+
+@pytest.mark.parametrize("e", [-120, 130])
+def test_float32_range_does_not_limit_the_slope(e):
+    """mu_q is 2-homogeneous in q, and scaling q by a power of two is exact in
+    float64; the float32 V-cycle must not lose that to underflow or overflow."""
+    base = mu_q(CHECKER, (1.0, 0.0), 2, 4)
+    sol = mu_q(CHECKER, (2.0 ** e, 0.0), 2, 4)
+    assert sol.converged and sol.iterations == base.iterations
+    assert sol.energy == base.energy * 2.0 ** (2 * e)
 
 
 _CG_FINGERPRINT = """

@@ -31,6 +31,7 @@ from .grids import (
     apply_boundary,
     build_grid,
     discrete_h_gradient,
+    h_affine_field,
     mean_h_gradient,
 )
 
@@ -38,6 +39,8 @@ __all__ = ["CheckResult", "check_group_algebra", "check_tiling", "check_divergen
 
 # every check compares the two sides of an exact identity: rounding only
 CHECK_TOL = 1e-12
+BOX_HALF_WIDTH = 10.0   # group and tiling checks draw points from [-10, 10]^N
+DIVERGENCE_FIELDS = 25  # random interior fields per grid in check_divergence
 
 
 @dataclass
@@ -56,8 +59,8 @@ class CheckResult:
                 f"tol={self.tol:.1e} samples={self.samples} ({self.wall_time_s:.3f}s)")
 
 
-def _box_points(gen, count, N, half_width=10.0):
-    return gen.uniform(-half_width, half_width, size=(count, N))
+def _box_points(gen, count, N):
+    return gen.uniform(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, size=(count, N))
 
 
 def check_group_algebra(n=1, samples=10_000, seed=0) -> CheckResult:
@@ -95,12 +98,12 @@ def check_group_algebra(n=1, samples=10_000, seed=0) -> CheckResult:
                        time.perf_counter() - t0, {k: float(v) for k, v in errs.items()})
 
 
-def check_tiling(n=1, samples=10_000, seed=1, half_width=10.0) -> CheckResult:
+def check_tiling(n=1, samples=10_000, seed=1) -> CheckResult:
     """Tiling is a partition: pullbacks land in the half-open cell and invert exactly."""
     t0 = time.perf_counter()
     par = GroupParams(n)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    x = _box_points(gen, samples, par.N, half_width)
+    x = _box_points(gen, samples, par.N)
 
     errs = {}
     k, y = pullback_to_cell(x)
@@ -123,7 +126,7 @@ def check_tiling(n=1, samples=10_000, seed=1, half_width=10.0) -> CheckResult:
                        time.perf_counter() - t0, {k_: float(v) for k_, v in errs.items()})
 
 
-def check_divergence(n=1, fields=100, seed=2) -> CheckResult:
+def check_divergence(n=1, seed=2) -> CheckResult:
     """Volume-averaged discrete gradient depends only on the boundary trace.
 
     Overwriting the interior of an affine-data field with arbitrary values
@@ -136,7 +139,7 @@ def check_divergence(n=1, fields=100, seed=2) -> CheckResult:
     for t in (1.0, 2.0):
         for M in (2, 4):
             g = build_grid(t, M, n)
-            for _ in range(fields):
+            for _ in range(DIVERGENCE_FIELDS):
                 q = gen.uniform(-2.0, 2.0, size=g.m)
                 bd = HAffineBoundary(q, a=float(gen.uniform(-1, 1)))
                 vals = gen.uniform(-5.0, 5.0, size=g.shape)
@@ -147,16 +150,10 @@ def check_divergence(n=1, fields=100, seed=2) -> CheckResult:
     # also confirm the gradient of the exact affine field is constant q
     g = build_grid(2.0, 4, n)
     q = np.arange(1.0, g.m + 1.0)
-    full = ScalarField(g, _affine_fill(g, q))
-    hg = discrete_h_gradient(full)
+    hg = discrete_h_gradient(h_affine_field(g, q))
     worst = max(worst, float(np.abs(hg - q).max()))
     return CheckResult("divergence", worst <= CHECK_TOL, worst, CHECK_TOL, count,
                        time.perf_counter() - t0)
-
-
-def _affine_fill(grid, q):
-    from .grids import h_affine_field
-    return h_affine_field(grid, q).values
 
 
 def run_verification(n=1, seed=0, samples=10_000) -> list:
@@ -164,5 +161,5 @@ def run_verification(n=1, seed=0, samples=10_000) -> list:
     return [
         check_group_algebra(n=n, samples=samples, seed=seed),
         check_tiling(n=n, samples=samples, seed=seed + 1),
-        check_divergence(n=n, fields=25, seed=seed + 2),
+        check_divergence(n=n, seed=seed + 2),
     ]

@@ -205,7 +205,6 @@ def _expr_coefficient(spec, n):
         a_min=_number(spec, "a_min", 0.0),
         a_max=_number(spec, "a_max", np.inf),
         h_periodic=bool(spec.get("h_periodic", False)),
-        description=expr,
     )
 
 
@@ -510,7 +509,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"heishom: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a grid too large to allocate is a config the machine cannot run
         print(f"heishom: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .heisenberg import GroupParams
+
 __all__ = [
     "AnisoGrid",
     "ScalarField",
@@ -172,6 +174,7 @@ def dilated_box_grid(t, rho, M, n=1) -> AnisoGrid:
     intervals.  Raises a configuration error naming the smallest valid M if
     the horizontal count is non-integral.
     """
+    GroupParams(n)
     t = float(t)
     rho = float(rho)
     if not 0 < t < math.inf:
@@ -200,7 +203,7 @@ def build_grid(t, M, n=1) -> AnisoGrid:
 def centered_box_grid(center, rho, M, n=1) -> AnisoGrid:
     """Euclidean box [center - rho, center + rho]^N with 2M intervals per axis."""
     center = np.asarray(center, dtype=float)
-    N = 2 * n + 1
+    N = GroupParams(n).N
     if center.shape != (N,):
         raise ValueError(f"center must have shape ({N},)")
     if not np.all(np.isfinite(center)):
@@ -219,7 +222,7 @@ def centered_box_grid(center, rho, M, n=1) -> AnisoGrid:
 def grid_from_axes(axes, n, t=None, M=None) -> AnisoGrid:
     """Wrap explicit node axes (each ascending and uniform) into a grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) != 2 * n + 1:
+    if len(axes) != GroupParams(n).N:
         raise ValueError("need 2n + 1 axes")
     steps = []
     for a in axes:

@@ -285,8 +285,9 @@ def recover_integrand_pointwise(
     x0 = np.asarray(x0, dtype=float)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     rho_list = tuple(float(r) for r in rho_list)
-    if any(r <= 0 for r in rho_list) or list(rho_list) != sorted(rho_list, reverse=True):
-        raise ValueError("rho_list must be positive and strictly decreasing")
+    decreasing = all(b < a for a, b in zip(rho_list, rho_list[1:]))
+    if not (rho_list and rho_list[-1] > 0 and decreasing):
+        raise ValueError("rho_list must be non-empty, positive and strictly decreasing")
 
     ref = f.eval(x0, q)
     bd = HAffineBoundary(tuple(q))
@@ -319,23 +320,14 @@ def recover_integrand_pointwise(
 class EffectiveIntegrandTable:
     qs: np.ndarray
     f0: np.ndarray
-    reports: list
     verdicts: dict
     worst_convexity_violation: float
     worst_symmetry_gap: float
 
 
-def _collinear_triples(qs, decimals=9):
-    seen = {tuple(np.round(p, decimals)): i for i, p in enumerate(qs)}
-    triples = []
-    P = len(qs)
-    for i in range(P):
-        for j in range(i + 1, P):
-            mid = tuple(np.round(0.5 * (qs[i] + qs[j]), decimals))
-            k = seen.get(mid)
-            if k is not None and k != i and k != j:
-                triples.append((i, k, j))
-    return triples
+def _slope_key(q):
+    """q rounded to 9 decimals: slopes that agree there are the same table entry."""
+    return tuple(np.round(q, 9))
 
 
 def q_sweep(
@@ -349,6 +341,8 @@ def q_sweep(
     value scale.  ``k_list``, ``M`` and ``n`` are passed to
     ``energy_density_sequence``; ``threads`` fans the slopes out.
     """
+    if len(q_axis) == 0:
+        raise ValueError("q_axis must contain at least one slope")
     m = 2 * n
     axes = [np.asarray(q_axis, dtype=float)] * m
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -361,17 +355,20 @@ def q_sweep(
     f0 = np.array([rep.f0_estimate for rep in reports])
     growth_ok = all(rep.verdicts["bounds_ok"] for rep in reports)
 
+    index = {_slope_key(p): i for i, p in enumerate(qs)}
     worst_conv = 0.0
-    for i, k, j in _collinear_triples(qs):
-        avg = 0.5 * (f0[i] + f0[j])
-        viol = (f0[k] - avg) / max(1.0, abs(avg))
-        worst_conv = max(worst_conv, viol)
+    for i in range(len(qs)):
+        for j in range(i + 1, len(qs)):
+            # a table entry k at the midpoint of entries i and j
+            k = index.get(_slope_key(0.5 * (qs[i] + qs[j])))
+            if k is not None and k != i and k != j:
+                avg = 0.5 * (f0[i] + f0[j])
+                worst_conv = max(worst_conv, (f0[k] - avg) / max(1.0, abs(avg)))
     convex_ok = worst_conv <= SWEEP_CONVEXITY_TOL
 
-    lookup = {tuple(np.round(p, 9)): i for i, p in enumerate(qs)}
     worst_sym = 0.0
     for i, qv in enumerate(qs):
-        jj = lookup.get(tuple(np.round(-qv, 9)))
+        jj = index.get(_slope_key(-qv))
         if jj is not None:
             worst_sym = max(worst_sym, abs(f0[i] - f0[jj]) / max(1.0, abs(f0[i])))
     sym_ok = worst_sym <= SWEEP_SYMMETRY_TOL
@@ -379,7 +376,6 @@ def q_sweep(
     return EffectiveIntegrandTable(
         qs=qs,
         f0=f0,
-        reports=reports,
         verdicts={
             "growth_ok": bool(growth_ok),
             "convexity_ok": bool(convex_ok),

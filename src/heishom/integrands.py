@@ -13,7 +13,10 @@ random tile fields (see heishom.stochastic).
 Position enters only through ``coefficients_at(X)`` (transform, then lookup);
 ``eval_cells(c, Q)``, ``grad_q_cells(c, Q)``, ``hessian_factor_cells(c, Q)``
 and ``quad_cells(c)`` do pure per-cell arithmetic on its result, so a solve
-looks its coefficients up once.
+looks its coefficients up once.  The solver takes one format from both of
+the last two: a factor S with f = |S q|^2 (quadratic energies) resp. S^T S
+the Hessian of f in q, given per cell as a scalar (shape (C,)), a matrix
+(shape (m, m)) shared by every cell, or one matrix per cell (shape (C, m, m)).
 
 ``rescale_integrand`` and ``translate_integrand`` compose the position
 argument with a dilation resp. a left translation.  Both transforms are kept
@@ -148,14 +151,13 @@ class SmoothCoefficient(CoefficientField):
     checked on every lookup (a value outside [a_min, a_max] or not finite is a
     ValueError)."""
 
-    def __init__(self, fn, a_min, a_max, h_periodic=False, description=""):
+    def __init__(self, fn, a_min, a_max, h_periodic=False):
         if not (0 < a_min <= a_max):
             raise ValueError("need 0 < a_min <= a_max")
         self.fn = fn
         self.a_min = float(a_min)
         self.a_max = float(a_max)
         self.h_periodic = bool(h_periodic)
-        self.description = description
 
     def values_at(self, X):
         a = np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
@@ -218,11 +220,9 @@ class Integrand:
         raise NotImplementedError
 
     def quad_cells(self, c):
-        """Exact quadratic structure, if any, for coefficients c.
-
-        Returns ('scalar', a) with f = a |q|^2, or ('matrix', S) with
-        f = |S q|^2, or None when the energy is not a quadratic form.
-        """
+        """The factor S with f = |S q|^2 for coefficients c (a scalar or a
+        matrix per cell, or one matrix for all cells), or None when the
+        energy is not a quadratic form."""
         return None
 
     def _copy_with_map(self, scale, shift):
@@ -235,10 +235,15 @@ class Integrand:
 
 
 def _norm_pow(Q, alpha):
-    s = np.sum(np.asarray(Q, dtype=float) ** 2, axis=-1)
-    if alpha == 2.0:
-        return s
-    return s ** (0.5 * alpha)
+    return np.sum(np.asarray(Q, dtype=float) ** 2, axis=-1) ** (0.5 * alpha)
+
+
+def _pow_factor(s, alpha):
+    """|w|^(alpha-2) from s = |w|^2.  Where s = 0 it is 0^0 = 1 for alpha = 2,
+    so f's gradient stays 2 a w bit for bit, and 0 otherwise: the subgradient
+    at 0 is 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(s > 0, s ** (0.5 * alpha - 1.0), float(alpha == 2.0))
 
 
 def _power_factor(Q, alpha):
@@ -274,21 +279,14 @@ class PowerIntegrand(Integrand):
 
     def grad_q_cells(self, a, Q):
         Q = np.asarray(Q, dtype=float)
-        if self.alpha == 2.0:
-            return 2.0 * a[..., None] * Q
-        s = np.sum(Q * Q, axis=-1)
-        # |q|^(alpha-2) with a zero-safe branch; the subgradient at 0 is 0
-        with np.errstate(divide="ignore"):
-            fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
+        fac = _pow_factor(np.sum(Q * Q, axis=-1), self.alpha)
         return (self.alpha * a * fac)[..., None] * Q
 
     def hessian_factor_cells(self, a, Q):
         return np.sqrt(np.asarray(a, dtype=float))[..., None, None] * _power_factor(Q, self.alpha)
 
     def quad_cells(self, a):
-        if self.alpha == 2.0:
-            return ("scalar", a)
-        return None
+        return np.sqrt(a) if self.alpha == 2.0 else None
 
 
 class MatrixPowerIntegrand(Integrand):
@@ -329,11 +327,7 @@ class MatrixPowerIntegrand(Integrand):
         Q = np.asarray(Q, dtype=float)
         Aq = np.einsum("...ij,...j->...i", A, Q)
         AtAq = np.einsum("...ji,...j->...i", A, Aq)
-        if self.alpha == 2.0:
-            return 2.0 * AtAq
-        s = np.sum(Aq * Aq, axis=-1)
-        with np.errstate(divide="ignore"):
-            fac = np.where(s > 0, s ** (0.5 * self.alpha - 1.0), 0.0)
+        fac = _pow_factor(np.sum(Aq * Aq, axis=-1), self.alpha)
         return self.alpha * fac[..., None] * AtAq
 
     def hessian_factor_cells(self, A, Q):
@@ -342,9 +336,7 @@ class MatrixPowerIntegrand(Integrand):
         return np.einsum("...ij,...jk->...ik", _power_factor(Aq, self.alpha), A)
 
     def quad_cells(self, A):
-        if self.alpha == 2.0:
-            return ("matrix", A)
-        return None
+        return A if self.alpha == 2.0 else None
 
 
 def power_integrand(coefficient, alpha=2.0) -> PowerIntegrand:
@@ -428,27 +420,26 @@ class AssumptionReport:
 CONVEXITY_TOL = 1e-10
 PERIODICITY_TOL = 1e-10
 
+# verify_assumptions draws AUDIT_SAMPLES points (seed 0) from the box
+# [-3, 3]^(2n) x [-9, 9], which spans several tiles in every direction
+AUDIT_SAMPLES = 2000
+AUDIT_BOX = (3.0, 9.0)  # horizontal, vertical half-width
 
-def verify_assumptions(
-    f: Integrand,
-    n=1,
-    samples=2000,
-    seed=0,
-    horizontal_box=3.0,
-    vertical_box=9.0,
-) -> AssumptionReport:
+
+def verify_assumptions(f: Integrand, n=1) -> AssumptionReport:
     """Sample growth bounds, midpoint convexity, and lattice periodicity.
 
     Violations beyond ``CONVEXITY_TOL`` and ``PERIODICITY_TOL`` are reported
     with a witness point, never raised.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    samples = AUDIT_SAMPLES
     N, m = 2 * n + 1, 2 * n
     rep = AssumptionReport()
 
     X = np.empty((samples, N))
-    X[:, : 2 * n] = rng.uniform(-horizontal_box, horizontal_box, size=(samples, 2 * n))
-    X[:, 2 * n] = rng.uniform(-vertical_box, vertical_box, size=samples)
+    X[:, : 2 * n] = rng.uniform(-AUDIT_BOX[0], AUDIT_BOX[0], size=(samples, 2 * n))
+    X[:, 2 * n] = rng.uniform(-AUDIT_BOX[1], AUDIT_BOX[1], size=samples)
     # slope magnitudes spread over several decades, plus exact zeros
     radii = 10.0 ** rng.uniform(-2, 1, size=samples)
     radii[:: max(1, samples // 50)] = 0.0

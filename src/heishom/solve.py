@@ -12,11 +12,12 @@ H-affine with slope q.
 Three routes:
 
 * ``dense_reference_minimum``  a dense solve for small quadratic problems
-  (<= 500 unknowns) probed through energy evaluations alone; it shares no
-  assembly code with the iterative paths (an independent oracle).
+  (<= ``DENSE_MAX_UNKNOWNS``) probed through energy evaluations alone; it
+  shares no assembly code with the iterative paths (an independent oracle).
 * quadratic path (reported as method "cg"; alpha = 2 or p = 2, where
-  ``quad_cells`` returns a quadratic form)  CG on the normal system of the
-  weighted gradient operator, preconditioned by one multigrid V-cycle
+  ``quad_cells`` returns the factor S with f = |S q|^2)  CG on the normal
+  system of the weighted gradient operator (``_weighted_operator`` scales or
+  mixes the rows of B by S), preconditioned by one multigrid V-cycle
   (``_multigrid``), to a relative residual tolerance.  CG, its residual,
   its stopping test and the energy are float64; the V-cycle's smoothed
   levels are float32 (4-byte values in its memory-bound sweeps), its
@@ -34,7 +35,7 @@ the quadratic path, max|g| <= ``TOL_GRAD`` on the Newton path, and at most
 ``MAX_ITER`` CG iterations, Newton steps and inner PCG iterations per solve.
 
 ``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` when
-the integrand's ``quad_cells`` returns a quadratic form and ``_solve_newton``
+the integrand's ``quad_cells`` returns a factor and ``_solve_newton``
 otherwise, once from the H-affine trace, and recomputes the energy of
 the returned field from those coefficients (the arithmetic of
 ``discrete_energy``, without its second lookup).  Inner products bypass
@@ -78,6 +79,7 @@ TOL_RESIDUAL = 1e-12   # stopping rule of the quadratic path: relative residual
 TOL_GRAD = 1e-8        # Newton stop: max|gradient|
 MAX_ITER = 100_000     # bounds CG iterations, Newton steps and each inner solve
 TOL_TRANSLATION = 1e-10  # relative energy gap allowed under a lattice translation
+DENSE_MAX_UNKNOWNS = 500  # largest problem dense_reference_minimum takes
 
 
 @dataclass(frozen=True)
@@ -171,26 +173,24 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
     return B.tocsr()
 
 
-def _weighted_operator(B, grid, quad):
-    """Scale/mix the rows of B (m per cell) so the energy is ||Btilde u||^2."""
+def _weighted_operator(B, grid, S):
+    """Scale/mix the rows of B (m per cell) by the factor S so that
+    ||Btilde u||^2 = sum_cells |S_c G_c u|^2 vol_c.  S holds one scalar per
+    cell (shape (C,)), one matrix for all cells (m, m), or one per cell (C, m, m)."""
     m, C = grid.m, grid.num_cells
     sqv = np.sqrt(grid.cell_volume)
-    kind, payload = quad
-    if kind == "scalar":
-        w = np.repeat(np.sqrt(payload) * sqv, m)
-        return sp.diags(w) @ B
-    if kind == "matrix":
-        S = np.ascontiguousarray(np.broadcast_to(payload, (C, m, m)) * sqv)
-        mix = sp.bsr_matrix((S, np.arange(C), np.arange(C + 1)), shape=(C * m, C * m)).tocsr()
-        return mix @ B
-    raise ValueError(f"unknown quadratic payload {kind!r}")
+    if np.ndim(S) == 1:
+        return sp.diags(np.repeat(S * sqv, m)) @ B
+    S = np.ascontiguousarray(np.broadcast_to(S, (C, m, m)) * sqv)
+    mix = sp.bsr_matrix((S, np.arange(C), np.arange(C + 1)), shape=(C * m, C * m)).tocsr()
+    return mix @ B
 
 
 # ---------------------------------------------------------------------------
 # dense reference (oracle for small quadratic problems)
 # ---------------------------------------------------------------------------
 
-def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknowns=500):
+def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary):
     """Direct minimum of a quadratic discrete energy on a small grid.
 
     Builds the exact Hessian/gradient of the interior unknowns purely from
@@ -202,8 +202,8 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
         raise ValueError("dense reference requires an exactly quadratic energy")
     interior = grid.interior_flat
     k = len(interior)
-    if k > max_unknowns:
-        raise ValueError(f"dense reference limited to {max_unknowns} unknowns, got {k}")
+    if k > DENSE_MAX_UNKNOWNS:
+        raise ValueError(f"dense reference limited to {DENSE_MAX_UNKNOWNS} unknowns, got {k}")
 
     base = boundary.trace(grid).copy()
     base.reshape(-1)[interior] = 0.0
@@ -211,8 +211,7 @@ def dense_reference_minimum(grid: AnisoGrid, f: Integrand, boundary, max_unknown
     def energy_of(vec):
         vals = base.copy()
         vals.reshape(-1)[interior] = vec
-        G = discrete_h_gradient(ScalarField(grid, vals)).reshape(-1, grid.m)
-        return float(np.sum(f.eval_cells(c, G)) * grid.cell_volume)
+        return _energy(ScalarField(grid, vals), f, c)
 
     e0 = energy_of(np.zeros(k))
     if k == 0:
@@ -474,7 +473,7 @@ def _pcg(K, rhs, x0, precond, tol_rel, max_iter):
     return x, it, relres, relres <= tol_rel
 
 
-def _solve_quadratic(problem, quad, trace):
+def _solve_quadratic(problem, S, trace):
     """Assemble the normal system K x = rhs and run PCG on it from the trace.
 
     rhs = -Bi^T (Bt u_bd) lies in the range of K = Bi^T Bi, and the pinned
@@ -482,7 +481,7 @@ def _solve_quadratic(problem, quad, trace):
     neither PCG nor the coarse LU of the V-cycle needs regularisation.
     """
     grid = problem.grid
-    Bt = _weighted_operator(gradient_operator(grid), grid, quad)
+    Bt = _weighted_operator(gradient_operator(grid), grid, S)
     interior = grid.interior_flat
 
     u_bd = trace.copy()
@@ -523,7 +522,7 @@ def _solve_newton(problem, coeffs, trace):
         gnorm = math.sqrt(_dot(g, g))
         eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
         eta, gnorm_prev = max(eta, 0.5 * TOL_GRAD / gnorm), gnorm
-        Bh = _weighted_operator(Bi, grid, ("matrix", f.hessian_factor_cells(coeffs, G)))
+        Bh = _weighted_operator(Bi, grid, f.hessian_factor_cells(coeffs, G))
         K = (Bh.T @ Bh).tocsr()
         d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, MAX_ITER)[0]
         del K, Bh  # the next step's assembly should not overlap these
@@ -541,11 +540,11 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     """Minimize the discrete energy subject to the boundary trace."""
     grid = problem.grid
     coeffs = problem.integrand.coefficients_at(grid.cell_centers)
-    quad = problem.integrand.quad_cells(coeffs)
+    S = problem.integrand.quad_cells(coeffs)
     trace = problem.boundary.trace(grid).reshape(-1)
-    if quad is not None:
+    if S is not None:
         method = "cg"
-        x, it, residual, converged = _solve_quadratic(problem, quad, trace)
+        x, it, residual, converged = _solve_quadratic(problem, S, trace)
     else:
         method = "first_order"
         x, it, residual, converged = _solve_newton(problem, coeffs, trace)

@@ -101,15 +101,9 @@ class RandomTileCoefficient(CoefficientField):
         self.seed = int(seed)
         self.n = n
         self.a_min, self.a_max = law.support
-        self._values = {}
 
     def value_for_tile(self, k) -> float:
-        key = tuple(int(c) for c in k)
-        v = self._values.get(key)
-        if v is None:
-            v = _draw(self.seed, key, self.law)
-            self._values[key] = v
-        return v
+        return _draw(self.seed, k, self.law)
 
     def values_at(self, X):
         """Tile values at the points X (shape (..., N)), one draw per distinct tile.

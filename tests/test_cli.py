@@ -347,6 +347,25 @@ def test_coefficient_outside_declared_bounds_is_a_config_error(tmp_path, capsys,
     assert "declared bounds" in err[0]
 
 
+@pytest.mark.parametrize("command, payload, names", [
+    ("sweep", {"q_axis": []}, "q_axis"),
+    ("recover", {"rho_list": []}, "rho_list"),
+    ("recover", {"rho_list": [0.5, 0.5]}, "rho_list"),
+    ("cell", {"n": 0}, "n must be"),
+    # 56.8 PiB of cell centres: beyond any address space, so nothing is allocated
+    ("cell", {"M": 100000, "t": 1}, "Unable to allocate"),
+], ids=["sweep-empty-q_axis", "recover-empty-rho_list", "recover-repeated-rho",
+        "cell-n-zero", "cell-grid-too-large"])
+def test_inputs_that_solve_nothing_are_config_errors(tmp_path, capsys, command, payload, names):
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("heishom: config error: ")
+    assert names in err[0]
+
+
 def test_verdict_failure_exit_code(tmp_path):
     # a coefficient that grows with |x3| makes the ladder increase: the
     # divisibility ordering e_2 <= e_1 fails and the command must signal it

@@ -100,6 +100,17 @@ def test_non_finite_grid_sizes_are_rejected(build, name):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_grid(1, 4, n=0),
+    lambda: dilated_box_grid(1.0, 1.0, 2, n=-1),
+    lambda: centered_box_grid((0.0,), 0.5, 2, n=0),
+    lambda: grid_from_axes((np.linspace(-1.0, 1.0, 3),), 0),
+], ids=["build_grid", "dilated_box_grid", "centered_box_grid", "grid_from_axes"])
+def test_grid_constructors_validate_n(build):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        build()
+
+
 def test_centered_box_is_euclidean_cube():
     g = centered_box_grid((0.3, -0.2, 1.0), 0.25, 4)
     assert g.shape == (9, 9, 9)

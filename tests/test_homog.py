@@ -94,6 +94,17 @@ def test_recovery_validates_rho_list():
         recover_integrand_pointwise(CHECKER, (0.0, 0.0, 0.0), (1.0, 0.0), rho_list=(0.25, 0.5))
 
 
+@pytest.mark.parametrize("rho_list", [(), (0.5, 0.5), (0.5, 0.25, 0.25)])
+def test_recovery_rejects_empty_or_repeated_radii(rho_list):
+    with pytest.raises(ValueError, match="rho_list"):
+        recover_integrand_pointwise(CHECKER, (0.0, 0.0, 0.0), (1.0, 0.0), rho_list=rho_list)
+
+
+def test_q_sweep_rejects_an_empty_axis():
+    with pytest.raises(ValueError, match="q_axis"):
+        q_sweep(CHECKER, q_axis=(), k_list=(1,), M=2)
+
+
 def test_q_sweep_structure_and_audits():
     tab = q_sweep(CHECKER, q_axis=(-1.0, 0.0, 1.0), k_list=(1,), M=2)
     assert tab.qs.shape == (9, 2)

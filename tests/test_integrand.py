@@ -215,22 +215,53 @@ def test_matrix_integrand_quadratic_case():
     Q = gen.uniform(-2, 2, size=(80, 2))
     expect = np.sum((Q @ A.T) ** 2, axis=-1)
     np.testing.assert_allclose(at(f, X, Q), expect, rtol=1e-14)
-    kind, payload = f.quad_cells(f.coefficients_at(X))
-    assert kind == "matrix"
-    np.testing.assert_array_equal(payload, A)
+    # the factor contract: f = |S q|^2
+    S = f.quad_cells(f.coefficients_at(X))
+    np.testing.assert_array_equal(S, A)
+    np.testing.assert_allclose(np.sum((Q @ S.T) ** 2, axis=-1), at(f, X, Q), rtol=1e-14)
     f3 = matrix_p_integrand(A, 3.0)
     assert f3.quad_cells(f3.coefficients_at(X)) is None
 
 
 def test_quad_cells_only_for_quadratic_power():
     a = checkerboard_coefficient(1.0, 4.0)
-    X = rng(45).uniform(-2, 2, size=(30, 3))
+    gen = rng(45)
+    X = gen.uniform(-2, 2, size=(30, 3))
+    Q = gen.uniform(-2, 2, size=(30, 2))
     f = power_integrand(a, 2.0)
-    kind, payload = f.quad_cells(f.coefficients_at(X))
-    assert kind == "scalar"
-    np.testing.assert_array_equal(payload, a.values_at(X))
+    # the factor contract: f = |S q|^2 with one scalar S per cell
+    S = f.quad_cells(f.coefficients_at(X))
+    np.testing.assert_array_equal(S, np.sqrt(a.values_at(X)))
+    np.testing.assert_allclose(np.sum((S[:, None] * Q) ** 2, axis=-1), at(f, X, Q), rtol=1e-14)
     f = power_integrand(a, 2.5)
     assert f.quad_cells(f.coefficients_at(X)) is None
+
+
+def _slopes_with_zero_rows(seed):
+    Q = rng(seed).normal(size=(200, 2)) * 10.0 ** rng(seed + 1).uniform(-3, 3, size=(200, 1))
+    Q[::7] = 0.0
+    Q[3::7] = -0.0
+    Q[5::7, 0] = 0.0
+    return Q
+
+
+def test_quadratic_power_values_and_gradients_are_the_plain_formulas():
+    """At alpha = 2 the general |q|^alpha formulas give a |q|^2 and 2 a q bit for bit."""
+    Q = _slopes_with_zero_rows(46)
+    a = rng(48).uniform(1.0, 4.0, size=len(Q))
+    f = PowerIntegrand(ConstantCoefficient(1.0), 2.0)
+    assert np.array_equal(f.eval_cells(a, Q), a * np.sum(Q**2, axis=-1))
+    assert np.array_equal(f.grad_q_cells(a, Q), 2.0 * a[:, None] * Q)
+
+
+def test_quadratic_matrix_values_and_gradients_are_the_plain_formulas():
+    """At p = 2 the general |Aq|^p formulas give |Aq|^2 and 2 A^T A q bit for bit."""
+    Q = _slopes_with_zero_rows(49)
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    f = MatrixPowerIntegrand(A, 2.0)
+    Aq = np.einsum("ij,...j->...i", A, Q)
+    assert np.array_equal(f.eval_cells(A, Q), np.sum(Aq**2, axis=-1))
+    assert np.array_equal(f.grad_q_cells(A, Q), 2.0 * np.einsum("ji,...j->...i", A, Aq))
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,13 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
     H-affine start is already exact for x-independent integrands)."""
     f, grid = make_f(), build_grid(t, M, n)
     problem = CellProblem(grid, f, HAffineBoundary(q))
-    quad = f.quad_cells(f.coefficients_at(grid.cell_centers))
+    S = f.quad_cells(f.coefficients_at(grid.cell_centers))
     trace = problem.boundary.trace(grid).reshape(-1)
     start = trace.copy()
     start[grid.interior_flat] += rng(63).uniform(-1.0, 1.0, grid.interior_flat.size)
 
     def energy_and_iterations():
-        x, it, _, converged = solve._solve_quadratic(problem, quad, start)
+        x, it, _, converged = solve._solve_quadratic(problem, S, start)
         assert converged
         vals = trace.copy()
         vals[grid.interior_flat] = x

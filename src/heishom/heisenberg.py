@@ -58,8 +58,9 @@ class GroupParams:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"group index n must be a positive integer, got {self.n}")
+        # an integral float such as 1.0 would fail later, in (axis,) * (2 * n)
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"group index n must be a positive integer, got {self.n!r}")
 
     @property
     def N(self) -> int:

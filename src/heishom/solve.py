@@ -20,7 +20,8 @@ Three routes:
   mixes the rows of B by S), preconditioned by one multigrid V-cycle
   (``_multigrid``), to a relative residual tolerance.  CG, its residual,
   its stopping test and the energy are float64; the V-cycle's smoothed
-  levels are float32 (4-byte values in its memory-bound sweeps), its
+  levels are float32 and their stencil operators are stored by diagonals
+  (4-byte values and no index arrays in its memory-bound sweeps), its
   set-up and coarsest LU float64.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton: each step solves the normal system of Bh = blockdiag(S_c
@@ -279,7 +280,10 @@ def _positive_diagonal(A):
 # bound and a preconditioner need not be exact: float32 values cost no CG
 # iterations on the checkerboard at k <= 4 (up to 13 on some random-tile
 # cells), and the residual, the stopping test and the energy stay float64, so
-# the solution still meets TOL_RESIDUAL.
+# the solution still meets TOL_RESIDUAL.  A level operator is a 3^N-point
+# stencil on its node grid (a 2 x 2 block of them on the augmented levels),
+# so it has few diagonals and is stored by them: a DIA product streams the
+# values alone, with no column indices.
 
 _COARSE_UNKNOWNS = 1500   # factor directly at or below this size
 _CHEB_DEGREE = 3
@@ -290,7 +294,7 @@ _POWER_STEPS = 15
 class _Level(NamedTuple):
     """One smoothed level of the V-cycle; every array is float32."""
 
-    A: sp.csr_matrix
+    A: sp.dia_matrix     # by diagonals, offsets ascending (``_dia_float32``)
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
     P: sp.csr_matrix     # interpolation from the next level
@@ -301,6 +305,48 @@ class _Level(NamedTuple):
 def _float32(A):
     """A's values cast to float32 on A's own index arrays, which are not copied."""
     return sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+
+
+_DIA_CHUNK = 1 << 13  # CSR entries per row chunk of ``_dia_float32``: small temporaries
+
+
+def _dia_float32(A):
+    """Square CSR A, with entries and none of them repeated, as a float32 DIA
+    matrix with its offsets ascending.
+
+    Two passes over chunks of rows, in O(nnz) and with no sort: the first
+    marks the occupied diagonals in a boolean array over the 2n - 1 offsets,
+    the second scatters every value to the row of the DIA data that a lookup
+    gives for its diagonal.  A DIA product adds a row's terms in ascending
+    column order, as a CSR product with sorted indices does, so for a finite
+    vector the two agree bit for bit: a stored zero of the band adds a signed
+    zero, which leaves a sum started at +0 unchanged.
+    """
+    n = A.shape[0]
+    step = max(1, _DIA_CHUNK * n // A.nnz)
+    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def entries(lo, hi, base):
+        """Columns c and diagonals c - r + base of the entries of rows r in [lo, hi)."""
+        cols = A.indices[A.indptr[lo]:A.indptr[hi]].astype(np.intp)
+        shift = np.arange(base - lo, base - hi, -1)
+        return cols, cols + np.repeat(shift, np.diff(A.indptr[lo:hi + 1]))
+
+    present = np.zeros(2 * n - 1, dtype=bool)
+    for lo, hi in spans:
+        present[entries(lo, hi, n - 1)[1]] = True
+    (diags,) = np.nonzero(present)
+    first = diags[0]
+    start = np.zeros(diags[-1] - first + 1, dtype=np.intp)  # over the band: row start in the flat data
+    start[diags - first] = np.arange(0, diags.size * n, n)
+    data = np.zeros((diags.size, n), dtype=np.float32)
+    flat = data.reshape(-1)
+    for lo, hi in spans:
+        cols, d = entries(lo, hi, n - 1 - first)
+        pos = start[d]
+        pos += cols
+        flat[pos] = A.data[A.indptr[lo]:A.indptr[hi]].astype(np.float32)
+    return sp.dia_matrix((data, diags - (n - 1)), shape=A.shape)
 
 
 def _interpolation(shape):
@@ -369,8 +415,9 @@ def _multigrid(K, shape):
 
     Setup is float64: the Galerkin products, the diagonals and the Chebyshev
     intervals.  Each smoothed level is then kept as a float32 ``_Level`` and
-    its float64 operator dropped; level 0 holds only K's values in float32,
-    on K's own index arrays.  The coarsest LU factor stays float64 and casts
+    its float64 operator dropped; the level operators are float32 DIA
+    matrices (``_dia_float32``) and P, P^T float32 CSR on their own index
+    arrays.  The coarsest LU factor stays float64 and casts
     on the way in and out.  The returned map takes a float64 r to a float64 z
     through a float32 V-cycle; with no smoothed level (K has at most
     ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
@@ -401,7 +448,7 @@ def _multigrid(K, shape):
             del KSP, SP, SPT
             Ac = sp.bmat([[A11, A21.T], [A21, A22]], format="csr")
         levels.append(_Level(
-            _float32(A), dinv.astype(np.float32), cheb, _float32(P), _float32(PT),
+            _dia_float32(A), dinv.astype(np.float32), cheb, _float32(P), _float32(PT),
             None if sign is None else sign.astype(np.float32),
         ))
         A = Ac

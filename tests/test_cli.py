@@ -318,9 +318,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("cell", {"M": 10**400, "t": 1}),
     ("cell", {"M": 2, "t": 1, "integrand": {
         "type": "power", "coefficient": {"type": "random_tiles", "seed": 1.5}}}),
+    ("cell", {"n": 1.0}),
+    ("cell", {"n": True}),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
         "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
-        "M-huge-int", "seed-fractional"])
+        "M-huge-int", "seed-fractional", "n-float", "n-bool"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert main([command, "--config", cfg]) == 2

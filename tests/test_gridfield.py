@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heishom import (
+    GroupParams,
     HAffineBoundary,
     ScalarField,
     apply_boundary,
@@ -105,7 +106,13 @@ def test_non_finite_grid_sizes_are_rejected(build, name):
     lambda: dilated_box_grid(1.0, 1.0, 2, n=-1),
     lambda: centered_box_grid((0.0,), 0.5, 2, n=0),
     lambda: grid_from_axes((np.linspace(-1.0, 1.0, 3),), 0),
-], ids=["build_grid", "dilated_box_grid", "centered_box_grid", "grid_from_axes"])
+    # an integral float or a bool is no group index either, not even 1.0
+    lambda: build_grid(1, 4, n=1.0),
+    lambda: build_grid(1, 4, n=True),
+    lambda: GroupParams(2.0),
+    lambda: GroupParams(True),
+], ids=["build_grid", "dilated_box_grid", "centered_box_grid", "grid_from_axes",
+        "build_grid-float", "build_grid-bool", "GroupParams-float", "GroupParams-bool"])
 def test_grid_constructors_validate_n(build):
     with pytest.raises(ValueError, match="n must be a positive integer"):
         build()

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heishom import (
     GroupParams,
@@ -114,6 +116,37 @@ def test_group_axioms_n2():
     expect3 = x3 + y3 + 0.5 * (np.sum(x1 * y2, axis=-1) - np.sum(x2 * y1, axis=-1))
     np.testing.assert_allclose(z[:, -1], expect3, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(group_mul(z, group_inv(y)), x, rtol=0, atol=1e-12)
+
+
+def points(n, count):
+    """``count`` random points of the n-th group, coordinates in [-10, 10]."""
+    coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    return st.lists(st.lists(coord, min_size=2 * n + 1, max_size=2 * n + 1),
+                    min_size=count, max_size=count).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]))
+def test_group_laws_at_random_points(data, n):
+    x, y, z = data.draw(points(n, 3))
+    e = origin(n)
+    np.testing.assert_allclose(group_mul(group_mul(x, y), z), group_mul(x, group_mul(y, z)),
+                               rtol=0, atol=1e-11)
+    # identity and inverse hold exactly: the cross terms cancel bit for bit
+    np.testing.assert_array_equal(group_mul(x, e), x)
+    np.testing.assert_array_equal(group_mul(e, x), x)
+    np.testing.assert_array_equal(group_mul(x, group_inv(x)), e)
+    np.testing.assert_array_equal(group_mul(group_inv(x), x), e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]),
+       s=st.floats(0.1, 10.0), t=st.floats(0.1, 10.0))
+def test_dilation_laws_at_random_points(data, n, s, t):
+    x, y = data.draw(points(n, 2))
+    np.testing.assert_allclose(dilate(t, group_mul(x, y)), group_mul(dilate(t, x), dilate(t, y)),
+                               rtol=0, atol=1e-11 * t * t)
+    np.testing.assert_allclose(dilate(s, dilate(t, x)), dilate(s * t, x), rtol=1e-14, atol=1e-300)
 
 
 def test_noncommutative():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heishom import (
     ConstantCoefficient,
@@ -15,7 +17,7 @@ from heishom import (
     rescale_integrand,
     ultimo_check,
 )
-from heishom.homog import map_jobs
+from heishom.homog import ULTIMO_TOL, map_jobs
 
 CHECKER = power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0)
 
@@ -59,6 +61,17 @@ def test_ultimo_identity_is_exact():
         assert rep.rel_diff <= 1e-10
         # the two raw energies differ by the volume factor t^4
         assert rep.energy_direct == pytest.approx((t ** 4) * rep.energy_rescaled, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(M=st.integers(1, 3), intervals=st.integers(1, 9),
+       q=st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_ultimo_identity_at_random_rational_scales(M, intervals, q):
+    """t = intervals / (2M) gives an integral horizontal count 2tM on [-1, 1];
+    t is often not an integer, and the identity is exact at any such t."""
+    t = intervals / (2 * M)
+    rep = ultimo_check(CHECKER, (q[0] / 2, q[1] / 2), t, rho=1.0, M=M)
+    assert rep.ok and rep.rel_diff <= ULTIMO_TOL
 
 
 def test_ultimo_with_explicit_rescale_of_rescale():

@@ -11,6 +11,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,7 +331,7 @@ def test_multigrid_iterations_grow_slowly_with_the_cell():
     assert its[3] <= 2 * its[2]
 
 
-def _hierarchy(monkeypatch, f, q, t, M):
+def _hierarchy(monkeypatch, f, q, t, M, n=1):
     """The normal matrix K and the preconditioner that ``mu_q`` builds for it."""
     built, multigrid = [], solve._multigrid
 
@@ -339,7 +340,7 @@ def _hierarchy(monkeypatch, f, q, t, M):
         return built[-1][1]
 
     monkeypatch.setattr(solve, "_multigrid", capture)
-    mu_q(f, q, t, M)
+    mu_q(f, q, t, M, n)
     (K, precond), = built
     return K, precond
 
@@ -362,9 +363,12 @@ def test_multigrid_levels_are_float32(monkeypatch):
     levels, coarse = precond.args
     assert len(levels) == 1 and K.dtype == np.float64
     level = levels[0]
-    assert level.A.dtype == np.float32
-    assert np.shares_memory(level.A.indices, K.indices)
-    assert np.shares_memory(level.A.indptr, K.indptr)
+    # level 0 is K by diagonals: float32 values and offsets, no index arrays
+    assert isinstance(level.A, sp.dia_matrix) and level.A.dtype == np.float32
+    assert np.all(np.diff(level.A.offsets) > 0)
+    assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
+    x = rng(5).standard_normal(K.shape[0]).astype(np.float32)
+    np.testing.assert_array_equal(level.A @ x, solve._float32(K) @ x)
     for a in (level.dinv, level.P.data, level.PT.data, level.sign):
         assert a.dtype == np.float32
     assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
@@ -379,6 +383,63 @@ def test_multigrid_levels_are_float32(monkeypatch):
     e = solve._vcycle(checked, coarse, b)
     assert e.dtype == np.float32
     np.testing.assert_array_equal(e, solve._vcycle(levels, coarse, b))
+
+
+@st.composite
+def square_csr(draw):
+    """A square CSR matrix with at least one entry and no repeated one: random
+    (often with empty rows), a single entry or a full band, of size 1 and up,
+    with each row's indices sorted or shuffled.  Values include zeros and both
+    signs."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["random", "single", "band"]))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((n, n))
+    if kind == "random":
+        mask = gen.random((n, n)) < gen.random()
+        mask[gen.integers(n), gen.integers(n)] = True
+    elif kind == "single":
+        mask = (i == gen.integers(n)) & (j == gen.integers(n))
+    else:
+        mask = np.abs(i - j) <= gen.integers(n)
+    rows, cols = np.nonzero(mask)
+    values = np.where(gen.random(rows.size) < 0.1, 0.0, gen.uniform(-1e3, 1e3, rows.size))
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    if draw(st.booleans()):  # unsorted indices within each row
+        order = np.lexsort((gen.random(rows.size), rows))
+        cols, values = cols[order], values[order]
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=square_csr(), chunk=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_dia_float32_stores_every_entry_once(A, chunk, seed):
+    with mock.patch.object(solve, "_DIA_CHUNK", chunk):  # row chunks split these small matrices too
+        D = solve._dia_float32(A)
+    C = solve._float32(A)
+    assert isinstance(D, sp.dia_matrix) and D.dtype == np.float32 and D.shape == A.shape
+    assert np.all(np.diff(D.offsets) > 0)
+    np.testing.assert_array_equal(D.toarray(), C.toarray())
+    if A.has_sorted_indices:
+        x = rng(seed).standard_normal(A.shape[0]).astype(np.float32)
+        np.testing.assert_array_equal(D @ x, C @ x)
+
+
+@pytest.mark.parametrize("make_f, q, t, n, diagonals", [
+    (_random_tile_sample, (1.0, 0.0), 2, 1, 27),
+    (lambda: power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0),
+     (1.0, 0.0, 0.0, 0.0), 1, 2, 243),
+], ids=["random_tiles_k2", "checker_n2"])
+def test_dia_float32_of_the_stencil_operators(monkeypatch, make_f, q, t, n, diagonals):
+    """The normal matrices are 3^N-point stencils; by diagonals they keep every
+    entry, and a product is bitwise that of the float32 CSR."""
+    K, _ = _hierarchy(monkeypatch, make_f(), q, t, 4, n)
+    assert K.has_sorted_indices
+    D, C = solve._dia_float32(K), solve._float32(K)
+    assert D.offsets.size == diagonals and np.all(np.diff(D.offsets) > 0)
+    assert (D.tocsr() != C).nnz == 0
+    x = rng(7).standard_normal(K.shape[0]).astype(np.float32)
+    np.testing.assert_array_equal(D @ x, C @ x)
 
 
 def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):

@@ -16,17 +16,18 @@ Three routes:
   shares no assembly code with the iterative paths (an independent oracle).
 * quadratic path (reported as method "cg"; alpha = 2 or p = 2, where
   ``quad_cells`` returns the factor S with f = |S q|^2)  CG on the normal
-  system of the weighted gradient operator (``_weighted_operator`` scales or
-  mixes the rows of B by S), preconditioned by one multigrid V-cycle
+  system K = sum_c vol (S_c G_c)^T (S_c G_c) on the interior nodes, summed
+  by stencil straight into its diagonals (``_normal_matrix``, no gradient
+  operator built), preconditioned by one multigrid V-cycle
   (``_multigrid``), to a relative residual tolerance.  CG, its residual,
   its stopping test and the energy are float64; the V-cycle's smoothed
   levels are float32 and their stencil operators are stored by diagonals
   (4-byte values and no index arrays in its memory-bound sweeps), its
   set-up and coarsest LU float64.
 * first-order path (reported as "first_order"; any other convex integrand)
-  inexact Newton: each step solves the normal system of Bh = blockdiag(S_c
-  sqrt(vol)) Bi, S_c the per-cell Hessian factor, on the quadratic path's
-  assembly by Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
+  inexact Newton: each step assembles the normal matrix of S_c, the
+  per-cell Hessian factor, by the same stencil and solves it by diagonals
+  with Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
   0.9 (|g_k| / |g_k-1|)^2) (SISC 1996), then backtracks on the energy
   (Armijo); it stops at max|g| <= TOL_GRAD (0 steps at q = 0), unconverged
   when a step cannot decrease the energy.
@@ -42,7 +43,8 @@ the returned field from those coefficients (the arithmetic of
 ``discrete_energy``, without its second lookup).  Inner products bypass
 BLAS, so results do not depend on its thread setting (its only calls are in
 the coarsest sparse LU).  A non-positive (or NaN) diagonal entry or CG
-curvature raises ``NumericalError``.  Solves are deterministic; distinct
+curvature, and a residual or energy that is not finite, raise
+``NumericalError``.  Solves are deterministic; distinct
 problems share no mutable state.
 """
 
@@ -123,10 +125,24 @@ def _corner_signs(N):
     return corners, signs
 
 
-def _cell_axis_coords(grid):
-    """Per-cell center coordinate along every axis, flattened in C order."""
-    idx = np.indices(grid.cell_shape).reshape(grid.N, -1)
-    return [grid.cell_center_axes[a][idx[a]] for a in range(grid.N)]
+def _corner_weights(grid):
+    """w[i][a]: the weight of corner i in gradient component a, per cell.
+
+    Component a differences along axis a plus the vertical difference times
+    the frame's shear (-x_(n+a) / 2 for a < n, x_(a-n) / 2 otherwise), each
+    averaged over the 2^(N-1) edges of the cell along that axis.  A weight
+    depends on the corner only through its two signs, so the 2^N m entries
+    share 4 m contiguous arrays of the cell shape.
+    """
+    N, n, m = grid.N, grid.n, grid.m
+    corners, signs = _corner_signs(N)
+    edge_w = 1.0 / (2 ** (N - 1))
+    inv_steps = [1.0 / s for s in grid.steps]
+    x = grid.cell_centers.T.reshape((N,) + grid.cell_shape)
+    shear = [-0.5 * x[n + j] for j in range(n)] + [0.5 * x[j] for j in range(n)]
+    w = {(a, sa, sv): sa * edge_w * inv_steps[a] + shear[a] * (sv * edge_w * inv_steps[N - 1])
+         for a in range(m) for sa in (-1.0, 1.0) for sv in (-1.0, 1.0)}
+    return [[w[a, signs[i, a], signs[i, N - 1]] for a in range(m)] for i in range(len(corners))]
 
 
 def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
@@ -134,12 +150,10 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
 
     Row layout: cell-major, m components per cell.
     """
-    N, n, m = grid.N, grid.n, grid.m
+    N, m = grid.N, grid.m
     C = grid.num_cells
-    corners, signs = _corner_signs(N)
-    edge_w = 1.0 / (2 ** (N - 1))
-    inv_steps = [1.0 / s for s in grid.steps]
-    coords = _cell_axis_coords(grid)
+    corners, _ = _corner_signs(N)
+    w = _corner_weights(grid)
 
     idx = np.indices(grid.cell_shape).reshape(N, -1)
     col_of_corner = []
@@ -148,25 +162,13 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
             np.ravel_multi_index(tuple(idx[a] + c[a] for a in range(N)), grid.shape)
         )
 
-    # shear factor multiplying the vertical difference, per component
-    shear = []
-    for j in range(n):
-        shear.append(-0.5 * coords[n + j])
-    for j in range(n):
-        shear.append(0.5 * coords[j])
-
     rows, cols, data = [], [], []
     cell_ids = np.arange(C)
     for comp in range(m):
-        # component comp differentiates along axis comp, plus the sheared
-        # vertical difference
-        for ci, c in enumerate(corners):
-            w = signs[ci, comp] * edge_w * inv_steps[comp] + shear[comp] * (
-                signs[ci, N - 1] * edge_w * inv_steps[N - 1]
-            )
+        for ci in range(len(corners)):
             rows.append(cell_ids * m + comp)
             cols.append(col_of_corner[ci])
-            data.append(np.broadcast_to(w, (C,)))
+            data.append(w[ci][comp].reshape(-1))
     B = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(C * m, grid.num_nodes),
@@ -174,17 +176,114 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
     return B.tocsr()
 
 
-def _weighted_operator(B, grid, S):
-    """Scale/mix the rows of B (m per cell) by the factor S so that
-    ||Btilde u||^2 = sum_cells |S_c G_c u|^2 vol_c.  S holds one scalar per
-    cell (shape (C,)), one matrix for all cells (m, m), or one per cell (C, m, m)."""
-    m, C = grid.m, grid.num_cells
+# ---------------------------------------------------------------------------
+# the normal system, by stencil
+# ---------------------------------------------------------------------------
+#
+# K = sum_c vol (S_c G_c)^T (S_c G_c) restricted to the interior nodes is a
+# 3^N-point stencil: corner i of a cell meets corner j in the diagonal of the
+# flat offset of c_j - c_i on the interior node grid.  It is summed straight
+# into those diagonals, one box slice of the cell grid per corner pair, with
+# no sparse matrix built.  Every entry and every right-hand side value is
+# rounded as the sparse products B_i^T (S B_i) and B_i^T (S B u) round it
+# (the same terms added in the same order), so K and rhs are bitwise those
+# products (a Tier-1 test rebuilds them from ``gradient_operator``).
+
+
+def _weighted_corners(grid, S):
+    """V[i, a] = sqrt(vol) sum_b S_c[a, b] w[i][b]: corner i's weight in
+    component a of the weighted gradient, per cell (shape (2^N, m) + the cell
+    shape).
+
+    S holds one scalar per cell (shape (C,)), one matrix for all cells
+    (m, m), or one per cell (C, m, m); a matrix sums over b in ascending order.
+    """
+    m, cells = grid.m, grid.cell_shape
+    w = _corner_weights(grid)
     sqv = np.sqrt(grid.cell_volume)
+    V = np.empty((len(w), m) + cells)
     if np.ndim(S) == 1:
-        return sp.diags(np.repeat(S * sqv, m)) @ B
-    S = np.ascontiguousarray(np.broadcast_to(S, (C, m, m)) * sqv)
-    mix = sp.bsr_matrix((S, np.arange(C), np.arange(C + 1)), shape=(C * m, C * m)).tocsr()
-    return mix @ B
+        sig = (S * sqv).reshape(cells)
+        for i, wi in enumerate(w):
+            for a in range(m):
+                np.multiply(sig, wi[a], out=V[i, a])
+        return V
+    sig = np.broadcast_to(S, (grid.num_cells, m, m)) * sqv
+    sig = np.moveaxis(sig, 0, -1).copy().reshape((m, m) + cells)  # contiguous per entry
+    for i, wi in enumerate(w):
+        for a in range(m):
+            np.multiply(sig[a, 0], wi[0], out=V[i, a])
+            for b in range(1, m):
+                V[i, a] += sig[a, b] * wi[b]
+    return V
+
+
+def _pair_box(ci, cj, cell_shape):
+    """The cells whose corners ci and cj are both interior nodes, as slices of
+    the cell grid, and the interior nodes at their corner cj; None if no cell
+    has both."""
+    cells, nodes = [], []
+    for a, size in enumerate(cell_shape):
+        lo, hi = 1 - min(ci[a], cj[a]), size - max(ci[a], cj[a])
+        if hi <= lo:
+            return None
+        cells.append(slice(lo, hi))
+        nodes.append(slice(lo + cj[a] - 1, hi + cj[a] - 1))
+    return tuple(cells), tuple(nodes)
+
+
+def _normal_matrix(grid, V):
+    """K on the interior nodes as a float64 ``dia_matrix``, offsets ascending,
+    from the weighted corners V of ``_weighted_corners``.
+
+    The diagonals of offset >= 0 are summed and the others mirrored from them.
+    An entry adds its cells in ascending order (corner i descending), each
+    one component after another.
+    """
+    corners, _ = _corner_signs(grid.N)
+    inner = tuple(s - 1 for s in grid.cell_shape)
+    size = math.prod(inner)
+    strides = [math.prod(inner[a + 1:]) for a in range(grid.N)]
+    upper = {}  # offset >= 0 -> [(i, j, box)], i descending
+    for i in reversed(range(len(corners))):
+        for j, cj in enumerate(corners):
+            box = _pair_box(corners[i], cj, grid.cell_shape)
+            offset = sum((b - a) * s for a, b, s in zip(corners[i], cj, strides))
+            if box is not None and offset >= 0:  # with a box: offset > 0 iff c_j - c_i > 0 (lexicographic)
+                upper.setdefault(offset, []).append((i, j, box))
+    offsets = sorted(set(upper) | {-o for o in upper})
+    data = np.zeros((len(offsets), size))
+    for offset, pairs in upper.items():
+        diag = data[offsets.index(offset)]
+        at = diag.reshape(inner)  # DIA keeps entry (col - offset, col) at column col
+        for i, j, (cells, nodes) in pairs:
+            for a in range(grid.m):
+                at[nodes] += V[i, a][cells] * V[j, a][cells]
+        if offset:
+            data[offsets.index(-offset), :size - offset] = diag[offset:]
+    return sp.dia_matrix((data, offsets), shape=(size, size))
+
+
+def _normal_rhs(grid, V, u):
+    """rhs = -sum_c vol G_c^T S_c^T S_c G_c u on the interior nodes, for node
+    values u that are zero there (the pinned boundary's pull).  Each cell's
+    weighted gradient of u adds its corners in descending order."""
+    corners, _ = _corner_signs(grid.N)
+    cells = grid.cell_shape
+    u = u.reshape(grid.shape)
+    grad = np.zeros((grid.m,) + cells)
+    for i in reversed(range(len(corners))):
+        at_corner = u[tuple(slice(c, c + s) for c, s in zip(corners[i], cells))]
+        for a in range(grid.m):
+            grad[a] += V[i, a] * at_corner
+    R = np.zeros(tuple(s - 1 for s in cells))
+    for i in reversed(range(len(corners))):
+        box = _pair_box(corners[i], corners[i], cells)
+        if box is not None:
+            cell_box, nodes = box
+            for a in range(grid.m):
+                R[nodes] += V[i, a][cell_box] * grad[a][cell_box]
+    return -R.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +545,11 @@ def _multigrid(K, shape):
             KSP = A @ SP
             A22 = SPT @ KSP
             del KSP, SP, SPT
-            Ac = sp.bmat([[A11, A21.T], [A21, A22]], format="csr")
+            top = sp.hstack([A11, A21.T.tocsr()], format="csr")
+            del A11  # each block freed once stacked: the peak RSS of the set-up
+            Ac = sp.vstack([top, sp.hstack([A21, A22], format="csr")], format="csr")
+            del top, A21, A22
+            Ac.sort_indices()  # the products below then sum each row in column order
         levels.append(_Level(
             _dia_float32(A), dinv.astype(np.float32), cheb, _float32(P), _float32(PT),
             None if sign is None else sign.astype(np.float32),
@@ -523,20 +626,19 @@ def _pcg(K, rhs, x0, precond, tol_rel, max_iter):
 def _solve_quadratic(problem, S, trace):
     """Assemble the normal system K x = rhs and run PCG on it from the trace.
 
-    rhs = -Bi^T (Bt u_bd) lies in the range of K = Bi^T Bi, and the pinned
-    boundary keeps K definite (the hourglass modes are nonzero there), so
-    neither PCG nor the coarse LU of the V-cycle needs regularisation.
+    rhs lies in the range of K, and the pinned boundary keeps K definite (the
+    hourglass modes are nonzero there), so neither PCG nor the coarse LU of
+    the V-cycle needs regularisation.
     """
     grid = problem.grid
-    Bt = _weighted_operator(gradient_operator(grid), grid, S)
     interior = grid.interior_flat
-
     u_bd = trace.copy()
     u_bd[interior] = 0.0
-    Bi = Bt.tocsc()[:, interior].tocsr()
-    K = (Bi.T @ Bi).tocsr()
-    rhs = -(Bi.T @ (Bt @ u_bd))
-    del Bt, Bi, u_bd  # free the assembly before the iteration
+    V = _weighted_corners(grid, S)
+    rhs = _normal_rhs(grid, V, u_bd)
+    K = _normal_matrix(grid, V)
+    del V, u_bd
+    K = K.tocsr()  # CG and the Galerkin products run on CSR; the DIA copy is freed here
     precond = _multigrid(K, tuple(s - 2 for s in grid.shape))
     return _pcg(K, rhs, trace[interior], precond, TOL_RESIDUAL, MAX_ITER)
 
@@ -546,11 +648,12 @@ _MAX_HALVINGS = 40  # backtracking gives up below a step of 2^-40
 
 
 def _solve_newton(problem, coeffs, trace):
-    """Inexact Newton from the trace, B and Bi built once.  ``MAX_ITER`` bounds the
-    steps and each inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2."""
+    """Inexact Newton from the trace, B built once for the energy and the
+    gradient.  Each step's normal matrix is assembled by stencil and its inner
+    Jacobi-PCG runs on it by diagonals.  ``MAX_ITER`` bounds the steps and each
+    inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2."""
     grid, f = problem.grid, problem.integrand
     B, interior = gradient_operator(grid), grid.interior_flat
-    Bi = B.tocsc()[:, interior].tocsr()
     vol, full = grid.cell_volume, trace.copy()
 
     def energy(x):
@@ -562,17 +665,16 @@ def _solve_newton(problem, coeffs, trace):
     E, G = energy(x)
     steps, gnorm_prev = 0, None
     while True:
-        g = Bi.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol)
+        g = (B.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol))[interior]
         gmax = float(np.max(np.abs(g))) if g.size else 0.0
         if gmax <= TOL_GRAD or steps == MAX_ITER:
             return x, steps, gmax, gmax <= TOL_GRAD
         gnorm = math.sqrt(_dot(g, g))
         eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
         eta, gnorm_prev = max(eta, 0.5 * TOL_GRAD / gnorm), gnorm
-        Bh = _weighted_operator(Bi, grid, f.hessian_factor_cells(coeffs, G))
-        K = (Bh.T @ Bh).tocsr()
+        K = _normal_matrix(grid, _weighted_corners(grid, f.hessian_factor_cells(coeffs, G)))
         d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, MAX_ITER)[0]
-        del K, Bh  # the next step's assembly should not overlap these
+        del K  # the next step's assembly should not overlap it
         slope = _dot(g, d)
         for s in 0.5 ** np.arange(_MAX_HALVINGS):
             E_new, G_new = energy(x + s * d)
@@ -595,13 +697,19 @@ def solve_cell(problem: CellProblem) -> CellSolution:
     else:
         method = "first_order"
         x, it, residual, converged = _solve_newton(problem, coeffs, trace)
+    if not math.isfinite(residual):
+        raise NumericalError(f"the {method} solve ended with residual {residual}")
     vals = trace.copy()
     vals[grid.interior_flat] = x
     u = ScalarField(grid, vals.reshape(grid.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a NumericalError
+        energy = _energy(u, problem.integrand, coeffs)
+    if not math.isfinite(energy):
+        raise NumericalError(f"the energy of the {method} solution is {energy}")
 
     return CellSolution(
         u=u,
-        energy=_energy(u, problem.integrand, coeffs),
+        energy=energy,
         iterations=it,
         residual=residual,
         converged=converged,

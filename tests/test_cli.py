@@ -394,3 +394,15 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "heishom: numerical failure: conjugate gradients met a non-positive curvature direction"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"M": 4, "t": 2, "q": [1e155, 0.0]},  # the energy overflows to inf
+    {"M": 4, "t": 1, "q": [1e300, 0.0]},  # CG's residual overflows to nan
+], ids=["energy_inf", "residual_nan"])
+def test_non_finite_solve_is_a_numerical_failure(tmp_path, capsys, cfg):
+    """A solve whose energy or residual is not finite is no converged result."""
+    assert main(["cell", "--config", write_cfg(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("heishom: numerical failure: ")

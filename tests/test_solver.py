@@ -104,6 +104,79 @@ def test_gradient_operator_kernel_on_random_grids(n, M, intervals):
     assert np.max(np.abs(B @ (-1.0) ** idx[0])) >= 1.0
 
 
+def _product_assembly(grid, S, u):
+    """The normal system by sparse products: K = B_i^T B_i and rhs = -B_i^T (Bt u),
+    with Bt = blockdiag(sqrt(vol) S_c) B and B_i its interior columns."""
+    B, m, C = gradient_operator(grid), grid.m, grid.num_cells
+    sqv = np.sqrt(grid.cell_volume)
+    if np.ndim(S) == 1:
+        Bt = sp.diags(np.repeat(S * sqv, m)) @ B
+    else:
+        blocks = np.ascontiguousarray(np.broadcast_to(S, (C, m, m)) * sqv)
+        Bt = sp.bsr_matrix((blocks, np.arange(C), np.arange(C + 1)), shape=(C * m, C * m)).tocsr() @ B
+    Bi = Bt.tocsc()[:, grid.interior_flat].tocsr()
+    return (Bi.T @ Bi).tocsr(), -(Bi.T @ (Bt @ u))
+
+
+@st.composite
+def random_grids(draw):
+    """A grid for n = 1 or 2 with 2 or more nodes per axis (an axis of 2 leaves
+    no interior) and random, not dyadic, origins and steps."""
+    n = draw(st.sampled_from([1, 2]))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = gen.integers(2, 8 if n == 1 else 5, size=2 * n + 1)
+    return heishom.grid_from_axes(
+        [gen.uniform(-2, 2) + gen.uniform(0.05, 1.5) * np.arange(L) for L in lengths], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=random_grids(), kind=st.sampled_from(["scalar", "matrix", "per_cell", "newton"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
+    """The stencil assembly adds the product assembly's terms in its order:
+    K (offsets ascending) and rhs are bitwise equal for a scalar factor, a
+    matrix for all cells, one per cell, and a Newton Hessian factor."""
+    gen, m, C = rng(seed), grid.m, grid.num_cells
+    if kind == "scalar":
+        S = gen.uniform(0.1, 3.0, C)
+    elif kind == "matrix":
+        S = gen.uniform(-1.0, 1.0, (m, m))
+    elif kind == "per_cell":
+        S = gen.uniform(-1.0, 1.0, (C, m, m))
+    else:
+        f = power_integrand(checkerboard_coefficient(1.0, 4.0, n=grid.n), 3.0)
+        S = f.hessian_factor_cells(f.coefficients_at(grid.cell_centers), gen.standard_normal((C, m)))
+    u = HAffineBoundary(tuple(gen.uniform(-2, 2, m)), gen.uniform(-1, 1)).trace(grid).reshape(-1)
+    u[grid.interior_flat] = 0.0
+    K_ref, rhs_ref = _product_assembly(grid, S, u)
+
+    V = solve._weighted_corners(grid, S)
+    K, rhs = solve._normal_matrix(grid, V), solve._normal_rhs(grid, V, u)
+    assert isinstance(K, sp.dia_matrix) and K.dtype == np.float64
+    assert np.all(np.diff(K.offsets) > 0) and K.offsets.size <= 3**grid.N
+    Kc = K.tocsr()
+    assert Kc.shape == K_ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(Kc, name), getattr(K_ref, name))
+    np.testing.assert_array_equal(rhs, rhs_ref)
+    np.testing.assert_array_equal(np.signbit(rhs), np.signbit(rhs_ref))
+
+
+def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
+    """The quadratic path assembles K by stencil; Newton still uses B."""
+    expected = mu_q(CHECKER, (1.0, -0.5), 2, 4)
+
+    def refuse(grid):
+        raise AssertionError("gradient_operator called")
+
+    monkeypatch.setattr(solve, "gradient_operator", refuse)
+    sol = mu_q(CHECKER, (1.0, -0.5), 2, 4)
+    assert sol.method == "cg" and sol.converged
+    assert (sol.energy, sol.iterations) == (expected.energy, expected.iterations)
+    with pytest.raises(AssertionError, match="gradient_operator called"):
+        mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 2)
+
+
 def test_discrete_energy_is_cell_quadrature():
     g = build_grid(1.0, 2)
     gen = rng(61)

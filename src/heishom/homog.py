@@ -45,6 +45,8 @@ __all__ = [
 
 # verdict tolerances
 TREND_SLACK = 1e-6           # ladder gaps at or below this are ties (monotone_trend_ok)
+BOUNDS_SLACK = 1e-9          # allowance on each growth bound, relative to max(1, bound) (bounds_ok)
+FLOOR_SLACK = 1e-12          # a scale this close below an integer has that integer as its floor
 ULTIMO_TOL = 1e-10           # relative gap, direct against rescaled energy
 SCALE_SLACK = 1e-6           # absolute allowance on every non-integer scale band
 RECOVERY_ZERO = 1e-10        # relative recovery error at or below which a value is exact
@@ -88,7 +90,8 @@ def energy_density_sequence(f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1) -> H
     The grid spacing is fixed by M across the whole ladder, so the k-th solve
     refines nothing; it only enlarges the box.  Verdicts:
 
-    bounds_ok          c1 |q|^a <= e_k <= c2 (|q|^a + 1) for every k
+    bounds_ok          c1 |q|^a <= e_k <= c2 (|q|^a + 1) for every k, each
+                       within BOUNDS_SLACK (relative to max(1, bound))
     monotone_trend_ok  e_k' <= e_k + TREND_SLACK whenever k divides k' --
                        a dilated box tiles exactly by copies of the smaller
                        one only along divisibility, so consecutive entries
@@ -124,7 +127,8 @@ def energy_density_sequence(f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1) -> H
 
     qpow = float(np.sum(q * q) ** (0.5 * f.alpha))
     lo, hi = f.c1 * qpow, f.c2 * (qpow + 1.0)
-    bounds_ok = bool(np.all(e >= lo - 1e-9 * max(1.0, lo)) and np.all(e <= hi + 1e-9 * max(1.0, hi)))
+    bounds_ok = bool(np.all(e >= lo - BOUNDS_SLACK * max(1.0, lo))
+                     and np.all(e <= hi + BOUNDS_SLACK * max(1.0, hi)))
 
     deltas = np.abs(np.diff(e))
     divis_ordered = True
@@ -241,7 +245,7 @@ def noninteger_scale_check(f: Integrand, q, t_list, M=4, n=1) -> ScaleBandReport
         t = float(t)
         if t < 1:
             raise ValueError("scales below 1 are not compared against an integer floor")
-        k = int(np.floor(t + 1e-12))
+        k = int(np.floor(t + FLOOR_SLACK))
         sol = mu_q(f, q, t, M, n)
         e_t.append(sol.energy / sol.u.grid.volume)
         if k not in cache:

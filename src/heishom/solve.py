@@ -19,11 +19,13 @@ Three routes:
   system K = sum_c vol (S_c G_c)^T (S_c G_c) on the interior nodes, summed
   by stencil straight into its diagonals (``_normal_matrix``, no gradient
   operator built), preconditioned by one multigrid V-cycle
-  (``_multigrid``), to a relative residual tolerance.  CG, its residual,
-  its stopping test and the energy are float64; the V-cycle's smoothed
-  levels are float32 and their stencil operators are stored by diagonals
-  (4-byte values and no index arrays in its memory-bound sweeps), its
-  set-up and coarsest LU float64.
+  (``_multigrid``), to a relative residual tolerance.  CG runs on that
+  float64 DIA matrix; its residual, its stopping test and the energy are
+  float64.  The V-cycle's coarse operators are Galerkin products computed
+  by stencil, one axis at a time, with no sparse-sparse product; its
+  smoothed levels are float32 and their stencil operators are stored by
+  diagonals (4-byte values and no index arrays in its memory-bound sweeps),
+  its set-up and coarsest LU float64.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton: each step assembles the normal matrix of S_c, the
   per-cell Hessian factor, by the same stencil and solves it by diagonals
@@ -43,12 +45,13 @@ the returned field from those coefficients (the arithmetic of
 ``discrete_energy``, without its second lookup).  Inner products bypass
 BLAS, so results do not depend on its thread setting (its only calls are in
 the coarsest sparse LU).  A non-positive (or NaN) diagonal entry or CG
-curvature, and a residual or energy that is not finite, raise
-``NumericalError``.  Solves are deterministic; distinct
+curvature, and a residual, energy, Newton gradient or Hessian factor that is
+not finite, raise ``NumericalError``.  Solves are deterministic; distinct
 problems share no mutable state.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -393,7 +396,7 @@ _POWER_STEPS = 15
 class _Level(NamedTuple):
     """One smoothed level of the V-cycle; every array is float32."""
 
-    A: sp.dia_matrix     # by diagonals, offsets ascending (``_dia_float32``)
+    A: sp.dia_matrix     # by diagonals, offsets ascending
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
     P: sp.csr_matrix     # interpolation from the next level
@@ -404,48 +407,6 @@ class _Level(NamedTuple):
 def _float32(A):
     """A's values cast to float32 on A's own index arrays, which are not copied."""
     return sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
-
-
-_DIA_CHUNK = 1 << 13  # CSR entries per row chunk of ``_dia_float32``: small temporaries
-
-
-def _dia_float32(A):
-    """Square CSR A, with entries and none of them repeated, as a float32 DIA
-    matrix with its offsets ascending.
-
-    Two passes over chunks of rows, in O(nnz) and with no sort: the first
-    marks the occupied diagonals in a boolean array over the 2n - 1 offsets,
-    the second scatters every value to the row of the DIA data that a lookup
-    gives for its diagonal.  A DIA product adds a row's terms in ascending
-    column order, as a CSR product with sorted indices does, so for a finite
-    vector the two agree bit for bit: a stored zero of the band adds a signed
-    zero, which leaves a sum started at +0 unchanged.
-    """
-    n = A.shape[0]
-    step = max(1, _DIA_CHUNK * n // A.nnz)
-    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-    def entries(lo, hi, base):
-        """Columns c and diagonals c - r + base of the entries of rows r in [lo, hi)."""
-        cols = A.indices[A.indptr[lo]:A.indptr[hi]].astype(np.intp)
-        shift = np.arange(base - lo, base - hi, -1)
-        return cols, cols + np.repeat(shift, np.diff(A.indptr[lo:hi + 1]))
-
-    present = np.zeros(2 * n - 1, dtype=bool)
-    for lo, hi in spans:
-        present[entries(lo, hi, n - 1)[1]] = True
-    (diags,) = np.nonzero(present)
-    first = diags[0]
-    start = np.zeros(diags[-1] - first + 1, dtype=np.intp)  # over the band: row start in the flat data
-    start[diags - first] = np.arange(0, diags.size * n, n)
-    data = np.zeros((diags.size, n), dtype=np.float32)
-    flat = data.reshape(-1)
-    for lo, hi in spans:
-        cols, d = entries(lo, hi, n - 1 - first)
-        pos = start[d]
-        pos += cols
-        flat[pos] = A.data[A.indptr[lo]:A.indptr[hi]].astype(np.float32)
-    return sp.dia_matrix((data, diags - (n - 1)), shape=A.shape)
 
 
 def _interpolation(shape):
@@ -466,6 +427,199 @@ def _interpolation(shape):
         P = P1 if P is None else sp.kron(P, P1, format="csr")
         coarse.append(nc)
     return P, tuple(coarse)
+
+
+# The coarse levels, by stencil.  A level operator A on a node grid is read as
+# its 3^N-point stencil, a_o[x] = A[x, x + o] for o in {-1, 0, 1}^N, zero where
+# x + o is off the grid.  The interpolation is a tensor product of one-axis
+# linear interpolations, so P^T A P is again a 3^N-point stencil, computed one
+# axis at a time (black-box multigrid: Dendy, JCP 1982) with no sparse-sparse
+# product.
+
+_WEIGHTS = {-1: 0.5, 0: 1.0, 1: 0.5}  # coarse node I of an axis sits at fine node 2I + 1
+
+
+def _box(o, shape):
+    """The nodes x with x + o on the grid, as slices, and the nodes x + o; None
+    if there are none."""
+    xs, ys = [], []
+    for oa, n in zip(o, shape):
+        lo, hi = max(0, -oa), n - max(0, oa)
+        if hi <= lo:
+            return None
+        xs.append(slice(lo, hi))
+        ys.append(slice(lo + oa, hi + oa))
+    return tuple(xs), tuple(ys)
+
+
+def _flat_offset(o, shape):
+    return sum(oa * math.prod(shape[a + 1:]) for a, oa in enumerate(o))
+
+
+def _dia_stencil(A, shape):
+    """o -> a_o of the dia_matrix A on the node grid shape, as a new array."""
+    rows = {int(f): k for k, f in enumerate(A.offsets)}
+
+    def a(o):
+        out = np.zeros(shape)
+        box, k = _box(o, shape), rows.get(_flat_offset(o, shape))
+        if box is not None and k is not None:
+            x, y = box  # DIA keeps A[c - f, c] at column c
+            out[x] = A.data[k, :out.size].reshape(shape)[y]
+        return out
+    return a
+
+
+def _coarsen_axis(a, shape, d, symmetric):
+    """The stencil of P_d^T A P_d, P_d the linear interpolation along axis d of
+    nf >= 3 nodes from nc = nf // 2, from A's stencil a(o):
+
+        c_s[I] = sum of w_p w_q a_r[2I + 1 + p] over p, q in {-1, 0, 1}
+                 with r = 2s + q - p in {-1, 0, 1},
+
+    over the I with I + s on the coarse axis and 2I + 1 + p on the fine one (a
+    coupling off the grid is zero in a_r).  For a symmetric A, the offsets
+    whose other axes start with a -1 are mirrored, c_o[x] = c_(-o)[x + o].
+    Returns {o: c_o} and the coarse shape."""
+    nf = shape[d]
+    nc = nf // 2
+    coarse = shape[:d] + (nc,) + shape[d + 1:]
+
+    def along(lo, hi, first=0, step=1):
+        idx = [slice(None)] * len(shape)
+        idx[d] = slice(first + step * lo, first + step * (hi - 1) + 1, step)
+        return tuple(idx)
+
+    terms = []  # (s, r, w_p w_q, coarse nodes I, fine nodes 2I + 1 + p)
+    for s, p, q in itertools.product((-1, 0, 1), repeat=3):
+        r = 2 * s + q - p
+        lo, hi = max(0, -s), min(nc - max(s, 0), (nf - p) // 2)
+        if abs(r) <= 1 and hi > lo:
+            terms.append((s, r, _WEIGHTS[p] * _WEIGHTS[q], along(lo, hi), along(lo, hi, 1 + p, 2)))
+    c = {}
+    for rest in itertools.product((-1, 0, 1), repeat=len(shape) - 1):
+        if symmetric and rest < tuple(-v for v in rest):
+            continue
+
+        def at(r):
+            return rest[:d] + (r,) + rest[d:]
+        fine = {r: a(at(r)) for r in (-1, 0, 1)}
+        out = {s: np.zeros(coarse) for s in (-1, 0, 1)}
+        for s, r, w, to, frm in terms:
+            out[s][to] += w * fine[r][frm]
+        c.update((at(s), v) for s, v in out.items())
+    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+        if o not in c:
+            c[o] = np.zeros(coarse)
+            box = _box(o, coarse)
+            if box is not None:
+                c[o][box[0]] = c[tuple(-v for v in o)][box[1]]
+    return c, coarse
+
+
+def _galerkin(a, shape, symmetric):
+    """P^T A P for P of ``_interpolation(shape)``, from A's stencil a(o), one
+    pass per axis of at least 3 nodes: {o: c_o} and the coarse shape.  A pass
+    pops the previous pass's arrays as it reads them, so they are freed as it
+    goes."""
+    for d in range(len(shape)):
+        if shape[d] >= 3:
+            c, shape = _coarsen_axis(a, shape, d, symmetric)
+            a = c.pop
+    return c, shape
+
+
+_SYMMETRIC = (True, False, True)  # of the blocks A11, A21, A22
+
+
+def _augmented_blocks(K, shape, sign):
+    """The stencils of A11 = P^T K P, A21 = P^T S K P and A22 = P^T S K S P,
+    the blocks of [P, S P]^T K [P, S P] with S = diag(sign), and the coarse
+    shape.  S K has the stencil sign(x) a_o(x) and S K S the stencil
+    (-1)^(sum o) a_o: the signs enter the first pass one stencil array at a
+    time, and no signed copy of K is built."""
+    a = _dia_stencil(K, shape)
+
+    def sk(o):
+        v = a(o)
+        v *= sign
+        return v
+
+    def sks(o):
+        v = a(o)
+        return np.negative(v, out=v) if sum(o) % 2 else v
+
+    (A11, coarse), (A21, _), (A22, _) = (
+        _galerkin(b, shape, sym) for b, sym in zip((a, sk, sks), _SYMMETRIC))
+    return (A11, A21, A22), coarse
+
+
+def _coarse_blocks(blocks, shape):
+    """The stencils of blockdiag(P, P)^T A blockdiag(P, P) for the augmented
+    level A with the stencil blocks (A11, A21, A22): each block's Galerkin
+    product, and the coarse shape."""
+    (A11, coarse), (A21, _), (A22, _) = (
+        _galerkin(b.__getitem__, shape, sym) for b, sym in zip(blocks, _SYMMETRIC))
+    return (A11, A21, A22), coarse
+
+
+class _BlockStencil:
+    """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the node
+    grid shape, kept as the float64 stencils of its blocks and read like a
+    dia_matrix: ``A @ v`` in float64, ``diagonal()``, ``astype(dtype)`` (a
+    dia_matrix, offsets ascending) and ``tocsc()``.
+
+    Stencil offset o of a block with flat offset f couples node i to node
+    i + f of the flattened grid: A[i, i + f] = a_o[i], and for A21^T
+    a21_(-o)[i + f].  A stencil array is zero where x + o is off the grid, so
+    it is read over the whole flat range; where offsets of different blocks
+    share a diagonal, all but one of them read zero at each entry.  An
+    all-zero stencil array adds no diagonal.  The product adds each row's
+    terms in ascending offset order, as a DIA product does, so it is bitwise
+    that of ``astype(np.float64)``, which is not built.
+    """
+
+    def __init__(self, blocks, shape):
+        A11, A21, A22 = self.blocks = blocks
+        self.center = (0,) * len(shape)
+        n = self.n = math.prod(shape)
+        self.shape = (2 * n, 2 * n)
+        diagonals = {}  # DIA offset -> [(row block, column block, f, values at rows i or at i + f)]
+        for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+            if _box(o, shape) is None:
+                continue
+            f = _flat_offset(o, shape)
+            pieces = ((0, 0, A11[o], 0), (0, 1, A21[tuple(-v for v in o)], f),
+                      (1, 0, A21[o], 0), (1, 1, A22[o], 0))
+            for bi, bj, a, shift in pieces:
+                if a.any():
+                    diagonals.setdefault((bj - bi) * n + f, []).append(
+                        (bi, bj, f, a.reshape(-1)[max(0, -f) + shift:n - max(0, f) + shift]))
+        self.diagonals = sorted(diagonals.items())
+
+    def __matmul__(self, v):
+        n = self.n
+        v, out = v.reshape(2, n), np.zeros((2, n))
+        for _, pieces in self.diagonals:
+            for bi, bj, f, a in pieces:
+                out[bi, max(0, -f):n - max(0, f)] += a * v[bj, max(0, f):n + min(0, f)]
+        return out.reshape(-1)
+
+    def diagonal(self):
+        A11, _, A22 = self.blocks
+        return np.concatenate([A11[self.center].reshape(-1), A22[self.center].reshape(-1)])
+
+    def astype(self, dtype):
+        n = self.n
+        data = np.zeros((len(self.diagonals), 2, n), dtype=dtype)
+        for diag, (_, pieces) in zip(data, self.diagonals):
+            for _, bj, f, a in pieces:
+                diag[bj, max(0, f):n + min(0, f)] += a  # DIA keeps A[c - F, c] at column c
+        offsets = [f for f, _ in self.diagonals]
+        return sp.dia_matrix((data.reshape(len(offsets), -1), offsets), shape=self.shape)
+
+    def tocsc(self):
+        return self.astype(np.float64).tocsc()
 
 
 def _chebyshev(A, dinv):
@@ -507,17 +661,21 @@ def _smooth(level, b, x=None):
 def _multigrid(K, shape):
     """One symmetric V-cycle for K on the interior node shape, as r -> z.
 
-    Levels are coarsened by ``_interpolation`` with Galerkin operators until
-    at most ``_COARSE_UNKNOWNS`` remain, which ``splu`` factors.  The first
+    Levels are coarsened by ``_interpolation`` until at most
+    ``_COARSE_UNKNOWNS`` unknowns remain, which ``splu`` factors.  The first
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
-    later levels interpolate both halves with blockdiag(P', P').
+    later levels interpolate both halves with blockdiag(P', P').  Every coarse
+    operator is a Galerkin product computed by stencil, axis by axis
+    (``_augmented_blocks`` from K's diagonals, then ``_coarse_blocks``), and
+    kept as the float64 stencils of its blocks (``_BlockStencil``): no sparse
+    matrix product is formed and no CSR copy of K is made.
 
-    Setup is float64: the Galerkin products, the diagonals and the Chebyshev
-    intervals.  Each smoothed level is then kept as a float32 ``_Level`` and
-    its float64 operator dropped; the level operators are float32 DIA
-    matrices (``_dia_float32``) and P, P^T float32 CSR on their own index
-    arrays.  The coarsest LU factor stays float64 and casts
-    on the way in and out.  The returned map takes a float64 r to a float64 z
+    Set-up is float64: the Galerkin stencils, the diagonals and the Chebyshev
+    intervals (level 0's from K itself).  Each smoothed level is then kept as
+    a float32 ``_Level`` whose operator is written straight into a float32
+    ``dia_matrix`` (level 0: K's diagonals cast); P and P^T are float32 CSR on
+    their own index arrays.  The coarsest LU factor stays float64 and casts on
+    the way in and out.  The returned map takes a float64 r to a float64 z
     through a float32 V-cycle; with no smoothed level (K has at most
     ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
     """
@@ -525,36 +683,25 @@ def _multigrid(K, shape):
 
     levels = []
     A = K
-    sign = (-1.0) ** np.indices(shape).sum(axis=0).reshape(-1)
+    sign = (-1.0) ** np.indices(shape).sum(axis=0)
     while A.shape[0] > _COARSE_UNKNOWNS and max(shape) >= 3:
-        P, shape = _interpolation(shape)
+        P, _ = _interpolation(shape)
         dinv = 1.0 / _positive_diagonal(A)
         cheb = _chebyshev(A, dinv)
         if levels:
-            P, sign = sp.block_diag((P, P), format="csr"), None
-        PT = P.T.tocsr()
-        if sign is None:
-            Ac = PT @ A @ P
+            P, S = sp.block_diag((P, P), format="csr"), None
         else:
-            # the four Galerkin blocks of [P, S P], each K @ . freed before the next
-            SP = sp.diags(sign) @ P
-            SPT = SP.T.tocsr()
-            KP = A @ P
-            A11, A21 = PT @ KP, SPT @ KP
-            del KP
-            KSP = A @ SP
-            A22 = SPT @ KSP
-            del KSP, SP, SPT
-            top = sp.hstack([A11, A21.T.tocsr()], format="csr")
-            del A11  # each block freed once stacked: the peak RSS of the set-up
-            Ac = sp.vstack([top, sp.hstack([A21, A22], format="csr")], format="csr")
-            del top, A21, A22
-            Ac.sort_indices()  # the products below then sum each row in column order
+            S = sign.reshape(-1).astype(np.float32)
         levels.append(_Level(
-            _dia_float32(A), dinv.astype(np.float32), cheb, _float32(P), _float32(PT),
-            None if sign is None else sign.astype(np.float32),
+            A.astype(np.float32), dinv.astype(np.float32), cheb,
+            _float32(P), _float32(P.T.tocsr()), S,
         ))
-        A = Ac
+        del P  # freed before the next level's set-up, where the peak memory is
+        if len(levels) == 1:
+            blocks, shape = _augmented_blocks(K, shape, sign)
+        else:
+            blocks, shape = _coarse_blocks(A.blocks, shape)
+        A = _BlockStencil(blocks, shape)
     _positive_diagonal(A)
     coarse = splu(A.tocsc())
     if not levels:
@@ -638,7 +785,6 @@ def _solve_quadratic(problem, S, trace):
     rhs = _normal_rhs(grid, V, u_bd)
     K = _normal_matrix(grid, V)
     del V, u_bd
-    K = K.tocsr()  # CG and the Galerkin products run on CSR; the DIA copy is freed here
     precond = _multigrid(K, tuple(s - 2 for s in grid.shape))
     return _pcg(K, rhs, trace[interior], precond, TOL_RESIDUAL, MAX_ITER)
 
@@ -651,7 +797,9 @@ def _solve_newton(problem, coeffs, trace):
     """Inexact Newton from the trace, B built once for the energy and the
     gradient.  Each step's normal matrix is assembled by stencil and its inner
     Jacobi-PCG runs on it by diagonals.  ``MAX_ITER`` bounds the steps and each
-    inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2."""
+    inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2.  An energy at
+    the trace, a gradient or a Hessian factor that is not finite raises
+    ``NumericalError``; a trial step whose energy is not finite is rejected."""
     grid, f = problem.grid, problem.integrand
     B, interior = gradient_operator(grid), grid.interior_flat
     vol, full = grid.cell_volume, trace.copy()
@@ -659,20 +807,31 @@ def _solve_newton(problem, coeffs, trace):
     def energy(x):
         full[interior] = x
         G = (B @ full).reshape(-1, grid.m)
-        return float(np.sum(f.eval_cells(coeffs, G)) * vol), G
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trial step is rejected
+            return float(np.sum(f.eval_cells(coeffs, G)) * vol), G
+
+    def finite(name, values):
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"the Newton {name} is not finite")
+        return values
 
     x = trace[interior].copy()
     E, G = energy(x)
+    finite("energy", E)
     steps, gnorm_prev = 0, None
     while True:
-        g = (B.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol))[interior]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = finite("gradient", (B.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol))[interior])
         gmax = float(np.max(np.abs(g))) if g.size else 0.0
         if gmax <= TOL_GRAD or steps == MAX_ITER:
             return x, steps, gmax, gmax <= TOL_GRAD
         gnorm = math.sqrt(_dot(g, g))
         eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
         eta, gnorm_prev = max(eta, 0.5 * TOL_GRAD / gnorm), gnorm
-        K = _normal_matrix(grid, _weighted_corners(grid, f.hessian_factor_cells(coeffs, G)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = finite("Hessian factor", f.hessian_factor_cells(coeffs, G))
+        K = _normal_matrix(grid, _weighted_corners(grid, H))
+        del H
         d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, MAX_ITER)[0]
         del K  # the next step's assembly should not overlap it
         slope = _dot(g, d)

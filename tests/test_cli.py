@@ -399,9 +399,13 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("cfg", [
     {"M": 4, "t": 2, "q": [1e155, 0.0]},  # the energy overflows to inf
     {"M": 4, "t": 1, "q": [1e300, 0.0]},  # CG's residual overflows to nan
-], ids=["energy_inf", "residual_nan"])
+    {"M": 4, "t": 1, "q": [1e155, 0.0],   # Newton's first energy overflows to inf
+     "integrand": dict(CHECKER_SPEC, alpha=3.0)},
+], ids=["energy_inf", "residual_nan", "newton_energy_inf"])
 def test_non_finite_solve_is_a_numerical_failure(tmp_path, capsys, cfg):
-    """A solve whose energy or residual is not finite is no converged result."""
+    """A solve whose energy or residual is not finite is no converged result;
+    it ends as one line on stderr, with no RuntimeWarning (an error here) and
+    no traceback."""
     assert main(["cell", "--config", write_cfg(tmp_path, cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == ""

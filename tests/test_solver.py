@@ -11,7 +11,6 @@ import itertools
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,7 +340,7 @@ def test_pcg_rejects_non_positive_diagonal(d):
     with pytest.raises(NumericalError, match="diagonal"):
         _pcg(K, np.ones(2), np.zeros(2), jacobi(K), 1e-12, 100)
     with pytest.raises(NumericalError, match="diagonal"):
-        _multigrid(K, (2,))
+        _multigrid(sp.dia_matrix(K), (2,))
 
 
 def test_pcg_rejects_non_positive_curvature():
@@ -436,12 +435,12 @@ def test_multigrid_levels_are_float32(monkeypatch):
     levels, coarse = precond.args
     assert len(levels) == 1 and K.dtype == np.float64
     level = levels[0]
-    # level 0 is K by diagonals: float32 values and offsets, no index arrays
+    # level 0 is K's diagonals cast to float32, at K's offsets; no index arrays
+    assert isinstance(K, sp.dia_matrix)
     assert isinstance(level.A, sp.dia_matrix) and level.A.dtype == np.float32
-    assert np.all(np.diff(level.A.offsets) > 0)
+    np.testing.assert_array_equal(level.A.offsets, K.offsets)
+    np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
-    x = rng(5).standard_normal(K.shape[0]).astype(np.float32)
-    np.testing.assert_array_equal(level.A @ x, solve._float32(K) @ x)
     for a in (level.dinv, level.P.data, level.PT.data, level.sign):
         assert a.dtype == np.float32
     assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
@@ -458,61 +457,102 @@ def test_multigrid_levels_are_float32(monkeypatch):
     np.testing.assert_array_equal(e, solve._vcycle(levels, coarse, b))
 
 
-@st.composite
-def square_csr(draw):
-    """A square CSR matrix with at least one entry and no repeated one: random
-    (often with empty rows), a single entry or a full band, of size 1 and up,
-    with each row's indices sorted or shuffled.  Values include zeros and both
-    signs."""
-    n = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(["random", "single", "band"]))
-    gen = rng(draw(st.integers(0, 2**32 - 1)))
-    i, j = np.indices((n, n))
-    if kind == "random":
-        mask = gen.random((n, n)) < gen.random()
-        mask[gen.integers(n), gen.integers(n)] = True
-    elif kind == "single":
-        mask = (i == gen.integers(n)) & (j == gen.integers(n))
-    else:
-        mask = np.abs(i - j) <= gen.integers(n)
-    rows, cols = np.nonzero(mask)
-    values = np.where(gen.random(rows.size) < 0.1, 0.0, gen.uniform(-1e3, 1e3, rows.size))
-    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
-    if draw(st.booleans()):  # unsorted indices within each row
-        order = np.lexsort((gen.random(rows.size), rows))
-        cols, values = cols[order], values[order]
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+def _random_spd_stencil(shape, gen):
+    """A random symmetric 3^N-point stencil operator on the node grid shape,
+    strictly diagonally dominant with a positive diagonal (so SPD), as a
+    float64 dia_matrix with offsets ascending."""
+    n = int(np.prod(shape))
+    nodes = np.arange(n).reshape(shape)
+    rows, cols, vals = [], [], []
+    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+        if o <= (0,) * len(shape):
+            continue  # each coupling once, from its lexicographically positive offset
+        x = tuple(slice(max(0, -a), m - max(0, a)) for a, m in zip(o, shape))
+        y = tuple(slice(max(0, -a) + a, m - max(0, a) + a) for a, m in zip(o, shape))
+        r, c = nodes[x].reshape(-1), nodes[y].reshape(-1)
+        v = gen.uniform(-1.0, 1.0, r.size)
+        rows += [r, c]
+        cols += [c, r]
+        vals += [v, v]
+    off = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    dominance = np.asarray(abs(off).sum(axis=1)).reshape(-1)
+    K = (off + sp.diags(dominance + gen.uniform(0.5, 2.0, n))).todia()
+    assert np.all(np.diff(K.offsets) > 0)
+    return K
 
 
-@settings(max_examples=150, deadline=None)
-@given(A=square_csr(), chunk=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_dia_float32_stores_every_entry_once(A, chunk, seed):
-    with mock.patch.object(solve, "_DIA_CHUNK", chunk):  # row chunks split these small matrices too
-        D = solve._dia_float32(A)
-    C = solve._float32(A)
-    assert isinstance(D, sp.dia_matrix) and D.dtype == np.float32 and D.shape == A.shape
+def _check_galerkin_levels(K, shape):
+    """The first two stencil Galerkin levels of ``_multigrid`` against the sparse
+    products built from ``_interpolation``: [P, S P]^T K [P, S P], then
+    blockdiag(P', P')^T A1 blockdiag(P', P'), each to 1e-14 of its largest entry."""
+    sign = (-1.0) ** np.indices(shape).sum(axis=0)
+    P, coarse = solve._interpolation(shape)
+    Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
+    ref = (Q.T @ K.tocsr() @ Q).tocsr()
+    blocks, got_shape = solve._augmented_blocks(K, shape, sign)
+    assert got_shape == coarse
+    A1 = solve._BlockStencil(blocks, coarse)
+    _check_level(A1, ref)
+    if max(coarse) < 3:
+        return
+    P2, coarse2 = solve._interpolation(coarse)
+    Q2 = sp.block_diag((P2, P2), format="csr")
+    blocks2, got_shape2 = solve._coarse_blocks(blocks, coarse)
+    assert got_shape2 == coarse2
+    _check_level(solve._BlockStencil(blocks2, coarse2), (Q2.T @ ref @ Q2).tocsr())
+
+
+def _check_level(A, ref):
+    """A ``_BlockStencil`` level against its sparse product ref: its diagonals,
+    its diagonal, and its float64 product, bitwise that of its diagonals."""
+    D = A.astype(np.float64)
+    assert isinstance(D, sp.dia_matrix) and D.shape == A.shape == ref.shape
     assert np.all(np.diff(D.offsets) > 0)
-    np.testing.assert_array_equal(D.toarray(), C.toarray())
-    if A.has_sorted_indices:
-        x = rng(seed).standard_normal(A.shape[0]).astype(np.float32)
-        np.testing.assert_array_equal(D @ x, C @ x)
+    assert abs(D.tocsr() - ref).max() <= 1e-14 * abs(ref).max()
+    np.testing.assert_array_equal(A.diagonal(), D.diagonal())
+    np.testing.assert_array_equal(A.astype(np.float32).data, D.data.astype(np.float32))
+    v = np.cos(np.arange(A.shape[0]))  # the start of the power iterations
+    np.testing.assert_array_equal(A @ v, D @ v)
 
 
-@pytest.mark.parametrize("make_f, q, t, n, diagonals", [
-    (_random_tile_sample, (1.0, 0.0), 2, 1, 27),
-    (lambda: power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0),
-     (1.0, 0.0, 0.0, 0.0), 1, 2, 243),
-], ids=["random_tiles_k2", "checker_n2"])
-def test_dia_float32_of_the_stencil_operators(monkeypatch, make_f, q, t, n, diagonals):
-    """The normal matrices are 3^N-point stencils; by diagonals they keep every
-    entry, and a product is bitwise that of the float32 CSR."""
-    K, _ = _hierarchy(monkeypatch, make_f(), q, t, 4, n)
-    assert K.has_sorted_indices
-    D, C = solve._dia_float32(K), solve._float32(K)
-    assert D.offsets.size == diagonals and np.all(np.diff(D.offsets) > 0)
-    assert (D.tocsr() != C).nnz == 0
-    x = rng(7).standard_normal(K.shape[0]).astype(np.float32)
-    np.testing.assert_array_equal(D @ x, C @ x)
+@settings(max_examples=120, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(lambda s: max(s) >= 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_galerkin_levels_by_stencil_equal_the_sparse_products(shape, seed):
+    """Odd and even axis lengths, axes under 3 nodes (kept, not coarsened) and
+    N = 1..3 axes, on random SPD stencils."""
+    shape = tuple(shape)
+    _check_galerkin_levels(_random_spd_stencil(shape, rng(seed)), shape)
+
+
+def test_galerkin_levels_of_the_n2_checkerboard(monkeypatch):
+    """N = 5 axes (243 diagonals in K), from the normal matrix a solve builds."""
+    f = power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0)
+    K, _ = _hierarchy(monkeypatch, f, (1.0, 0.0, 0.0, 0.0), 1, 4, 2)
+    grid = build_grid(1, 4, 2)
+    assert K.offsets.size == 243
+    _check_galerkin_levels(K, tuple(s - 2 for s in grid.shape))
+
+
+def test_quadratic_solve_forms_no_sparse_sparse_product(monkeypatch):
+    """The Galerkin levels are computed by stencil: no SpGEMM anywhere in a
+    solve with two smoothed levels (k=3)."""
+    expected = mu_q(CHECKER, (1.0, 0.0), 3, 4)
+
+    def refuse(self, other):
+        raise AssertionError("sparse-sparse product")
+
+    kinds = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix, sp.bsr_matrix,
+             sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array, sp.bsr_array)
+    owners = {c for kind in kinds for c in kind.__mro__ if "_matmul_sparse" in vars(c)}
+    for owner in owners:
+        monkeypatch.setattr(owner, "_matmul_sparse", refuse)
+    with pytest.raises(AssertionError, match="sparse-sparse product"):
+        sp.identity(2, format="csr") @ sp.identity(2, format="dia")
+    sol = mu_q(CHECKER, (1.0, 0.0), 3, 4)
+    assert sol.method == "cg" and sol.converged
+    assert (sol.energy, sol.iterations) == (expected.energy, expected.iterations)
 
 
 def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):

@@ -27,16 +27,22 @@ Three routes:
   diagonals (4-byte values and no index arrays in its memory-bound sweeps),
   its set-up and coarsest LU float64.
 * first-order path (reported as "first_order"; any other convex integrand)
-  inexact Newton: each step assembles the normal matrix of S_c, the
+  inexact Newton, matrix-free in the gradient: the cell gradients B u and
+  the gradient B^T flux are applied by stencil from the corner weights,
+  bitwise the CSR and CSC products with ``gradient_operator`` (which no
+  solve builds).  Each step assembles the normal matrix of S_c, the
   per-cell Hessian factor, by the same stencil and solves it by diagonals
   with Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
   0.9 (|g_k| / |g_k-1|)^2) (SISC 1996), then backtracks on the energy
-  (Armijo); it stops at max|g| <= TOL_GRAD (0 steps at q = 0), unconverged
-  when a step cannot decrease the energy.
+  (Armijo); it stops at max|g| <= max(TOL_GRAD, TOL_GRAD_REL max|g_0|)
+  (0 steps at q = 0), unconverged when a step cannot decrease the energy.
 
 The stopping rules are constants: a relative residual of ``TOL_RESIDUAL`` on
-the quadratic path, max|g| <= ``TOL_GRAD`` on the Newton path, and at most
-``MAX_ITER`` CG iterations, Newton steps and inner PCG iterations per solve.
+the quadratic path, max|g| <= max(``TOL_GRAD``, ``TOL_GRAD_REL`` max|g_0|) on
+the Newton path (g_0 the gradient at the trace), and at most ``MAX_ITER`` CG
+iterations, Newton steps and inner PCG iterations per solve.  A CG solve
+whose start already meets its tolerance returns before it builds a
+preconditioner.
 
 ``solve_cell`` looks the coefficients up once, calls ``_solve_quadratic`` when
 the integrand's ``quad_cells`` returns a factor and ``_solve_newton``
@@ -82,7 +88,8 @@ __all__ = [
 
 
 TOL_RESIDUAL = 1e-12   # stopping rule of the quadratic path: relative residual
-TOL_GRAD = 1e-8        # Newton stop: max|gradient|
+TOL_GRAD = 1e-8        # Newton stop: max|gradient| <= max(TOL_GRAD, TOL_GRAD_REL max|gradient_0|)
+TOL_GRAD_REL = 1e-12   # gradient_0: the gradient at the trace
 MAX_ITER = 100_000     # bounds CG iterations, Newton steps and each inner solve
 TOL_TRANSLATION = 1e-10  # relative energy gap allowed under a lattice translation
 DENSE_MAX_UNKNOWNS = 500  # largest problem dense_reference_minimum takes
@@ -117,8 +124,14 @@ def _energy(u, f, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# discrete gradient as a sparse operator
+# the discrete gradient: corner weights, a sparse operator, stencil products
 # ---------------------------------------------------------------------------
+#
+# Cell c's gradient component a is sum_i w[i][a][c] u(c + corner i).  The
+# solvers apply it and its transpose by stencil, one box slice of the node
+# grid per corner, adding terms in the order scipy's CSR (B u) and CSC
+# (B^T v) products with ``gradient_operator`` add them, so they are bitwise
+# those products; ``gradient_operator`` is kept as the tests' oracle.
 
 def _corner_signs(N):
     from itertools import product
@@ -179,6 +192,49 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
     return B.tocsr()
 
 
+def _cell_gradients(grid, W, u, order):
+    """G[c, a] = sum_i W[i][a][c] u(c + corner i) for node values u, with the
+    corners i added to 0.0 in the given order: shape the cell shape + (m,),
+    contiguous, so ``reshape(-1, m)`` is the cell-major layout of B u.  With
+    W the corner weights of ``_corner_weights`` and corners ascending it is
+    bitwise ``gradient_operator(grid) @ u`` (a CSR row sums its columns in
+    ascending order, and corner order is column order)."""
+    corners, _ = _corner_signs(grid.N)
+    cells = grid.cell_shape
+    u = u.reshape(grid.shape)
+    G = np.zeros(cells + (grid.m,))
+    G_a = [G[..., a] for a in range(grid.m)]
+    term = np.empty(cells)
+    for i in order:
+        at_corner = u[tuple(slice(c, c + s) for c, s in zip(corners[i], cells))]
+        for a, G_at in enumerate(G_a):
+            np.multiply(W[i][a], at_corner, out=term)
+            np.add(G_at, term, out=G_at)
+    return G
+
+
+def _interior_transpose(grid, W, v):
+    """(B^T v) on the interior nodes (flat, in ``interior_flat`` order) for
+    per-cell values v of shape the cell shape + (m,).  A node adds its cells
+    in ascending order (corner descending), each one component after another,
+    to 0.0: the order of the CSC product ``gradient_operator(grid).T @ v``,
+    which this is bitwise for the weights W of ``_corner_weights``."""
+    corners, _ = _corner_signs(grid.N)
+    cells = grid.cell_shape
+    R = np.zeros(tuple(s - 1 for s in cells))
+    term = np.empty(R.shape)
+    v_a = [v[..., a] for a in range(grid.m)]
+    for i in reversed(range(len(corners))):
+        box = _pair_box(corners[i], corners[i], cells)
+        if box is not None:
+            cell_box, nodes = box
+            at = R[nodes]
+            for a, v_at in enumerate(v_a):
+                np.multiply(W[i][a][cell_box], v_at[cell_box], out=term)
+                np.add(at, term, out=at)
+    return R.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # the normal system, by stencil
 # ---------------------------------------------------------------------------
@@ -193,16 +249,15 @@ def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
 # products (a Tier-1 test rebuilds them from ``gradient_operator``).
 
 
-def _weighted_corners(grid, S):
+def _weighted_corners(grid, S, w):
     """V[i, a] = sqrt(vol) sum_b S_c[a, b] w[i][b]: corner i's weight in
     component a of the weighted gradient, per cell (shape (2^N, m) + the cell
-    shape).
+    shape), from the corner weights w of ``_corner_weights``.
 
     S holds one scalar per cell (shape (C,)), one matrix for all cells
     (m, m), or one per cell (C, m, m); a matrix sums over b in ascending order.
     """
     m, cells = grid.m, grid.cell_shape
-    w = _corner_weights(grid)
     sqv = np.sqrt(grid.cell_volume)
     V = np.empty((len(w), m) + cells)
     if np.ndim(S) == 1:
@@ -271,22 +326,8 @@ def _normal_rhs(grid, V, u):
     """rhs = -sum_c vol G_c^T S_c^T S_c G_c u on the interior nodes, for node
     values u that are zero there (the pinned boundary's pull).  Each cell's
     weighted gradient of u adds its corners in descending order."""
-    corners, _ = _corner_signs(grid.N)
-    cells = grid.cell_shape
-    u = u.reshape(grid.shape)
-    grad = np.zeros((grid.m,) + cells)
-    for i in reversed(range(len(corners))):
-        at_corner = u[tuple(slice(c, c + s) for c, s in zip(corners[i], cells))]
-        for a in range(grid.m):
-            grad[a] += V[i, a] * at_corner
-    R = np.zeros(tuple(s - 1 for s in cells))
-    for i in reversed(range(len(corners))):
-        box = _pair_box(corners[i], corners[i], cells)
-        if box is not None:
-            cell_box, nodes = box
-            for a in range(grid.m):
-                R[nodes] += V[i, a][cell_box] * grad[a][cell_box]
-    return -R.reshape(-1)
+    grad = _cell_gradients(grid, V, u, reversed(range(len(V))))
+    return -_interior_transpose(grid, V, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -736,21 +777,31 @@ def _vcycle(levels, coarse, b, level=0):
     return _smooth(lv, b, x)
 
 
-def _pcg(K, rhs, x0, precond, tol_rel, max_iter):
+def _jacobi(K):
+    """The diagonal preconditioner r -> r / diag(K)."""
+    D = K.diagonal()
+    return lambda r: r / D
+
+
+def _pcg(K, rhs, x0, preconditioner, tol_rel, max_iter):
     """Preconditioned conjugate gradients for SPD / consistent SPSD K.
 
-    ``precond`` maps a residual r to z = M^-1 r for a symmetric positive
-    definite M.
+    ``preconditioner(K)`` returns the map of a residual r to z = M^-1 r for a
+    symmetric positive definite M.  It is built only if the starting residual
+    misses ``tol_rel``, so a solve that starts converged sets none up.
     """
     _positive_diagonal(K)
     x = x0.copy()
     r = rhs - K @ x
     denom = max(math.sqrt(_dot(rhs, rhs)), math.sqrt(_dot(r, r)), 1e-300)
+    relres = math.sqrt(_dot(r, r)) / denom
+    if relres <= tol_rel:
+        return x, 0, relres, True
+    precond = preconditioner(K)
     z = precond(r)
     p = z.copy()
     rz = _dot(r, z)
     it = 0
-    relres = math.sqrt(_dot(r, r)) / denom
     while relres > tol_rel and it < max_iter:
         Kp = K @ p
         pKp = _dot(p, Kp)
@@ -781,12 +832,12 @@ def _solve_quadratic(problem, S, trace):
     interior = grid.interior_flat
     u_bd = trace.copy()
     u_bd[interior] = 0.0
-    V = _weighted_corners(grid, S)
+    V = _weighted_corners(grid, S, _corner_weights(grid))
     rhs = _normal_rhs(grid, V, u_bd)
     K = _normal_matrix(grid, V)
     del V, u_bd
-    precond = _multigrid(K, tuple(s - 2 for s in grid.shape))
-    return _pcg(K, rhs, trace[interior], precond, TOL_RESIDUAL, MAX_ITER)
+    shape = tuple(s - 2 for s in grid.shape)
+    return _pcg(K, rhs, trace[interior], lambda K: _multigrid(K, shape), TOL_RESIDUAL, MAX_ITER)
 
 
 _ARMIJO = 1e-4      # sufficient decrease, as a fraction of the directional slope
@@ -794,19 +845,29 @@ _MAX_HALVINGS = 40  # backtracking gives up below a step of 2^-40
 
 
 def _solve_newton(problem, coeffs, trace):
-    """Inexact Newton from the trace, B built once for the energy and the
-    gradient.  Each step's normal matrix is assembled by stencil and its inner
-    Jacobi-PCG runs on it by diagonals.  ``MAX_ITER`` bounds the steps and each
-    inner solve, whose tolerance stops at |r| <= TOL_GRAD / 2.  An energy at
-    the trace, a gradient or a Hessian factor that is not finite raises
-    ``NumericalError``; a trial step whose energy is not finite is rejected."""
+    """Inexact Newton from the trace.  The corner weights of the gradient are
+    computed once; the cell gradients B u and the gradient (B^T flux) on the
+    interior nodes are applied by stencil from them (``_cell_gradients``,
+    ``_interior_transpose``, bitwise the products with ``gradient_operator``,
+    which is not built), and each step's normal matrix is assembled from
+    them and its inner Jacobi-PCG runs on it by diagonals.
+
+    The solve stops at max|g| <= max(TOL_GRAD, TOL_GRAD_REL max|g_0|), g_0
+    the gradient at the trace.  Each inner solve runs on the gradient scaled
+    by a power of two to a largest entry in [0.5, 1), which is exact, so a
+    huge slope overflows none of its inner products.  ``MAX_ITER`` bounds
+    the steps and each inner solve, whose tolerance stops at |r| <= tol / 2.
+    An energy at the trace, a gradient or a Hessian factor that is not
+    finite raises ``NumericalError``; a trial step whose energy is not finite
+    is rejected."""
     grid, f = problem.grid, problem.integrand
-    B, interior = gradient_operator(grid), grid.interior_flat
+    w, interior = _corner_weights(grid), grid.interior_flat
+    ascending = range(2 ** grid.N)
     vol, full = grid.cell_volume, trace.copy()
 
     def energy(x):
         full[interior] = x
-        G = (B @ full).reshape(-1, grid.m)
+        G = _cell_gradients(grid, w, full, ascending).reshape(-1, grid.m)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trial step is rejected
             return float(np.sum(f.eval_cells(coeffs, G)) * vol), G
 
@@ -821,18 +882,23 @@ def _solve_newton(problem, coeffs, trace):
     steps, gnorm_prev = 0, None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            g = finite("gradient", (B.T @ (f.grad_q_cells(coeffs, G).reshape(-1) * vol))[interior])
+            flux = f.grad_q_cells(coeffs, G) * vol
+            g = finite("gradient", _interior_transpose(grid, w, flux.reshape(grid.cell_shape + (grid.m,))))
         gmax = float(np.max(np.abs(g))) if g.size else 0.0
-        if gmax <= TOL_GRAD or steps == MAX_ITER:
-            return x, steps, gmax, gmax <= TOL_GRAD
-        gnorm = math.sqrt(_dot(g, g))
+        if steps == 0:
+            tol = max(TOL_GRAD, TOL_GRAD_REL * gmax)
+        if gmax <= tol or steps == MAX_ITER:
+            return x, steps, gmax, gmax <= tol
+        e = math.frexp(gmax)[1]
+        gs = g * math.ldexp(1.0, -e)
+        gnorm = math.ldexp(math.sqrt(_dot(gs, gs)), e)
         eta = 0.5 if gnorm_prev is None else min(0.5, 0.9 * (gnorm / gnorm_prev) ** 2)
-        eta, gnorm_prev = max(eta, 0.5 * TOL_GRAD / gnorm), gnorm
+        eta, gnorm_prev = max(eta, 0.5 * tol / gnorm), gnorm
         with np.errstate(over="ignore", invalid="ignore"):
             H = finite("Hessian factor", f.hessian_factor_cells(coeffs, G))
-        K = _normal_matrix(grid, _weighted_corners(grid, H))
+        K = _normal_matrix(grid, _weighted_corners(grid, H, w))
         del H
-        d = _pcg(K, -g, np.zeros_like(g), lambda r, D=K.diagonal(): r / D, eta, MAX_ITER)[0]
+        d = _pcg(K, -gs, np.zeros_like(g), _jacobi, eta, MAX_ITER)[0] * math.ldexp(1.0, e)
         del K  # the next step's assembly should not overlap it
         slope = _dot(g, d)
         for s in 0.5 ** np.arange(_MAX_HALVINGS):

@@ -149,7 +149,7 @@ def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
     u[grid.interior_flat] = 0.0
     K_ref, rhs_ref = _product_assembly(grid, S, u)
 
-    V = solve._weighted_corners(grid, S)
+    V = solve._weighted_corners(grid, S, solve._corner_weights(grid))
     K, rhs = solve._normal_matrix(grid, V), solve._normal_rhs(grid, V, u)
     assert isinstance(K, sp.dia_matrix) and K.dtype == np.float64
     assert np.all(np.diff(K.offsets) > 0) and K.offsets.size <= 3**grid.N
@@ -162,18 +162,48 @@ def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
 
 
 def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
-    """The quadratic path assembles K by stencil; Newton still uses B."""
-    expected = mu_q(CHECKER, (1.0, -0.5), 2, 4)
+    """Both paths apply the gradient by stencil: the quadratic path assembles
+    K from the corner weights, and Newton applies B and B^T from them."""
+    cases = [(CHECKER, (1.0, -0.5), 2, 4, 1),
+             (power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 2, 1),
+             (power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 3.0), (1.0, 0.0, 0.5, 0.0), 1, 1, 2)]
+    expected = [mu_q(f, q, t, M, n=n) for f, q, t, M, n in cases]
 
     def refuse(grid):
         raise AssertionError("gradient_operator called")
 
     monkeypatch.setattr(solve, "gradient_operator", refuse)
-    sol = mu_q(CHECKER, (1.0, -0.5), 2, 4)
-    assert sol.method == "cg" and sol.converged
-    assert (sol.energy, sol.iterations) == (expected.energy, expected.iterations)
-    with pytest.raises(AssertionError, match="gradient_operator called"):
-        mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 2)
+    for (f, q, t, M, n), want in zip(cases, expected):
+        sol = mu_q(f, q, t, M, n=n)
+        assert sol.method == ("cg" if f.alpha == 2.0 else "first_order") and sol.converged
+        assert (sol.energy, sol.iterations, sol.residual) == (want.energy, want.iterations, want.residual)
+        np.testing.assert_array_equal(sol.u.values, want.u.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=random_grids(), seed=st.integers(0, 2**32 - 1))
+def test_stencil_gradient_products_are_the_operator_products_bitwise(grid, seed):
+    """Newton's B u (corners ascending) and B^T v on the interior nodes
+    (corners descending, components inner) are bitwise, sign bits included,
+    the CSR and CSC products with ``gradient_operator``.  Most values are
+    +-0.0, so a sum that started at its first term instead of 0.0 would leave
+    -0.0 where the products have +0.0."""
+    gen, m = rng(seed), grid.m
+    B, w = gradient_operator(grid), solve._corner_weights(grid)
+
+    def sparse(shape):
+        x = gen.standard_normal(shape)
+        zero = gen.random(shape) < 0.85
+        x[zero] = np.where(gen.random(shape) < 0.5, 0.0, -0.0)[zero]
+        return x
+
+    u, v = sparse(grid.num_nodes), sparse((grid.num_cells, m))
+    G = solve._cell_gradients(grid, w, u, range(2 ** grid.N))
+    assert G.shape == grid.cell_shape + (m,) and G.flags.c_contiguous
+    R = solve._interior_transpose(grid, w, v.reshape(grid.cell_shape + (m,)))
+    for got, ref in ((G.reshape(-1), B @ u), (R, (B.T @ v.reshape(-1))[grid.interior_flat])):
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_discrete_energy_is_cell_quadrature():
@@ -284,7 +314,8 @@ def test_energy_is_recomputed_from_returned_field():
     (sample_random_integrand(4, TwoPointLaw(1.0, 4.0, 0.5)), (0.3, -1.0), 2.0, 2, 1),
     (sample_random_integrand(4, TwoPointLaw(1.0, 4.0, 0.5), alpha=3.0), (1.0, 0.5), 1.0, 3, 1),
     (power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0), (1.0, 0.0, 0.5, 0.0), 1.0, 2, 2),
-], ids=["checker_alpha3", "random_tile", "random_tile_alpha3", "checker_n2"])
+    (power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 3.0), (1.0, 0.0, 0.5, 0.0), 1.0, 2, 2),
+], ids=["checker_alpha3", "random_tile", "random_tile_alpha3", "checker_n2", "checker_n2_alpha3"])
 def test_energy_equals_discrete_energy_bitwise(f, q, t, M, n):
     """The solve's energy, computed from its own coefficient lookup, is the
     recompute-from-scratch value on both paths, random tiles and n = 2."""
@@ -338,7 +369,7 @@ def jacobi(K):
 def test_pcg_rejects_non_positive_diagonal(d):
     K = sp.csr_matrix(np.diag([1.0, d]))
     with pytest.raises(NumericalError, match="diagonal"):
-        _pcg(K, np.ones(2), np.zeros(2), jacobi(K), 1e-12, 100)
+        _pcg(K, np.ones(2), np.zeros(2), jacobi, 1e-12, 100)
     with pytest.raises(NumericalError, match="diagonal"):
         _multigrid(sp.dia_matrix(K), (2,))
 
@@ -346,16 +377,34 @@ def test_pcg_rejects_non_positive_diagonal(d):
 def test_pcg_rejects_non_positive_curvature():
     K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NumericalError, match="curvature"):
-        _pcg(K, np.array([1.0, -1.0]), np.zeros(2), jacobi(K), 1e-12, 100)
+        _pcg(K, np.array([1.0, -1.0]), np.zeros(2), jacobi, 1e-12, 100)
+
+
+def test_solve_that_starts_converged_builds_no_v_cycle(monkeypatch):
+    """A constant coefficient's minimizer is the H-affine trace, so CG starts
+    at a residual under TOL_RESIDUAL and returns before it asks for a
+    preconditioner (the cell has more unknowns than the V-cycle's coarsest
+    level)."""
+    f = power_integrand(ConstantCoefficient(1.0), 2.0)
+    expected = mu_q(f, (0.3, -1.2), 3, 4)
+
+    def refuse(K, shape):
+        raise AssertionError("_multigrid called")
+
+    monkeypatch.setattr(solve, "_multigrid", refuse)
+    sol = mu_q(f, (0.3, -1.2), 3, 4)
+    assert len(sol.u.grid.interior_flat) > solve._COARSE_UNKNOWNS
+    assert sol.method == "cg" and sol.converged and sol.iterations == 0
+    assert (sol.energy, sol.residual) == (expected.energy, expected.residual)
 
 
 def test_pcg_reports_non_convergence_and_solves_spd():
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     b = np.array([1.0, 2.0, 3.0])
     K = sp.csr_matrix(A)
-    _, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi(K), 1e-12, 1)
+    _, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi, 1e-12, 1)
     assert it == 1 and relres > 1e-12 and converged is False
-    x, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi(K), 1e-12, 100)
+    x, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi, 1e-12, 100)
     assert converged is True and it <= 3
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 
@@ -646,6 +695,21 @@ def test_newton_at_zero_slope_returns_the_trace(alpha):
     grid = sol.u.grid
     assert sol.iterations == 0 and sol.converged and sol.energy == 0.0
     np.testing.assert_array_equal(sol.u.values, HAffineBoundary((0.0, 0.0)).trace(grid))
+
+
+def test_newton_stops_relative_to_a_huge_starting_gradient():
+    """q -> 1e100 q scales the minimizer by 1e100 and the energy of |q|^3 by
+    1e300.  max|g| <= 1e-8 is out of reach at that scale; the stop relative
+    to the gradient at the trace ends the solve in about as many steps, and
+    the power-of-two scaling of the inner solves keeps their inner products
+    finite."""
+    f = power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0)
+    base = mu_q(f, (1.0, 0.0), 1, 4)
+    sol = mu_q(f, (1e100, 0.0), 1, 4)
+    assert sol.method == "first_order" and sol.converged
+    assert sol.iterations <= base.iterations + 2 and sol.residual > solve.TOL_GRAD
+    assert sol.energy == pytest.approx(1e300 * base.energy, rel=1e-12)
+    np.testing.assert_allclose(sol.u.values, 1e100 * base.u.values, rtol=1e-7, atol=1e91)
 
 
 class _WrongGradient(PowerIntegrand):

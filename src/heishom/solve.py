@@ -724,7 +724,7 @@ def _multigrid(K, shape):
 
     levels = []
     A = K
-    sign = (-1.0) ** np.indices(shape).sum(axis=0)
+    sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
     while A.shape[0] > _COARSE_UNKNOWNS and max(shape) >= 3:
         P, _ = _interpolation(shape)
         dinv = 1.0 / _positive_diagonal(A)
@@ -732,7 +732,7 @@ def _multigrid(K, shape):
         if levels:
             P, S = sp.block_diag((P, P), format="csr"), None
         else:
-            S = sign.reshape(-1).astype(np.float32)
+            S = sign.reshape(-1)
         levels.append(_Level(
             A.astype(np.float32), dinv.astype(np.float32), cheb,
             _float32(P), _float32(P.T.tocsr()), S,
@@ -789,11 +789,16 @@ def _pcg(K, rhs, x0, preconditioner, tol_rel, max_iter):
     ``preconditioner(K)`` returns the map of a residual r to z = M^-1 r for a
     symmetric positive definite M.  It is built only if the starting residual
     misses ``tol_rel``, so a solve that starts converged sets none up.
+
+    rhs and x0 are overwritten: the residual is formed in rhs and the iterate
+    in x0, so no copies of them are alive during the preconditioner's
+    set-up, where a solve's memory peaks.
     """
     _positive_diagonal(K)
-    x = x0.copy()
-    r = rhs - K @ x
-    denom = max(math.sqrt(_dot(rhs, rhs)), math.sqrt(_dot(r, r)), 1e-300)
+    x, r = x0, rhs
+    denom = math.sqrt(_dot(rhs, rhs))
+    r -= K @ x
+    denom = max(denom, math.sqrt(_dot(r, r)), 1e-300)
     relres = math.sqrt(_dot(r, r)) / denom
     if relres <= tol_rel:
         return x, 0, relres, True

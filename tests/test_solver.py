@@ -402,9 +402,9 @@ def test_pcg_reports_non_convergence_and_solves_spd():
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     b = np.array([1.0, 2.0, 3.0])
     K = sp.csr_matrix(A)
-    _, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi, 1e-12, 1)
+    _, it, relres, converged = _pcg(K, b.copy(), np.zeros(3), jacobi, 1e-12, 1)
     assert it == 1 and relres > 1e-12 and converged is False
-    x, it, relres, converged = _pcg(K, b, np.zeros(3), jacobi, 1e-12, 100)
+    x, it, relres, converged = _pcg(K, b.copy(), np.zeros(3), jacobi, 1e-12, 100)
     assert converged is True and it <= 3
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 

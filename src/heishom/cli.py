@@ -76,9 +76,13 @@ def _json_matches(value, default):
     return isinstance(value, type(default))
 
 
+_LEAST = {"seed": 0, "base_seed": 0, "samples": 1}  # seeds are non-negative; verify draws samples
+
+
 @dataclasses.dataclass
 class RunConfig:
-    """Everything a command might need; unknown keys are rejected."""
+    """Everything a command might need; unknown keys are rejected, and so are
+    values under the least each key in ``_LEAST`` takes."""
 
     n: int = 1
     M: int = 4
@@ -113,6 +117,9 @@ class RunConfig:
         for name, value in data.items():
             if not _json_matches(value, getattr(defaults, name)):
                 raise ConfigError(f"config key {name!r} has the wrong type: {value!r}")
+        for name, least in _LEAST.items():
+            if data.get(name, least) < least:
+                raise ConfigError(f"config key {name!r} must be >= {least}, got {data[name]!r}")
         cfg = cls(**data)
         for name in ("q", "k_list", "rho_list", "q_axis", "x0"):
             v = getattr(cfg, name)
@@ -237,8 +244,8 @@ def coefficient_from_spec(spec: dict, n: int):
     if kind == "random_tiles":
         law = law_from_spec(spec.get("law", {"kind": "uniform", "lo": 1.0, "hi": 2.0}))
         seed = spec.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"'seed' must be an integer in {spec!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"'seed' must be a non-negative integer in {spec!r}")
         return RandomTileCoefficient(law, seed, n=n)
     raise ConfigError(f"unknown coefficient type {kind!r}")
 
@@ -501,6 +508,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
             cfg.base_seed = args.seed
         if args.threads < 1:

@@ -19,13 +19,16 @@ Three routes:
   system K = sum_c vol (S_c G_c)^T (S_c G_c) on the interior nodes, summed
   by stencil straight into its diagonals (``_normal_matrix``, no gradient
   operator built), preconditioned by one multigrid V-cycle
-  (``_multigrid``), to a relative residual tolerance.  CG runs on that
-  float64 DIA matrix; its residual, its stopping test and the energy are
-  float64.  The V-cycle's coarse operators are Galerkin products computed
-  by stencil, one axis at a time, with no sparse-sparse product; its
-  smoothed levels are float32 and their stencil operators are stored by
-  diagonals (4-byte values and no index arrays in its memory-bound sweeps),
-  its set-up and coarsest LU float64.
+  (``_multigrid``), to a relative residual tolerance.  K is symmetric and
+  stored once per coupling, by its diagonals of offset >= 0
+  (``_SymmetricDia``, whose product is bitwise that of the full DIA
+  matrix).  CG runs on that float64 K; its residual, its stopping test and
+  the energy are float64.  The V-cycle's coarse operators are Galerkin
+  products computed by stencil, one axis at a time, with no sparse-sparse
+  product; its smoothed levels are float32 and their stencil operators are
+  stored by diagonals (4-byte values and no index arrays in its
+  memory-bound sweeps; level 0 is K's stored diagonals cast), its set-up
+  and coarsest LU float64.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton, matrix-free in the gradient: the cell gradients B u and
   the gradient B^T flux are applied by stencil from the corner weights,
@@ -64,6 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec as _dia_matvec  # y += A x, the kernel of dia_matrix @ x
 
 from .grids import (
     AnisoGrid,
@@ -290,36 +294,95 @@ def _pair_box(ci, cj, cell_shape):
     return tuple(cells), tuple(nodes)
 
 
-def _normal_matrix(grid, V):
-    """K on the interior nodes as a float64 ``dia_matrix``, offsets ascending,
-    from the weighted corners V of ``_weighted_corners``.
+class _SymmetricDia:
+    """A symmetric matrix stored by its diagonals of offset >= 0 alone,
+    offsets ascending from the main diagonal, each a full row laid out as a
+    ``dia_matrix`` row (A[c - o, c] at column c).  It reads like a
+    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``todia()``
+    (the full dia_matrix, offsets ascending) and ``tocsc()``.
 
-    The diagonals of offset >= 0 are summed and the others mirrored from them.
+    The lower diagonal -o is the stored row o from column o on: A[c + o, c]
+    = A[c, c + o].  ``A @ v`` applies the lower diagonals one at a time
+    (after ``mirrored()``, all in one call from a copy of them), most
+    negative offset first, then the stored rows in one call, each call
+    adding into the same zero vector with the kernel ``dia_matrix @`` calls.
+    Every row so adds its terms in ascending offset order, as the product
+    of ``todia()`` does, and the two are bitwise equal.
+    """
+
+    def __init__(self, data, offsets):
+        self.data, self.offsets = data, np.asarray(offsets, dtype=np.int32)
+        self.dtype = data.dtype
+        n = data.shape[1]
+        self.shape = (n, n)
+        # (length, offsets, rows) of each kernel call on the lower diagonals, most negative first
+        self._lower = [(n - o, -self.offsets[k:k + 1], data[k, o:])
+                       for k, o in reversed(list(enumerate(self.offsets.tolist()))) if o]
+
+    def __matmul__(self, v):
+        n = self.shape[0]
+        out = np.zeros(n, dtype=np.result_type(self.data, v))
+        for length, offsets, diags in self._lower:
+            _dia_matvec(n, n, len(offsets), length, offsets, diags, v, out)
+        _dia_matvec(n, n, len(self.offsets), n, self.offsets, self.data, v, out)
+        return out
+
+    def _lower_rows(self):
+        """The lower diagonals, most negative first, as new DIA rows."""
+        n, offsets = self.shape[0], self.offsets.tolist()
+        rows = np.zeros((len(offsets) - 1, n), dtype=self.dtype)
+        for row, k in zip(rows, reversed(range(1, len(offsets)))):
+            row[:n - offsets[k]] = self.data[k, offsets[k]:]
+        return rows
+
+    def mirrored(self):
+        """The same matrix with its lower diagonals copied out once, so that a
+        product makes two kernel calls instead of one per diagonal: for small
+        matrices, where the calls cost more than the copy's memory."""
+        A = _SymmetricDia(self.data, self.offsets)
+        A._lower = [(self.shape[0], -self.offsets[:0:-1], self._lower_rows())]
+        return A
+
+    def diagonal(self):
+        return self.data[0].copy()
+
+    def astype(self, dtype):
+        return _SymmetricDia(self.data.astype(dtype), self.offsets)
+
+    def todia(self):
+        offsets = np.concatenate([-self.offsets[:0:-1], self.offsets])
+        return sp.dia_matrix((np.concatenate([self._lower_rows(), self.data]), offsets), shape=self.shape)
+
+    def tocsc(self):
+        return self.todia().tocsc()
+
+
+def _normal_matrix(grid, V):
+    """K on the interior nodes as a float64 ``_SymmetricDia``: its diagonals
+    of offset >= 0, ascending from the main one, summed from the weighted
+    corners V of ``_weighted_corners``.  Each coupling is stored once.
+
     An entry adds its cells in ascending order (corner i descending), each
     one component after another.
     """
     corners, _ = _corner_signs(grid.N)
     inner = tuple(s - 1 for s in grid.cell_shape)
-    size = math.prod(inner)
     strides = [math.prod(inner[a + 1:]) for a in range(grid.N)]
-    upper = {}  # offset >= 0 -> [(i, j, box)], i descending
+    upper = {0: []}  # offset >= 0 -> [(i, j, box)], i descending; offset 0 even with no interior
     for i in reversed(range(len(corners))):
         for j, cj in enumerate(corners):
             box = _pair_box(corners[i], cj, grid.cell_shape)
             offset = sum((b - a) * s for a, b, s in zip(corners[i], cj, strides))
             if box is not None and offset >= 0:  # with a box: offset > 0 iff c_j - c_i > 0 (lexicographic)
                 upper.setdefault(offset, []).append((i, j, box))
-    offsets = sorted(set(upper) | {-o for o in upper})
-    data = np.zeros((len(offsets), size))
-    for offset, pairs in upper.items():
-        diag = data[offsets.index(offset)]
+    offsets = sorted(upper)
+    data = np.zeros((len(offsets), math.prod(inner)))
+    for diag, offset in zip(data, offsets):
         at = diag.reshape(inner)  # DIA keeps entry (col - offset, col) at column col
-        for i, j, (cells, nodes) in pairs:
+        for i, j, (cells, nodes) in upper[offset]:
             for a in range(grid.m):
                 at[nodes] += V[i, a][cells] * V[j, a][cells]
-        if offset:
-            data[offsets.index(-offset), :size - offset] = diag[offset:]
-    return sp.dia_matrix((data, offsets), shape=(size, size))
+    return _SymmetricDia(data, offsets)
 
 
 def _normal_rhs(grid, V, u):
@@ -426,7 +489,10 @@ def _positive_diagonal(A):
 # the solution still meets TOL_RESIDUAL.  A level operator is a 3^N-point
 # stencil on its node grid (a 2 x 2 block of them on the augmented levels),
 # so it has few diagonals and is stored by them: a DIA product streams the
-# values alone, with no column indices.
+# values alone, with no column indices.  Level 0 is K's ``_SymmetricDia``
+# cast, each coupling stored once; the augmented levels keep the full DIA
+# layout: in a prototype, applying their diagonals one at a time cost more
+# time than it saved.
 
 _COARSE_UNKNOWNS = 1500   # factor directly at or below this size
 _CHEB_DEGREE = 3
@@ -437,7 +503,7 @@ _POWER_STEPS = 15
 class _Level(NamedTuple):
     """One smoothed level of the V-cycle; every array is float32."""
 
-    A: sp.dia_matrix     # by diagonals, offsets ascending
+    A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a dia_matrix
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
     P: sp.csr_matrix     # interpolation from the next level
@@ -498,15 +564,18 @@ def _flat_offset(o, shape):
 
 
 def _dia_stencil(A, shape):
-    """o -> a_o of the dia_matrix A on the node grid shape, as a new array."""
+    """o -> a_o of the ``_SymmetricDia`` A on the node grid shape, as a new
+    array.  A lower coupling (flat offset f < 0) is read from the stored row
+    -f at the node itself: A[x, x + f] = A[x + f, x], kept at column x."""
     rows = {int(f): k for k, f in enumerate(A.offsets)}
 
     def a(o):
         out = np.zeros(shape)
-        box, k = _box(o, shape), rows.get(_flat_offset(o, shape))
+        box, f = _box(o, shape), _flat_offset(o, shape)
+        k = rows.get(abs(f))
         if box is not None and k is not None:
             x, y = box  # DIA keeps A[c - f, c] at column c
-            out[x] = A.data[k, :out.size].reshape(shape)[y]
+            out[x] = A.data[k].reshape(shape)[y if f >= 0 else x]
         return out
     return a
 
@@ -707,18 +776,21 @@ def _multigrid(K, shape):
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate both halves with blockdiag(P', P').  Every coarse
     operator is a Galerkin product computed by stencil, axis by axis
-    (``_augmented_blocks`` from K's diagonals, then ``_coarse_blocks``), and
-    kept as the float64 stencils of its blocks (``_BlockStencil``): no sparse
-    matrix product is formed and no CSR copy of K is made.
+    (``_augmented_blocks`` from K's stored diagonals, then
+    ``_coarse_blocks``), and kept as the float64 stencils of its blocks
+    (``_BlockStencil``): no sparse matrix product is formed and no CSR copy
+    of K is made.
 
     Set-up is float64: the Galerkin stencils, the diagonals and the Chebyshev
     intervals (level 0's from K itself).  Each smoothed level is then kept as
-    a float32 ``_Level`` whose operator is written straight into a float32
-    ``dia_matrix`` (level 0: K's diagonals cast); P and P^T are float32 CSR on
-    their own index arrays.  The coarsest LU factor stays float64 and casts on
-    the way in and out.  The returned map takes a float64 r to a float64 z
-    through a float32 V-cycle; with no smoothed level (K has at most
-    ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
+    a float32 ``_Level``: level 0's operator is K, a ``_SymmetricDia``, cast
+    (its stored diagonals of offset >= 0, each coupling once), and a coarser
+    level's is written straight into a float32 ``dia_matrix``; P and P^T are
+    float32 CSR on their own index arrays.  The coarsest LU factor stays
+    float64 and casts on the way in and out.  The returned map takes a
+    float64 r to a float64 z through a float32 V-cycle; with no smoothed
+    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) it is the exact
+    float64 LU solve.
     """
     from scipy.sparse.linalg import splu  # imported on first use: the Newton path never factors
 
@@ -901,7 +973,7 @@ def _solve_newton(problem, coeffs, trace):
         eta, gnorm_prev = max(eta, 0.5 * tol / gnorm), gnorm
         with np.errstate(over="ignore", invalid="ignore"):
             H = finite("Hessian factor", f.hessian_factor_cells(coeffs, G))
-        K = _normal_matrix(grid, _weighted_corners(grid, H, w))
+        K = _normal_matrix(grid, _weighted_corners(grid, H, w)).mirrored()  # 2 kernel calls per product, not 14
         del H
         d = _pcg(K, -gs, np.zeros_like(g), _jacobi, eta, MAX_ITER)[0] * math.ldexp(1.0, e)
         del K  # the next step's assembly should not overlap it

@@ -303,33 +303,45 @@ def test_config_error_exit_codes(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("heishom: config error: ")
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("cell", {"q": 5}),
-    ("cell", {"integrand": "power"}),
-    ("cell", {"t": None}),
-    ("stochastic", {"law": {"kind": "uniform"}}),
-    ("effective", {"k_list": [1, "a"]}),
-    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": math.nan}}),
+@pytest.mark.parametrize("command, payload, key", [
+    ("cell", {"q": 5}, "'q'"),
+    ("cell", {"integrand": "power"}, "'integrand'"),
+    ("cell", {"t": None}, "'t'"),
+    ("stochastic", {"law": {"kind": "uniform"}}, "'lo'"),
+    ("effective", {"k_list": [1, "a"]}, "'k_list'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": math.nan}}, "NaN"),
     ("cell", {"M": 2, "t": 1, "integrand": {
-        "type": "power", "coefficient": {"type": "constant", "value": math.inf}}}),
-    ("stochastic", {"M": 2, "k_list": [1, 2], "n_samples": 8, "delta": math.nan}),
-    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": 10**400}}),
-    ("cell", {"M": 2, "t": 10**400}),
-    ("cell", {"M": 10**400, "t": 1}),
+        "type": "power", "coefficient": {"type": "constant", "value": math.inf}}}, "Infinity"),
+    ("stochastic", {"M": 2, "k_list": [1, 2], "n_samples": 8, "delta": math.nan}, "NaN"),
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "power", "alpha": 10**400}}, "config integer"),
+    ("cell", {"M": 2, "t": 10**400}, "config integer"),
+    ("cell", {"M": 10**400, "t": 1}, "config integer"),
     ("cell", {"M": 2, "t": 1, "integrand": {
-        "type": "power", "coefficient": {"type": "random_tiles", "seed": 1.5}}}),
-    ("cell", {"n": 1.0}),
-    ("cell", {"n": True}),
+        "type": "power", "coefficient": {"type": "random_tiles", "seed": 1.5}}}, "'seed'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "random_tiles", "seed": -1}}}, "'seed'"),
+    ("cell", {"n": 1.0}, "'n'"),
+    ("cell", {"n": True}, "'n'"),
+    ("verify", {"samples": 0}, "'samples'"),
+    ("verify", {"samples": -5}, "'samples'"),
+    ("verify", {"seed": -1}, "'seed'"),
+    ("stochastic", {"base_seed": -1}, "'base_seed'"),
+    ("verify --seed -3", {}, "--seed"),
+    ("stochastic --seed -3", {}, "--seed"),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
         "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
-        "M-huge-int", "seed-fractional", "n-float", "n-bool"])
-def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload):
+        "M-huge-int", "seed-fractional", "seed-negative", "n-float", "n-bool",
+        "samples-zero", "samples-negative", "verify-seed-negative", "base_seed-negative",
+        "verify-flag-seed-negative", "stochastic-flag-seed-negative"])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload, key):
+    """One config-error line that names the offending key or token, and exit 2."""
     cfg = write_cfg(tmp_path, payload)
-    assert main([command, "--config", cfg]) == 2
+    assert main(command.split() + ["--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("heishom: config error: ")
+    assert key in err[0]
 
 
 @pytest.mark.parametrize("expr, bounds", [

@@ -133,8 +133,9 @@ def random_grids(draw):
        seed=st.integers(0, 2**32 - 1))
 def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
     """The stencil assembly adds the product assembly's terms in its order:
-    K (offsets ascending) and rhs are bitwise equal for a scalar factor, a
-    matrix for all cells, one per cell, and a Newton Hessian factor."""
+    K (its full form, offsets ascending) and rhs are bitwise equal for a
+    scalar factor, a matrix for all cells, one per cell, and a Newton Hessian
+    factor.  K stores each coupling once: its offsets >= 0, ascending."""
     gen, m, C = rng(seed), grid.m, grid.num_cells
     if kind == "scalar":
         S = gen.uniform(0.1, 3.0, C)
@@ -151,14 +152,70 @@ def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
 
     V = solve._weighted_corners(grid, S, solve._corner_weights(grid))
     K, rhs = solve._normal_matrix(grid, V), solve._normal_rhs(grid, V, u)
-    assert isinstance(K, sp.dia_matrix) and K.dtype == np.float64
-    assert np.all(np.diff(K.offsets) > 0) and K.offsets.size <= 3**grid.N
-    Kc = K.tocsr()
+    assert isinstance(K, solve._SymmetricDia) and K.dtype == K.data.dtype == np.float64
+    assert K.offsets[0] == 0 and np.all(np.diff(K.offsets) > 0)
+    assert K.offsets.size <= (3**grid.N + 1) // 2 and K.data.shape == (K.offsets.size, K.shape[0])
+    full = K.todia()
+    assert np.all(np.diff(full.offsets) > 0) and full.offsets.size == 2 * K.offsets.size - 1
+    Kc = full.tocsr()
     assert Kc.shape == K_ref.shape
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(Kc, name), getattr(K_ref, name))
     np.testing.assert_array_equal(rhs, rhs_ref)
     np.testing.assert_array_equal(np.signbit(rhs), np.signbit(rhs_ref))
+
+
+def _signed_zeros_or_normal(gen, size, dtype):
+    """Standard normal values, most of them replaced by +0.0 or -0.0."""
+    x = gen.standard_normal(size)
+    zero = gen.random(size) < 0.6
+    x[zero] = np.where(gen.random(size) < 0.5, 0.0, -0.0)[zero]
+    return x.astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 5), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
+    """``_SymmetricDia @ v``, also after ``mirrored()``, against
+    ``dia_matrix @ v`` on its full form, bitwise with sign bits, for random
+    symmetric 3^N-point stencils (all 243 offsets at N = 5) in float32 and
+    float64.  Most matrix and vector values are +-0.0, so a row that added
+    its terms in another order, or started from its first term instead of
+    0.0, would differ in a last bit or leave -0.0 where the full product has
+    +0.0."""
+    gen = rng(seed)
+    shape = (3,) * 5 if N == 5 else tuple(int(s) for s in gen.integers(2, 6, size=N))
+    n = int(np.prod(shape))
+    nodes = np.arange(n).reshape(shape)
+    rows = {0: _signed_zeros_or_normal(gen, n, dtype)}  # full DIA rows: A[c - f, c] at column c
+    for o in itertools.product((-1, 0, 1), repeat=N):
+        if o <= (0,) * N:
+            continue  # each coupling once, from its lexicographically positive offset
+        (x, y), f = solve._box(o, shape), solve._flat_offset(o, shape)
+        v = _signed_zeros_or_normal(gen, nodes[x].size, dtype)
+        rows.setdefault(f, np.zeros(n, dtype))[nodes[y].reshape(-1)] = v
+        rows.setdefault(-f, np.zeros(n, dtype))[nodes[x].reshape(-1)] = v
+    offsets = np.array(sorted(rows), dtype=np.int32)
+    assert N < 5 or offsets.size == 243
+    full = sp.dia_matrix((np.array([rows[f] for f in offsets]), offsets), shape=(n, n))
+    upper = offsets >= 0
+    K = solve._SymmetricDia(full.data[upper], offsets[upper])
+    D = K.todia()
+    np.testing.assert_array_equal(D.offsets, full.offsets)
+    np.testing.assert_array_equal(D.data, full.data)
+    np.testing.assert_array_equal(np.signbit(D.data), np.signbit(full.data))
+    mirrored = K.mirrored()  # Newton's form: the lower diagonals copied out, one call
+    np.testing.assert_array_equal(mirrored.todia().data, full.data)
+    for _ in range(3):
+        v = _signed_zeros_or_normal(gen, n, dtype)
+        ref = full @ v
+        for got in (K @ v, mirrored @ v):
+            assert got.dtype == ref.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+    np.testing.assert_array_equal(K.diagonal(), full.diagonal())
+    np.testing.assert_array_equal(K.astype(np.float32).data, K.data.astype(np.float32))
 
 
 def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
@@ -367,11 +424,12 @@ def jacobi(K):
 
 @pytest.mark.parametrize("d", [0.0, -1.0, np.nan])
 def test_pcg_rejects_non_positive_diagonal(d):
-    K = sp.csr_matrix(np.diag([1.0, d]))
+    K = solve._SymmetricDia(np.array([[1.0, d]]), [0])
+    for A in (sp.csr_matrix(np.diag([1.0, d])), K):
+        with pytest.raises(NumericalError, match="diagonal"):
+            _pcg(A, np.ones(2), np.zeros(2), jacobi, 1e-12, 100)
     with pytest.raises(NumericalError, match="diagonal"):
-        _pcg(K, np.ones(2), np.zeros(2), jacobi, 1e-12, 100)
-    with pytest.raises(NumericalError, match="diagonal"):
-        _multigrid(sp.dia_matrix(K), (2,))
+        _multigrid(K, (2,))
 
 
 def test_pcg_rejects_non_positive_curvature():
@@ -484,9 +542,10 @@ def test_multigrid_levels_are_float32(monkeypatch):
     levels, coarse = precond.args
     assert len(levels) == 1 and K.dtype == np.float64
     level = levels[0]
-    # level 0 is K's diagonals cast to float32, at K's offsets; no index arrays
-    assert isinstance(K, sp.dia_matrix)
-    assert isinstance(level.A, sp.dia_matrix) and level.A.dtype == np.float32
+    # level 0 is K's stored diagonals cast to float32, at K's offsets (the 14
+    # of offset >= 0, each coupling once); no index arrays
+    assert isinstance(K, solve._SymmetricDia) and K.offsets.size == 14
+    assert isinstance(level.A, solve._SymmetricDia) and level.A.dtype == level.A.data.dtype == np.float32
     np.testing.assert_array_equal(level.A.offsets, K.offsets)
     np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
@@ -509,7 +568,8 @@ def test_multigrid_levels_are_float32(monkeypatch):
 def _random_spd_stencil(shape, gen):
     """A random symmetric 3^N-point stencil operator on the node grid shape,
     strictly diagonally dominant with a positive diagonal (so SPD), as a
-    float64 dia_matrix with offsets ascending."""
+    float64 ``_SymmetricDia`` whose full form is the dia_matrix it was cut
+    from, bitwise."""
     n = int(np.prod(shape))
     nodes = np.arange(n).reshape(shape)
     rows, cols, vals = [], [], []
@@ -526,8 +586,13 @@ def _random_spd_stencil(shape, gen):
     off = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n))
     dominance = np.asarray(abs(off).sum(axis=1)).reshape(-1)
-    K = (off + sp.diags(dominance + gen.uniform(0.5, 2.0, n))).todia()
-    assert np.all(np.diff(K.offsets) > 0)
+    D = (off + sp.diags(dominance + gen.uniform(0.5, 2.0, n))).todia()
+    assert np.all(np.diff(D.offsets) > 0) and D.data.shape[1] == n
+    upper = D.offsets >= 0
+    K = solve._SymmetricDia(D.data[upper], D.offsets[upper])
+    full = K.todia()
+    np.testing.assert_array_equal(full.offsets, D.offsets)
+    np.testing.assert_array_equal(full.data, D.data)
     return K
 
 
@@ -538,7 +603,7 @@ def _check_galerkin_levels(K, shape):
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
     P, coarse = solve._interpolation(shape)
     Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
-    ref = (Q.T @ K.tocsr() @ Q).tocsr()
+    ref = (Q.T @ K.todia().tocsr() @ Q).tocsr()
     blocks, got_shape = solve._augmented_blocks(K, shape, sign)
     assert got_shape == coarse
     A1 = solve._BlockStencil(blocks, coarse)
@@ -576,11 +641,12 @@ def test_galerkin_levels_by_stencil_equal_the_sparse_products(shape, seed):
 
 
 def test_galerkin_levels_of_the_n2_checkerboard(monkeypatch):
-    """N = 5 axes (243 diagonals in K), from the normal matrix a solve builds."""
+    """N = 5 axes (243 diagonals in K, 122 of them stored), from the normal
+    matrix a solve builds."""
     f = power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0)
     K, _ = _hierarchy(monkeypatch, f, (1.0, 0.0, 0.0, 0.0), 1, 4, 2)
     grid = build_grid(1, 4, 2)
-    assert K.offsets.size == 243
+    assert K.offsets.size == 122 and K.todia().offsets.size == 243
     _check_galerkin_levels(K, tuple(s - 2 for s in grid.shape))
 
 

@@ -74,8 +74,11 @@ def map_jobs(fn, items, threads=1):
     {-1, 0, 1}^2 at k = 1, 2 took 1.55-1.63 s serial, 1.33-1.35 s on 2
     threads and 0.83-1.08 s as 2 processes; in an 8-sample Monte Carlo
     ladder (k = 1..3) the V-cycle set-ups took 1.27-1.35 s of thread time
-    serial and 1.59-1.71 s on 2 threads.  The only BLAS calls are the small
-    dense blocks of the coarsest-level ``splu`` (at most 1500 unknowns).
+    serial and 1.59-1.71 s on 2 threads.  Eight random-tile solves (q = (1, 0),
+    M = 4) ran at k = 2 x1.00-1.11 the serial speed on 2 threads and
+    x1.44-1.68 as 2 forked processes, and at k = 3 x1.2-1.9 on threads and
+    x1.6-2.0 as processes.  The only BLAS calls are the small dense blocks of
+    the coarsest-level LU (at most 1500 unknowns).
     """
     items = list(items)
     if threads and int(threads) > 1 and len(items) > 1:

@@ -57,17 +57,35 @@ the coarsest sparse LU).  A non-positive (or NaN) diagonal entry or CG
 curvature, and a residual, energy, Newton gradient or Hessian factor that is
 not finite, raise ``NumericalError``.  Solves are deterministic; distinct
 problems share no mutable state.
+
+A solve builds no scipy.sparse object and imports no scipy package.  It
+calls three compiled scipy routines: ``dia_matvec`` and ``csr_matvec`` of
+``scipy.sparse._sparsetools`` (the kernels of ``dia_matrix @ v`` and
+``csr_matrix @ v``) and SuperLU's ``gstrf`` of
+``scipy.sparse.linalg._dsolve._superlu`` (what ``splu`` calls), and this
+module loads those two extensions from their files (``_scipy_extension``),
+so results are bitwise those of the scipy objects.  The packages cost more
+than the solves that use them: on 2 cores (Python 3.11, numpy 2.4, scipy
+1.17) ``import scipy.sparse`` takes 0.17-0.23 s and 22 MiB over numpy alone,
+0.15-0.19 s of it in scipy's array-API layer importing ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``, and ``scipy.sparse.linalg`` 0.12 s and
+10 MiB more (it imports scipy.linalg): 22 of the 61 MiB peak of an
+alpha = 3 sweep that imports them.  Newton calls ``dia_matvec`` alone.
+``gradient_operator`` and ``_SymmetricDia.todia`` import scipy.sparse when
+called; only the tests and the benchmark's statistics call them.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import dia_matvec as _dia_matvec  # y += A x, the kernel of dia_matrix @ x
 
 from .grids import (
     AnisoGrid,
@@ -97,6 +115,35 @@ TOL_GRAD_REL = 1e-12   # gradient_0: the gradient at the trace
 MAX_ITER = 100_000     # bounds CG iterations, Newton steps and each inner solve
 TOL_TRANSLATION = 1e-10  # relative energy gap allowed under a lattice translation
 DENSE_MAX_UNKNOWNS = 500  # largest problem dense_reference_minimum takes
+
+
+def _scipy_extension(name):
+    """The compiled scipy module ``name``, loaded from its file in scipy's
+    package directory without importing any scipy package, and registered in
+    ``sys.modules`` under that name: a later ``import scipy.sparse`` reuses
+    it, and one imported earlier is returned as it is.  A missing file raises
+    an ``ImportError`` that names it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"{name}: scipy is not installed", name=name)
+    stem = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:])
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + s for s in suffixes if os.path.isfile(stem + s)), None)
+    if path is None:
+        raise ImportError(f"{name}: no compiled extension {stem}{{{','.join(suffixes)}}}",
+                          name=name, path=stem)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _scipy_extension("scipy.sparse._sparsetools")  # dia_matvec and csr_matvec: y += A x
+_superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")  # gstrf, the factorisation of splu
+_dia_matvec = _sparsetools.dia_matvec
 
 
 @dataclass(frozen=True)
@@ -165,11 +212,15 @@ def _corner_weights(grid):
     return [[w[a, signs[i, a], signs[i, N - 1]] for a in range(m)] for i in range(len(corners))]
 
 
-def gradient_operator(grid: AnisoGrid) -> sp.csr_matrix:
-    """Sparse map from node values to stacked per-cell gradient components.
+def gradient_operator(grid: AnisoGrid):
+    """Sparse map from node values to stacked per-cell gradient components, a
+    ``scipy.sparse.csr_matrix``.  No solve calls it: it is the tests' oracle,
+    and it imports scipy.sparse when called.
 
     Row layout: cell-major, m components per cell.
     """
+    import scipy.sparse as sp
+
     N, m = grid.N, grid.m
     C = grid.num_cells
     corners, _ = _corner_signs(N)
@@ -294,12 +345,41 @@ def _pair_box(ci, cj, cell_shape):
     return tuple(cells), tuple(nodes)
 
 
+class _Dia(NamedTuple):
+    """A square matrix by its diagonals in scipy's DIA layout (row k holds
+    A[c - offsets[k], c] at column c, offsets ascending), applied by the
+    kernel of ``dia_matrix @ v``, so bitwise that product."""
+
+    data: np.ndarray
+    offsets: np.ndarray  # int32
+    shape: tuple
+
+    def __matmul__(self, v):
+        n = self.shape[0]
+        out = np.zeros(n, dtype=np.result_type(self.data, v))
+        _dia_matvec(n, n, len(self.offsets), self.data.shape[1], self.offsets, self.data, v, out)
+        return out
+
+    def csc(self):
+        """(data, indices, indptr): the CSC arrays of ``dia_matrix.tocsc()``,
+        each column's nonzero entries with their rows ascending (offsets
+        descending), int32 indices; zeros, -0.0 too, are dropped."""
+        n = self.shape[0]
+        data = self.data[::-1, :n].T  # column-major: column c, then offsets descending
+        rows = np.arange(n, dtype=np.int32)[:, None] - self.offsets[::-1]
+        keep = (rows >= 0) & (rows < n) & (data != 0)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return data[keep], rows[keep], indptr
+
+
 class _SymmetricDia:
     """A symmetric matrix stored by its diagonals of offset >= 0 alone,
     offsets ascending from the main diagonal, each a full row laid out as a
     ``dia_matrix`` row (A[c - o, c] at column c).  It reads like a
-    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``todia()``
-    (the full dia_matrix, offsets ascending) and ``tocsc()``.
+    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``full()``
+    (every diagonal, a ``_Dia``, offsets ascending) and ``todia()`` (that
+    ``scipy.sparse.dia_matrix``, for the tests).
 
     The lower diagonal -o is the stored row o from column o on: A[c + o, c]
     = A[c, c + o].  ``A @ v`` applies the lower diagonals one at a time
@@ -307,7 +387,7 @@ class _SymmetricDia:
     negative offset first, then the stored rows in one call, each call
     adding into the same zero vector with the kernel ``dia_matrix @`` calls.
     Every row so adds its terms in ascending offset order, as the product
-    of ``todia()`` does, and the two are bitwise equal.
+    of ``full()`` does, and the two are bitwise equal.
     """
 
     def __init__(self, data, offsets):
@@ -349,12 +429,14 @@ class _SymmetricDia:
     def astype(self, dtype):
         return _SymmetricDia(self.data.astype(dtype), self.offsets)
 
-    def todia(self):
+    def full(self):
         offsets = np.concatenate([-self.offsets[:0:-1], self.offsets])
-        return sp.dia_matrix((np.concatenate([self._lower_rows(), self.data]), offsets), shape=self.shape)
+        return _Dia(np.concatenate([self._lower_rows(), self.data]), offsets, self.shape)
 
-    def tocsc(self):
-        return self.todia().tocsc()
+    def todia(self):
+        import scipy.sparse as sp
+
+        return sp.dia_matrix(self.full()[:2], shape=self.shape)
 
 
 def _normal_matrix(grid, V):
@@ -500,40 +582,85 @@ _CHEB_RATIO = 30.0        # smoothed part of the spectrum: [lmax / ratio, lmax]
 _POWER_STEPS = 15
 
 
+class _Csr(NamedTuple):
+    """A matrix by scipy's CSR arrays, applied by the kernel of
+    ``csr_matrix @ v``, so bitwise that product."""
+
+    data: np.ndarray
+    indices: np.ndarray  # int32, ascending in each row
+    indptr: np.ndarray   # int32
+    shape: tuple
+
+    def __matmul__(self, v):
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, v))
+        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, v, out)
+        return out
+
+    def transpose(self):
+        """The CSR arrays of the transpose, those of ``P.T.tocsr()``: each
+        row's columns (this matrix's rows) ascending."""
+        nr, nc = self.shape
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(nr, dtype=np.int32), np.diff(self.indptr))
+        indptr = np.zeros(nc + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.indices, minlength=nc), out=indptr[1:])
+        return _Csr(self.data[order], rows[order], indptr, (nc, nr))
+
+    def block_diagonal(self):
+        """The CSR arrays of blockdiag(P, P), those of ``sp.block_diag``."""
+        nr, nc = self.shape
+        return _Csr(np.concatenate([self.data, self.data]),
+                    np.concatenate([self.indices, self.indices + nc]),
+                    np.concatenate([self.indptr, self.indptr[1:] + self.data.size]), (2 * nr, 2 * nc))
+
+
 class _Level(NamedTuple):
     """One smoothed level of the V-cycle; every array is float32."""
 
-    A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a dia_matrix
+    A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _Dia
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
-    P: sp.csr_matrix     # interpolation from the next level
-    PT: sp.csr_matrix
+    P: _Csr              # interpolation from the next level
+    PT: _Csr
     sign: np.ndarray     # (-1)^(i+j+...) on the first level, None below it
-
-
-def _float32(A):
-    """A's values cast to float32 on A's own index arrays, which are not copied."""
-    return sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
 
 
 def _interpolation(shape):
     """Linear interpolation onto the interior nodes of ``shape`` from every
     second node (grid indices 2, 4, ...) of each axis with at least 3 of them;
-    shorter axes are kept.  Returns the Kronecker product and the coarse shape."""
-    P, coarse = None, []
-    for nf in shape:
+    shorter axes are kept.  Returns the float32 ``_Csr`` of the Kronecker
+    product of the axes' interpolations and the coarse shape.
+
+    Fine node i of an axis of at least 3 nodes takes coarse node (i - 1) / 2
+    with weight 1 if i is odd, and i / 2 - 1 and i / 2, where they exist,
+    with weight 1/2 each if it is even.  A row of the product takes one of
+    two slots per axis (a zero weight marks an empty one), slots in
+    lexicographic order, so its columns ascend; a value is a product of 1s
+    and 1/2s, exact in float32.  These are the arrays of ``sp.kron`` of the
+    axes' CSR matrices, cast to float32.
+    """
+    N = len(shape)
+    coarse = tuple(nf if nf < 3 else nf // 2 for nf in shape)
+    cols = np.zeros(shape + (2,) * N, dtype=np.int32)
+    vals = np.ones(shape + (2,) * N, dtype=np.float32)
+    for a, (nf, nc) in enumerate(zip(shape, coarse)):
+        i = np.arange(nf, dtype=np.int32)
         if nf < 3:
-            P1, nc = sp.identity(nf, format="csr"), nf
+            c, w = np.stack([i, i], 1), np.tile([1.0, 0.0], (nf, 1))
         else:
-            nc = nf // 2
-            c = np.arange(nc)
-            rows = np.concatenate([2 * c + 1, 2 * c, 2 * c + 2])
-            vals = np.repeat([1.0, 0.5, 0.5], nc)
-            keep = rows < nf
-            P1 = sp.csr_matrix((vals[keep], (rows[keep], np.tile(c, 3)[keep])), shape=(nf, nc))
-        P = P1 if P is None else sp.kron(P, P1, format="csr")
-        coarse.append(nc)
-    return P, tuple(coarse)
+            odd = i % 2 == 1
+            c = np.stack([(i - 1) // 2, i // 2], 1)
+            w = np.stack([np.where(odd, 1.0, np.where(i >= 2, 0.5, 0.0)),
+                          np.where(odd | (i // 2 >= nc), 0.0, 0.5)], 1)
+        at = [1] * (2 * N)
+        at[a], at[N + a] = nf, 2
+        cols += (c * math.prod(coarse[a + 1:])).reshape(at)
+        vals *= w.astype(np.float32).reshape(at)
+    cols, vals = cols.reshape(-1, 2 ** N), vals.reshape(-1, 2 ** N)
+    keep = vals != 0
+    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return _Csr(vals[keep], cols[keep], indptr, (len(keep), math.prod(coarse))), coarse
 
 
 # The coarse levels, by stencil.  A level operator A on a node grid is read as
@@ -677,7 +804,7 @@ class _BlockStencil:
     """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the node
     grid shape, kept as the float64 stencils of its blocks and read like a
     dia_matrix: ``A @ v`` in float64, ``diagonal()``, ``astype(dtype)`` (a
-    dia_matrix, offsets ascending) and ``tocsc()``.
+    ``_Dia``, offsets ascending) and ``full()`` (the float64 one).
 
     Stencil offset o of a block with flat offset f couples node i to node
     i + f of the flattened grid: A[i, i + f] = a_o[i], and for A21^T
@@ -686,7 +813,7 @@ class _BlockStencil:
     share a diagonal, all but one of them read zero at each entry.  An
     all-zero stencil array adds no diagonal.  The product adds each row's
     terms in ascending offset order, as a DIA product does, so it is bitwise
-    that of ``astype(np.float64)``, which is not built.
+    that of ``full()``, which is not built.
     """
 
     def __init__(self, blocks, shape):
@@ -725,11 +852,11 @@ class _BlockStencil:
         for diag, (_, pieces) in zip(data, self.diagonals):
             for _, bj, f, a in pieces:
                 diag[bj, max(0, f):n + min(0, f)] += a  # DIA keeps A[c - F, c] at column c
-        offsets = [f for f, _ in self.diagonals]
-        return sp.dia_matrix((data.reshape(len(offsets), -1), offsets), shape=self.shape)
+        offsets = np.array([f for f, _ in self.diagonals], dtype=np.int32)
+        return _Dia(data.reshape(len(offsets), -1), offsets, self.shape)
 
-    def tocsc(self):
-        return self.astype(np.float64).tocsc()
+    def full(self):
+        return self.astype(np.float64)
 
 
 def _chebyshev(A, dinv):
@@ -772,7 +899,7 @@ def _multigrid(K, shape):
     """One symmetric V-cycle for K on the interior node shape, as r -> z.
 
     Levels are coarsened by ``_interpolation`` until at most
-    ``_COARSE_UNKNOWNS`` unknowns remain, which ``splu`` factors.  The first
+    ``_COARSE_UNKNOWNS`` unknowns remain, which ``_lu`` factors.  The first
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate both halves with blockdiag(P', P').  Every coarse
     operator is a Galerkin product computed by stencil, axis by axis
@@ -785,15 +912,12 @@ def _multigrid(K, shape):
     intervals (level 0's from K itself).  Each smoothed level is then kept as
     a float32 ``_Level``: level 0's operator is K, a ``_SymmetricDia``, cast
     (its stored diagonals of offset >= 0, each coupling once), and a coarser
-    level's is written straight into a float32 ``dia_matrix``; P and P^T are
-    float32 CSR on their own index arrays.  The coarsest LU factor stays
-    float64 and casts on the way in and out.  The returned map takes a
-    float64 r to a float64 z through a float32 V-cycle; with no smoothed
-    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) it is the exact
-    float64 LU solve.
+    level's is written straight into float32 diagonals (a ``_Dia``); P and
+    P^T are float32 ``_Csr`` arrays.  The coarsest LU factor stays float64
+    and casts on the way in and out.  The returned map takes a float64 r to
+    a float64 z through a float32 V-cycle; with no smoothed level (K has at
+    most ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
     """
-    from scipy.sparse.linalg import splu  # imported on first use: the Newton path never factors
-
     levels = []
     A = K
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
@@ -802,24 +926,30 @@ def _multigrid(K, shape):
         dinv = 1.0 / _positive_diagonal(A)
         cheb = _chebyshev(A, dinv)
         if levels:
-            P, S = sp.block_diag((P, P), format="csr"), None
+            P, S = P.block_diagonal(), None
         else:
             S = sign.reshape(-1)
-        levels.append(_Level(
-            A.astype(np.float32), dinv.astype(np.float32), cheb,
-            _float32(P), _float32(P.T.tocsr()), S,
-        ))
-        del P  # freed before the next level's set-up, where the peak memory is
+        levels.append(_Level(A.astype(np.float32), dinv.astype(np.float32), cheb, P, P.transpose(), S))
         if len(levels) == 1:
             blocks, shape = _augmented_blocks(K, shape, sign)
         else:
             blocks, shape = _coarse_blocks(A.blocks, shape)
         A = _BlockStencil(blocks, shape)
     _positive_diagonal(A)
-    coarse = splu(A.tocsc())
+    coarse = _lu(A.full())
     if not levels:
         return coarse.solve
     return functools.partial(_precondition, levels, coarse)
+
+
+def _lu(A):
+    """SuperLU's factorisation of the float64 ``_Dia`` A: ``gstrf`` on A's
+    CSC arrays with splu's default options, so bitwise ``splu(dia_matrix
+    .tocsc())``; its ``solve`` is the coarse solve.  ``csc_construct_func``
+    builds the factor's L and U, which nothing reads."""
+    data, indices, indptr = A.csc()
+    return _superlu.gstrf(A.shape[0], data.size, data, indices, indptr,
+                          csc_construct_func=None, ilu=False, options={})
 
 
 def _precondition(levels, coarse, r):

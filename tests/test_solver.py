@@ -8,14 +8,16 @@ two-route check.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heishom
@@ -177,8 +179,9 @@ def _signed_zeros_or_normal(gen, size, dtype):
 @given(N=st.integers(1, 5), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
 def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
-    """``_SymmetricDia @ v``, also after ``mirrored()``, against
-    ``dia_matrix @ v`` on its full form, bitwise with sign bits, for random
+    """``_SymmetricDia @ v``, also after ``mirrored()``, and the kernel product
+    of its ``full()`` diagonals, against ``dia_matrix @ v`` on its full form,
+    bitwise with sign bits, for random
     symmetric 3^N-point stencils (all 243 offsets at N = 5) in float32 and
     float64.  Most matrix and vector values are +-0.0, so a row that added
     its terms in another order, or started from its first term instead of
@@ -210,7 +213,7 @@ def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
     for _ in range(3):
         v = _signed_zeros_or_normal(gen, n, dtype)
         ref = full @ v
-        for got in (K @ v, mirrored @ v):
+        for got in (K @ v, mirrored @ v, K.full() @ v):
             assert got.dtype == ref.dtype == dtype
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
@@ -551,6 +554,10 @@ def test_multigrid_levels_are_float32(monkeypatch):
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
     for a in (level.dinv, level.P.data, level.PT.data, level.sign):
         assert a.dtype == np.float32
+    # P and P^T are CSR arrays applied by scipy's kernel, with no scipy.sparse object
+    for Q in (level.P, level.PT):
+        assert type(Q) is solve._Csr and Q.indices.dtype == Q.indptr.dtype == np.int32
+    assert type(coarse).__name__ == "SuperLU"
     assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
 
     r = np.cos(np.arange(K.shape[0]))
@@ -596,12 +603,30 @@ def _random_spd_stencil(shape, gen):
     return K
 
 
+def _kron_interpolation(shape):
+    """``_interpolation``'s P as scipy builds it: ``sp.kron`` of the axes'
+    float64 CSR interpolations (format "csr")."""
+    P = None
+    for nf in shape:
+        if nf < 3:
+            P1 = sp.identity(nf, format="csr")
+        else:
+            nc = nf // 2
+            c = np.arange(nc)
+            rows = np.concatenate([2 * c + 1, 2 * c, 2 * c + 2])
+            vals = np.repeat([1.0, 0.5, 0.5], nc)
+            keep = rows < nf
+            P1 = sp.csr_matrix((vals[keep], (rows[keep], np.tile(c, 3)[keep])), shape=(nf, nc))
+        P = P1 if P is None else sp.kron(P, P1, format="csr")
+    return P
+
+
 def _check_galerkin_levels(K, shape):
     """The first two stencil Galerkin levels of ``_multigrid`` against the sparse
-    products built from ``_interpolation``: [P, S P]^T K [P, S P], then
+    products built from scipy's interpolation: [P, S P]^T K [P, S P], then
     blockdiag(P', P')^T A1 blockdiag(P', P'), each to 1e-14 of its largest entry."""
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
-    P, coarse = solve._interpolation(shape)
+    P, (_, coarse) = _kron_interpolation(shape), solve._interpolation(shape)
     Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
     ref = (Q.T @ K.todia().tocsr() @ Q).tocsr()
     blocks, got_shape = solve._augmented_blocks(K, shape, sign)
@@ -610,7 +635,7 @@ def _check_galerkin_levels(K, shape):
     _check_level(A1, ref)
     if max(coarse) < 3:
         return
-    P2, coarse2 = solve._interpolation(coarse)
+    P2, (_, coarse2) = _kron_interpolation(coarse), solve._interpolation(coarse)
     Q2 = sp.block_diag((P2, P2), format="csr")
     blocks2, got_shape2 = solve._coarse_blocks(blocks, coarse)
     assert got_shape2 == coarse2
@@ -618,16 +643,20 @@ def _check_galerkin_levels(K, shape):
 
 
 def _check_level(A, ref):
-    """A ``_BlockStencil`` level against its sparse product ref: its diagonals,
-    its diagonal, and its float64 product, bitwise that of its diagonals."""
-    D = A.astype(np.float64)
-    assert isinstance(D, sp.dia_matrix) and D.shape == A.shape == ref.shape
+    """A ``_BlockStencil`` level against its sparse product ref: its diagonals
+    (a ``_Dia``), its diagonal, and its float64 product, bitwise that of its
+    diagonals by scipy and by the kernel."""
+    full = A.full()
+    assert type(full) is solve._Dia and full.offsets.dtype == np.int32
+    D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
+    assert D.shape == A.shape == ref.shape
     assert np.all(np.diff(D.offsets) > 0)
     assert abs(D.tocsr() - ref).max() <= 1e-14 * abs(ref).max()
     np.testing.assert_array_equal(A.diagonal(), D.diagonal())
     np.testing.assert_array_equal(A.astype(np.float32).data, D.data.astype(np.float32))
     v = np.cos(np.arange(A.shape[0]))  # the start of the power iterations
     np.testing.assert_array_equal(A @ v, D @ v)
+    np.testing.assert_array_equal(full @ v, D @ v)
 
 
 @settings(max_examples=120, deadline=None)
@@ -650,24 +679,118 @@ def test_galerkin_levels_of_the_n2_checkerboard(monkeypatch):
     _check_galerkin_levels(K, tuple(s - 2 for s in grid.shape))
 
 
-def test_quadratic_solve_forms_no_sparse_sparse_product(monkeypatch):
-    """The Galerkin levels are computed by stencil: no SpGEMM anywhere in a
-    solve with two smoothed levels (k=3)."""
-    expected = mu_q(CHECKER, (1.0, 0.0), 3, 4)
+def _assert_same_arrays(got, want, names, dtype):
+    """got's arrays ``names`` equal want's, dtypes too; its data is want's
+    cast to dtype (the level's precision)."""
+    assert tuple(got.shape) == want.shape
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+    assert got.data.dtype == dtype
+    np.testing.assert_array_equal(got.data, want.data.astype(dtype))
+    np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
 
-    def refuse(self, other):
-        raise AssertionError("sparse-sparse product")
 
-    kinds = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix, sp.bsr_matrix,
-             sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array, sp.bsr_array)
-    owners = {c for kind in kinds for c in kind.__mro__ if "_matmul_sparse" in vars(c)}
-    for owner in owners:
-        monkeypatch.setattr(owner, "_matmul_sparse", refuse)
-    with pytest.raises(AssertionError, match="sparse-sparse product"):
-        sp.identity(2, format="csr") @ sp.identity(2, format="dia")
-    sol = mu_q(CHECKER, (1.0, 0.0), 3, 4)
-    assert sol.method == "cg" and sol.converged
-    assert (sol.energy, sol.iterations) == (expected.energy, expected.iterations)
+_SHAPES = st.one_of(st.lists(st.integers(1, 8), min_size=3, max_size=3),
+                    st.lists(st.integers(1, 4), min_size=5, max_size=5)).filter(lambda s: max(s) >= 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_SHAPES)
+@example(shape=[1, 2, 5])
+@example(shape=[2, 1, 3, 1, 4])
+def test_interpolation_arrays_are_scipys(shape):
+    """P, P^T, blockdiag(P, P) and its transpose, built as CSR arrays, are
+    those of ``sp.kron``, ``.T.tocsr()`` and ``sp.block_diag`` (values cast to
+    float32, as the levels keep them), for N = 3 and 5 axes with axes of 1
+    and 2 nodes."""
+    shape = tuple(shape)
+    P, _ = solve._interpolation(shape)
+    ref = _kron_interpolation(shape)
+    ref_block = sp.block_diag((ref, ref), format="csr")
+    pairs = ((P, ref), (P.transpose(), ref.T.tocsr()),
+             (P.block_diagonal(), ref_block), (P.block_diagonal().transpose(), ref_block.T.tocsr()))
+    for got, want in pairs:
+        assert type(got) is solve._Csr
+        _assert_same_arrays(got, want, ("indptr", "indices"), np.float32)
+
+
+@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()
+@settings(max_examples=80, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_coarse_csc_arrays_are_scipys(shape, seed):
+    """The CSC arrays the coarse LU gets are ``dia_matrix.tocsc()``'s: random
+    3^N-point stencils, most values +-0.0 (dropped) and junk in the DIA
+    padding (ignored), for N = 3 and 5; and a symmetric K's full diagonals."""
+    shape, gen = tuple(shape), rng(seed)
+    n = math.prod(shape)
+    nodes = np.arange(n).reshape(shape)
+    rows = {}
+    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+        box, f = solve._box(o, shape), solve._flat_offset(o, shape)
+        if box is not None:
+            row = rows.setdefault(f, gen.standard_normal(n))  # padding: never read
+            row[nodes[box[1]].reshape(-1)] = _signed_zeros_or_normal(gen, nodes[box[0]].size, np.float64)
+    offsets = np.array(sorted(rows), dtype=np.int32)
+    D = solve._Dia(np.array([rows[f] for f in offsets]), offsets, (n, n))
+    K = _random_spd_stencil(shape, gen)
+    for A, want in ((D, sp.dia_matrix((D.data, D.offsets), shape=D.shape).tocsc()),
+                    (K.full(), K.todia().tocsc())):
+        data, indices, indptr = A.csc()
+        got = SimpleNamespace(data=data, indices=indices, indptr=indptr, shape=A.shape)
+        _assert_same_arrays(got, want, ("indptr", "indices"), np.float64)
+        assert np.all(data != 0)
+
+
+_SOLVE_IMPORTS = """
+import sys
+from heishom import checkerboard_coefficient, mu_q, power_integrand
+s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0), (1.0, 0.0), 3, 4)
+print(s.iterations, s.energy.hex(), s.u.values.tobytes().hex()[:64])
+print(sorted(m for m in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
+"""
+
+
+def test_quadratic_solve_imports_no_scipy_sparse():
+    """A k=3 solve (two smoothed levels and the coarse LU) runs on scipy's
+    compiled kernels alone: in a fresh interpreter it imports neither
+    scipy.sparse nor scipy.sparse.linalg nor scipy.linalg, and gives this
+    process's result."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_IMPORTS], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    result, loaded = proc.stdout.splitlines()
+    s = mu_q(CHECKER, (1.0, 0.0), 3, 4)
+    assert result == f"{s.iterations} {s.energy.hex()} {s.u.values.tobytes().hex()[:64]}"
+    assert loaded == "[]"
+
+
+def test_missing_scipy_extension_is_an_import_error_naming_its_file():
+    with pytest.raises(ImportError, match=r"scipy/sparse/_no_such_kernel\{\.") as exc:
+        solve._scipy_extension("scipy.sparse._no_such_kernel")
+    assert exc.value.name == "scipy.sparse._no_such_kernel"
+    assert "scipy.sparse._no_such_kernel" not in sys.modules
+
+
+def test_solver_kernels_are_the_modules_scipy_sparse_uses():
+    """The extensions the solver loads by path are the ones a later
+    ``import scipy.sparse`` and ``scipy.sparse.linalg`` use: one copy each."""
+    code = ("import heishom.solve as s, scipy.sparse, scipy.sparse.linalg\n"
+            "from scipy.sparse import _compressed, _dia\n"
+            "from scipy.sparse.linalg._dsolve import linsolve\n"
+            "print(s._sparsetools is _compressed._sparsetools, s._dia_matvec is _dia.dia_matvec,\n"
+            "      s._superlu is linsolve._superlu)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["True"] * 3
+    import scipy.sparse._compressed
+    from scipy.sparse.linalg._dsolve import linsolve
+    assert solve._sparsetools is scipy.sparse._compressed._sparsetools
+    assert solve._superlu is linsolve._superlu
 
 
 def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):

@@ -743,6 +743,14 @@ def test_coarse_csc_arrays_are_scipys(shape, seed):
         assert np.all(data != 0)
 
 
+def _fresh_python(code):
+    """The stdout of ``python -c code`` with this checkout's heishom first on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
 _SOLVE_IMPORTS = """
 import sys
 from heishom import checkerboard_coefficient, mu_q, power_integrand
@@ -757,11 +765,7 @@ def test_quadratic_solve_imports_no_scipy_sparse():
     compiled kernels alone: in a fresh interpreter it imports neither
     scipy.sparse nor scipy.sparse.linalg nor scipy.linalg, and gives this
     process's result."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _SOLVE_IMPORTS], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    result, loaded = proc.stdout.splitlines()
+    result, loaded = _fresh_python(_SOLVE_IMPORTS).splitlines()
     s = mu_q(CHECKER, (1.0, 0.0), 3, 4)
     assert result == f"{s.iterations} {s.energy.hex()} {s.u.values.tobytes().hex()[:64]}"
     assert loaded == "[]"
@@ -775,18 +779,15 @@ def test_missing_scipy_extension_is_an_import_error_naming_its_file():
 
 
 def test_solver_kernels_are_the_modules_scipy_sparse_uses():
-    """The extensions the solver loads by path are the ones a later
-    ``import scipy.sparse`` and ``scipy.sparse.linalg`` use: one copy each."""
+    """The extensions the solver loads by file are the ones a later
+    ``import scipy.sparse`` and ``scipy.sparse.linalg`` use: one copy each,
+    in a fresh interpreter and in this one."""
     code = ("import heishom.solve as s, scipy.sparse, scipy.sparse.linalg\n"
             "from scipy.sparse import _compressed, _dia\n"
             "from scipy.sparse.linalg._dsolve import linsolve\n"
             "print(s._sparsetools is _compressed._sparsetools, s._dia_matvec is _dia.dia_matvec,\n"
             "      s._superlu is linsolve._superlu)")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["True"] * 3
+    assert _fresh_python(code).split() == ["True"] * 3
     import scipy.sparse._compressed
     from scipy.sparse.linalg._dsolve import linsolve
     assert solve._sparsetools is scipy.sparse._compressed._sparsetools

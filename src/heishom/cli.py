@@ -188,11 +188,13 @@ def _expr_coefficient(spec, n):
         raise ConfigError("smooth_expr coefficient needs an 'expr' string")
     try:
         tree = ast.parse(expr, "<config>", "eval")
-    except (SyntaxError, RecursionError) as exc:
+        N = GroupParams(n).N
+        _check_expr(tree, N)
+        code = compile(tree, "<config>", "eval")
+    except SyntaxError as exc:
         raise ConfigError(f"cannot parse expr: {exc}") from None
-    N = GroupParams(n).N
-    _check_expr(tree, N)
-    code = compile(tree, "<config>", "eval")
+    except (RecursionError, MemoryError):  # the parser's and the compiler's depth limits
+        raise ConfigError("expr is nested too deeply") from None
 
     def fn(X):
         X = np.asarray(X, dtype=float)
@@ -238,7 +240,10 @@ def coefficient_from_spec(spec: dict, n: int):
     if kind == "cell_table":
         if "table" not in spec:
             raise ConfigError("cell_table coefficient needs a 'table' array")
-        return CellTableCoefficient(np.asarray(spec["table"], dtype=float), n=n)
+        table = np.asarray(spec["table"], dtype=float)
+        if table.size == 0:
+            raise ConfigError(f"cell_table 'table' has no entries: {spec['table']!r}")
+        return CellTableCoefficient(table, n=n)
     if kind == "smooth_expr":
         return _expr_coefficient(spec, n)
     if kind == "random_tiles":
@@ -258,7 +263,10 @@ def integrand_from_spec(spec: dict, n: int):
     if kind == "matrix_p":
         if "matrix" not in spec:
             raise ConfigError("matrix_p integrand needs a 'matrix' (2n x 2n, symmetric positive)")
-        return MatrixPowerIntegrand(np.asarray(spec["matrix"], dtype=float), p=_number(spec, "p", 2.0))
+        matrix, m = np.asarray(spec["matrix"], dtype=float), GroupParams(n).m
+        if matrix.shape != (m, m):
+            raise ConfigError(f"matrix_p 'matrix' must be 2n x 2n = {m} x {m}, got shape {matrix.shape}")
+        return MatrixPowerIntegrand(matrix, p=_number(spec, "p", 2.0))
     raise ConfigError(f"unknown integrand type {kind!r}")
 
 

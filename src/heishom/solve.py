@@ -59,12 +59,12 @@ not finite, raise ``NumericalError``.  Solves are deterministic; distinct
 problems share no mutable state.
 
 A solve builds no scipy.sparse object and imports no scipy package.  It
-calls three compiled scipy routines: ``dia_matvec`` and ``csr_matvec`` of
-``scipy.sparse._sparsetools`` (the kernels of ``dia_matrix @ v`` and
-``csr_matrix @ v``) and SuperLU's ``gstrf`` of
-``scipy.sparse.linalg._dsolve._superlu`` (what ``splu`` calls), and this
-module loads those two extensions from their files (``_scipy_extension``),
-so results are bitwise those of the scipy objects.  The packages cost more
+calls four compiled scipy routines: ``dia_matvec``, ``csr_matvec`` and
+``csc_matvec`` of ``scipy.sparse._sparsetools`` (the kernels of
+``dia_matrix @ v``, ``csr_matrix @ v`` and ``csc_matrix @ v``) and SuperLU's
+``gstrf`` of ``scipy.sparse.linalg._dsolve._superlu`` (what ``splu``
+calls), and this module loads those two extensions from their files
+(``_scipy_extension``), so results are bitwise those of the scipy objects.  The packages cost more
 than the solves that use them: on 2 cores (Python 3.11, numpy 2.4, scipy
 1.17) ``import scipy.sparse`` takes 0.17-0.23 s and 22 MiB over numpy alone,
 0.15-0.19 s of it in scipy's array-API layer importing ``numpy.f2py``,
@@ -141,7 +141,7 @@ def _scipy_extension(name):
     return module
 
 
-_sparsetools = _scipy_extension("scipy.sparse._sparsetools")  # dia_matvec and csr_matvec: y += A x
+_sparsetools = _scipy_extension("scipy.sparse._sparsetools")  # dia_, csr_ and csc_matvec: y += A x
 _superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")  # gstrf, the factorisation of splu
 _dia_matvec = _sparsetools.dia_matvec
 
@@ -185,9 +185,7 @@ def _energy(u, f, coeffs):
 # those products; ``gradient_operator`` is kept as the tests' oracle.
 
 def _corner_signs(N):
-    from itertools import product
-
-    corners = list(product((0, 1), repeat=N))
+    corners = list(itertools.product((0, 1), repeat=N))
     signs = np.array([[1.0 if c[a] else -1.0 for a in range(N)] for c in corners])
     return corners, signs
 
@@ -583,8 +581,12 @@ _POWER_STEPS = 15
 
 
 class _Csr(NamedTuple):
-    """A matrix by scipy's CSR arrays, applied by the kernel of
-    ``csr_matrix @ v``, so bitwise that product."""
+    """A matrix by scipy's CSR arrays.  ``A @ v`` runs the kernel of
+    ``csr_matrix @ v`` and ``A.rmatvec(v)``, A^T v, the kernel of
+    ``csc_matrix @ v`` on the same arrays (A's CSR arrays are the CSC arrays
+    of A^T).  Each entry of A^T v adds its terms to 0 in ascending order of
+    A's rows, as ``csr_matrix @ v`` with ``A.T.tocsr()`` does, so both are
+    bitwise those scipy products."""
 
     data: np.ndarray
     indices: np.ndarray  # int32, ascending in each row
@@ -596,32 +598,23 @@ class _Csr(NamedTuple):
         _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, v, out)
         return out
 
-    def transpose(self):
-        """The CSR arrays of the transpose, those of ``P.T.tocsr()``: each
-        row's columns (this matrix's rows) ascending."""
+    def rmatvec(self, v):
         nr, nc = self.shape
-        order = np.argsort(self.indices, kind="stable")
-        rows = np.repeat(np.arange(nr, dtype=np.int32), np.diff(self.indptr))
-        indptr = np.zeros(nc + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.indices, minlength=nc), out=indptr[1:])
-        return _Csr(self.data[order], rows[order], indptr, (nc, nr))
-
-    def block_diagonal(self):
-        """The CSR arrays of blockdiag(P, P), those of ``sp.block_diag``."""
-        nr, nc = self.shape
-        return _Csr(np.concatenate([self.data, self.data]),
-                    np.concatenate([self.indices, self.indices + nc]),
-                    np.concatenate([self.indptr, self.indptr[1:] + self.data.size]), (2 * nr, 2 * nc))
+        out = np.zeros(nc, dtype=np.result_type(self.data, v))
+        _sparsetools.csc_matvec(nc, nr, self.indptr, self.indices, self.data, v, out)
+        return out
 
 
 class _Level(NamedTuple):
-    """One smoothed level of the V-cycle; every array is float32."""
+    """One smoothed level of the V-cycle; every array is float32.  Level 0
+    acts on one copy of its node grid, a level below it on two (the halves
+    of the coarse space [P, S P]); the V-cycle applies P, and P^T, to each
+    copy."""
 
     A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _Dia
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
-    P: _Csr              # interpolation from the next level
-    PT: _Csr
+    P: _Csr              # interpolation onto one copy of this level's node grid
     sign: np.ndarray     # (-1)^(i+j+...) on the first level, None below it
 
 
@@ -901,7 +894,9 @@ def _multigrid(K, shape):
     Levels are coarsened by ``_interpolation`` until at most
     ``_COARSE_UNKNOWNS`` unknowns remain, which ``_lu`` factors.  The first
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
-    later levels interpolate both halves with blockdiag(P', P').  Every coarse
+    a later level holds two copies of its node grid and interpolates each
+    half with its own P', which is blockdiag(P', P') without building it (a
+    row of that matrix reads its own block alone).  Every coarse
     operator is a Galerkin product computed by stencil, axis by axis
     (``_augmented_blocks`` from K's stored diagonals, then
     ``_coarse_blocks``), and kept as the float64 stencils of its blocks
@@ -912,8 +907,9 @@ def _multigrid(K, shape):
     intervals (level 0's from K itself).  Each smoothed level is then kept as
     a float32 ``_Level``: level 0's operator is K, a ``_SymmetricDia``, cast
     (its stored diagonals of offset >= 0, each coupling once), and a coarser
-    level's is written straight into float32 diagonals (a ``_Dia``); P and
-    P^T are float32 ``_Csr`` arrays.  The coarsest LU factor stays float64
+    level's is written straight into float32 diagonals (a ``_Dia``); P is a
+    float32 ``_Csr`` on one copy of the level's node grid, and P^T its CSC
+    product (``_Csr.rmatvec``).  The coarsest LU factor stays float64
     and casts on the way in and out.  The returned map takes a float64 r to
     a float64 z through a float32 V-cycle; with no smoothed level (K has at
     most ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
@@ -925,11 +921,8 @@ def _multigrid(K, shape):
         P, _ = _interpolation(shape)
         dinv = 1.0 / _positive_diagonal(A)
         cheb = _chebyshev(A, dinv)
-        if levels:
-            P, S = P.block_diagonal(), None
-        else:
-            S = sign.reshape(-1)
-        levels.append(_Level(A.astype(np.float32), dinv.astype(np.float32), cheb, P, P.transpose(), S))
+        S = None if levels else sign.reshape(-1)
+        levels.append(_Level(A.astype(np.float32), dinv.astype(np.float32), cheb, P, S))
         if len(levels) == 1:
             blocks, shape = _augmented_blocks(K, shape, sign)
         else:
@@ -970,12 +963,11 @@ def _vcycle(levels, coarse, b, level=0):
     lv = levels[level]
     x = _smooth(lv, b)
     r = b - lv.A @ x
-    if lv.sign is None:
-        x += lv.P @ _vcycle(levels, coarse, lv.PT @ r, level + 1)
-    else:
-        e = _vcycle(levels, coarse, np.concatenate([lv.PT @ r, lv.PT @ (lv.sign * r)]), level + 1)
-        nc = lv.P.shape[1]
-        x += lv.P @ e[:nc] + lv.sign * (lv.P @ e[nc:])
+    halves = r.reshape(2, -1) if lv.sign is None else (r, lv.sign * r)
+    e1, e2 = _vcycle(levels, coarse, np.concatenate([lv.P.rmatvec(h) for h in halves]),
+                     level + 1).reshape(2, -1)
+    Pe1, Pe2 = lv.P @ e1, lv.P @ e2
+    x += np.concatenate([Pe1, Pe2]) if lv.sign is None else Pe1 + lv.sign * Pe2
     return _smooth(lv, b, x)
 
 

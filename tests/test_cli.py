@@ -328,11 +328,23 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("stochastic", {"base_seed": -1}, "'base_seed'"),
     ("verify --seed -3", {}, "--seed"),
     ("stochastic --seed -3", {}, "--seed"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "matrix_p", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "'matrix'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "cell_table", "table": [[[]]]}}}, "'table'"),
+    # the compiler's recursion limit, then the parser's (a MemoryError with no message)
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "smooth_expr", "expr": "-" * 1000 + "x1"}}},
+     "expr is nested too deeply"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "smooth_expr", "expr": "-" * 50000 + "x1"}}},
+     "expr is nested too deeply"),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
         "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
         "M-huge-int", "seed-fractional", "seed-negative", "n-float", "n-bool",
         "samples-zero", "samples-negative", "verify-seed-negative", "base_seed-negative",
-        "verify-flag-seed-negative", "stochastic-flag-seed-negative"])
+        "verify-flag-seed-negative", "stochastic-flag-seed-negative", "matrix-3x3-at-n1",
+        "cell_table-empty", "expr-nested-1000", "expr-nested-50000"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload, key):
     """One config-error line that names the offending key or token, and exit 2."""
     cfg = write_cfg(tmp_path, payload)

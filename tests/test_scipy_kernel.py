@@ -2,9 +2,9 @@
 
 ``heishom.solve`` loads two compiled modules straight from their files in
 scipy's package directory, so that no solve imports scipy.sparse:
-``scipy.sparse._sparsetools`` (``dia_matvec`` and ``csr_matvec``, the kernels
-behind ``dia_matrix @ v`` and ``csr_matrix @ v``, which add into the caller's
-output vector) and ``scipy.sparse.linalg._dsolve._superlu`` (``gstrf``, the
+``scipy.sparse._sparsetools`` (``dia_matvec``, ``csr_matvec`` and
+``csc_matvec``, the kernels behind ``dia_matrix @ v``, ``csr_matrix @ v`` and
+``csc_matrix @ v``, which add into the caller's output vector) and ``scipy.sparse.linalg._dsolve._superlu`` (``gstrf``, the
 factorisation ``splu`` calls).  None of them is public API, so a scipy
 release may move, rename or change them.  This module imports nothing from
 heishom, so it still runs, and says why, when that happens and every solver
@@ -62,6 +62,18 @@ def test_csr_matvec_exists_and_adds_into_its_output(dtype):
     _sparsetools().csr_matvec(3, 3, indptr, indices, data, np.ones(3, dtype=dtype), y)
     assert y.tolist() == [11.0, 25.0, 34.0], _broken(
         f"csr_matvec no longer adds A x into y (y = [10, 20, 30] became {y.tolist()}, "
+        "expected [11, 25, 34])")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csc_matvec_exists_and_adds_into_its_output(dtype):
+    y = np.array([10.0, 20.0, 30.0], dtype=dtype)
+    indptr = np.array([0, 2, 3, 4], dtype=np.int32)  # [[1, 0, 0], [2, 3, 0], [0, 0, 4]] by columns
+    indices = np.array([0, 1, 1, 2], dtype=np.int32)
+    data = np.array([1.0, 2.0, 3.0, 4.0], dtype=dtype)
+    _sparsetools().csc_matvec(3, 3, indptr, indices, data, np.ones(3, dtype=dtype), y)
+    assert y.tolist() == [11.0, 25.0, 34.0], _broken(
+        f"csc_matvec no longer adds A x into y (y = [10, 20, 30] became {y.tolist()}, "
         "expected [11, 25, 34])")
 
 

@@ -534,8 +534,15 @@ class _Float32Only:
         self.A, self.shape = A, A.shape
 
     def __matmul__(self, v):
+        return self._product(self.A.__matmul__, v)
+
+    def rmatvec(self, v):
+        return self._product(self.A.rmatvec, v)
+
+    @staticmethod
+    def _product(op, v):
         assert v.dtype == np.float32
-        out = self.A @ v
+        out = op(v)
         assert out.dtype == np.float32
         return out
 
@@ -552,11 +559,10 @@ def test_multigrid_levels_are_float32(monkeypatch):
     np.testing.assert_array_equal(level.A.offsets, K.offsets)
     np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
-    for a in (level.dinv, level.P.data, level.PT.data, level.sign):
+    for a in (level.dinv, level.P.data, level.sign):
         assert a.dtype == np.float32
-    # P and P^T are CSR arrays applied by scipy's kernel, with no scipy.sparse object
-    for Q in (level.P, level.PT):
-        assert type(Q) is solve._Csr and Q.indices.dtype == Q.indptr.dtype == np.int32
+    # P is CSR arrays applied by scipy's kernels (P^T by the CSC one), with no scipy.sparse object
+    assert type(level.P) is solve._Csr and level.P.indices.dtype == level.P.indptr.dtype == np.int32
     assert type(coarse).__name__ == "SuperLU"
     assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
 
@@ -564,8 +570,7 @@ def test_multigrid_levels_are_float32(monkeypatch):
     z = precond(r)
     assert z.dtype == np.float64
     # one V-cycle, every product checked: no silent float64 promotion inside
-    checked = [lv._replace(A=_Float32Only(lv.A), P=_Float32Only(lv.P), PT=_Float32Only(lv.PT))
-               for lv in levels]
+    checked = [lv._replace(A=_Float32Only(lv.A), P=_Float32Only(lv.P)) for lv in levels]
     b = r.astype(np.float32)
     e = solve._vcycle(checked, coarse, b)
     assert e.dtype == np.float32
@@ -701,19 +706,45 @@ _SHAPES = st.one_of(st.lists(st.integers(1, 8), min_size=3, max_size=3),
 @example(shape=[1, 2, 5])
 @example(shape=[2, 1, 3, 1, 4])
 def test_interpolation_arrays_are_scipys(shape):
-    """P, P^T, blockdiag(P, P) and its transpose, built as CSR arrays, are
-    those of ``sp.kron``, ``.T.tocsr()`` and ``sp.block_diag`` (values cast to
-    float32, as the levels keep them), for N = 3 and 5 axes with axes of 1
-    and 2 nodes."""
+    """P, built as CSR arrays, is ``sp.kron``'s (values cast to float32, as
+    the levels keep them), for N = 3 and 5 axes with axes of 1 and 2 nodes."""
     shape = tuple(shape)
     P, _ = solve._interpolation(shape)
-    ref = _kron_interpolation(shape)
-    ref_block = sp.block_diag((ref, ref), format="csr")
-    pairs = ((P, ref), (P.transpose(), ref.T.tocsr()),
-             (P.block_diagonal(), ref_block), (P.block_diagonal().transpose(), ref_block.T.tocsr()))
-    for got, want in pairs:
-        assert type(got) is solve._Csr
-        _assert_same_arrays(got, want, ("indptr", "indices"), np.float32)
+    assert type(P) is solve._Csr
+    _assert_same_arrays(P, _kron_interpolation(shape), ("indptr", "indices"), np.float32)
+
+
+def _assert_bitwise(got, *wants):
+    for want in wants:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+@example(shape=[1, 2, 5], seed=0)
+@example(shape=[2, 1, 3, 1, 4], seed=1)
+def test_interpolation_products_are_scipys(shape, seed):
+    """What the V-cycle applies, on float32 vectors with 0.0, -0.0 and
+    subnormal entries: P^T r by the CSC kernel on P's own arrays is bitwise
+    scipy's ``P.T @ r`` and the CSR product with ``P.T.tocsr()``; P and P^T
+    applied to each half of a two-copy vector are bitwise those products
+    with ``sp.block_diag((P, P))``."""
+    shape, gen = tuple(shape), rng(seed)
+    P, _ = solve._interpolation(shape)
+    ref = _kron_interpolation(shape).astype(np.float32)
+    block = sp.block_diag((ref, ref), format="csr")
+
+    def vector(size):
+        x = _signed_zeros_or_normal(gen, size, np.float32)
+        tiny = gen.random(size) < 0.2
+        x[tiny] = (1e-39 * gen.standard_normal(size)).astype(np.float32)[tiny]  # float32 subnormals
+        return x
+
+    r, e = vector(2 * P.shape[0]), vector(2 * P.shape[1])
+    _assert_bitwise(P.rmatvec(r[:P.shape[0]]), ref.T @ r[:P.shape[0]], ref.T.tocsr() @ r[:P.shape[0]])
+    _assert_bitwise(np.concatenate([P.rmatvec(h) for h in r.reshape(2, -1)]),
+                    block.T @ r, block.T.tocsr() @ r)
+    _assert_bitwise(np.concatenate([P @ h for h in e.reshape(2, -1)]), block @ e)
 
 
 @pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()

@@ -231,6 +231,17 @@ def _number(spec, key, default=None):
     return float(value)
 
 
+def _array(spec, key, what):
+    """spec[key] as a float array; a missing, ragged, non-numeric or empty one is a ConfigError."""
+    try:
+        array = np.asarray(spec[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{what} {key!r} must be a rectangular array of numbers") from None
+    if array.size == 0:
+        raise ConfigError(f"{what} {key!r} has no entries")
+    return array
+
+
 def coefficient_from_spec(spec: dict, n: int):
     kind = _object(spec, "coefficient").get("type")
     if kind == "constant":
@@ -238,12 +249,7 @@ def coefficient_from_spec(spec: dict, n: int):
     if kind == "checkerboard":
         return checkerboard_coefficient(_number(spec, "lo", 1.0), _number(spec, "hi", 4.0), n=n)
     if kind == "cell_table":
-        if "table" not in spec:
-            raise ConfigError("cell_table coefficient needs a 'table' array")
-        table = np.asarray(spec["table"], dtype=float)
-        if table.size == 0:
-            raise ConfigError(f"cell_table 'table' has no entries: {spec['table']!r}")
-        return CellTableCoefficient(table, n=n)
+        return CellTableCoefficient(_array(spec, "table", "cell_table"), n=n)
     if kind == "smooth_expr":
         return _expr_coefficient(spec, n)
     if kind == "random_tiles":
@@ -261,9 +267,7 @@ def integrand_from_spec(spec: dict, n: int):
         coeff = coefficient_from_spec(spec.get("coefficient", {"type": "constant", "value": 1.0}), n)
         return PowerIntegrand(coeff, alpha=_number(spec, "alpha", 2.0))
     if kind == "matrix_p":
-        if "matrix" not in spec:
-            raise ConfigError("matrix_p integrand needs a 'matrix' (2n x 2n, symmetric positive)")
-        matrix, m = np.asarray(spec["matrix"], dtype=float), GroupParams(n).m
+        matrix, m = _array(spec, "matrix", "matrix_p"), GroupParams(n).m
         if matrix.shape != (m, m):
             raise ConfigError(f"matrix_p 'matrix' must be 2n x 2n = {m} x {m}, got shape {matrix.shape}")
         return MatrixPowerIntegrand(matrix, p=_number(spec, "p", 2.0))

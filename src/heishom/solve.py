@@ -64,8 +64,8 @@ calls four compiled scipy routines: ``dia_matvec``, ``csr_matvec`` and
 ``dia_matrix @ v``, ``csr_matrix @ v`` and ``csc_matrix @ v``) and SuperLU's
 ``gstrf`` of ``scipy.sparse.linalg._dsolve._superlu`` (what ``splu``
 calls), and this module loads those two extensions from their files
-(``_scipy_extension``), so results are bitwise those of the scipy objects.  The packages cost more
-than the solves that use them: on 2 cores (Python 3.11, numpy 2.4, scipy
+(``_scipy_extension``), so results are bitwise those of the scipy objects.
+The packages cost more than the solves that use them: on 2 cores (Python 3.11, numpy 2.4, scipy
 1.17) ``import scipy.sparse`` takes 0.17-0.23 s and 22 MiB over numpy alone,
 0.15-0.19 s of it in scipy's array-API layer importing ``numpy.f2py``,
 ``numpy.testing`` and ``numpy.ma``, and ``scipy.sparse.linalg`` 0.12 s and
@@ -581,12 +581,10 @@ _POWER_STEPS = 15
 
 
 class _Csr(NamedTuple):
-    """A matrix by scipy's CSR arrays.  ``A @ v`` runs the kernel of
-    ``csr_matrix @ v`` and ``A.rmatvec(v)``, A^T v, the kernel of
-    ``csc_matrix @ v`` on the same arrays (A's CSR arrays are the CSC arrays
-    of A^T).  Each entry of A^T v adds its terms to 0 in ascending order of
-    A's rows, as ``csr_matrix @ v`` with ``A.T.tocsr()`` does, so both are
-    bitwise those scipy products."""
+    """A matrix by scipy's CSR arrays: ``A @ v`` by the kernel of
+    ``csr_matrix @ v``, and A^T v (``rmatvec``) by that of ``csc_matrix @ v``
+    on the same arrays, bitwise the CSR product with ``A.T.tocsr()`` (each
+    entry adds its terms to 0 in ascending order of A's rows)."""
 
     data: np.ndarray
     indices: np.ndarray  # int32, ascending in each row
@@ -606,15 +604,12 @@ class _Csr(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """One smoothed level of the V-cycle; every array is float32.  Level 0
-    acts on one copy of its node grid, a level below it on two (the halves
-    of the coarse space [P, S P]); the V-cycle applies P, and P^T, to each
-    copy."""
+    """One smoothed level of the V-cycle; every array is float32."""
 
     A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _Dia
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
-    P: _Csr              # interpolation onto one copy of this level's node grid
+    P: _Csr              # interpolation onto each copy of the node grid (two below level 0)
     sign: np.ndarray     # (-1)^(i+j+...) on the first level, None below it
 
 
@@ -894,9 +889,8 @@ def _multigrid(K, shape):
     Levels are coarsened by ``_interpolation`` until at most
     ``_COARSE_UNKNOWNS`` unknowns remain, which ``_lu`` factors.  The first
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
-    a later level holds two copies of its node grid and interpolates each
-    half with its own P', which is blockdiag(P', P') without building it (a
-    row of that matrix reads its own block alone).  Every coarse
+    later levels interpolate each half with P', bitwise blockdiag(P', P')
+    (unbuilt: a row of it reads its own block alone).  Every coarse
     operator is a Galerkin product computed by stencil, axis by axis
     (``_augmented_blocks`` from K's stored diagonals, then
     ``_coarse_blocks``), and kept as the float64 stencils of its blocks
@@ -907,12 +901,12 @@ def _multigrid(K, shape):
     intervals (level 0's from K itself).  Each smoothed level is then kept as
     a float32 ``_Level``: level 0's operator is K, a ``_SymmetricDia``, cast
     (its stored diagonals of offset >= 0, each coupling once), and a coarser
-    level's is written straight into float32 diagonals (a ``_Dia``); P is a
-    float32 ``_Csr`` on one copy of the level's node grid, and P^T its CSC
-    product (``_Csr.rmatvec``).  The coarsest LU factor stays float64
-    and casts on the way in and out.  The returned map takes a float64 r to
-    a float64 z through a float32 V-cycle; with no smoothed level (K has at
-    most ``_COARSE_UNKNOWNS`` unknowns) it is the exact float64 LU solve.
+    level's is written straight into float32 diagonals (a ``_Dia``); P is
+    a float32 ``_Csr`` on one copy of its node grid.  The coarsest LU factor
+    stays float64 and casts on the way in and out.  The returned map takes a
+    float64 r to a float64 z through a float32 V-cycle; with no smoothed
+    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) it is the exact
+    float64 LU solve.
     """
     levels = []
     A = K

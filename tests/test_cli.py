@@ -332,6 +332,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "type": "matrix_p", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "'matrix'"),
     ("cell", {"M": 2, "t": 1, "integrand": {
         "type": "power", "coefficient": {"type": "cell_table", "table": [[[]]]}}}, "'table'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "cell_table", "table": [[[1, 2], [3]]]}}}, "'table'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "matrix_p", "matrix": [[1, "a"], [0, 1]]}},
+     "'matrix'"),
     # the compiler's recursion limit, then the parser's (a MemoryError with no message)
     ("cell", {"M": 2, "t": 1, "integrand": {
         "type": "power", "coefficient": {"type": "smooth_expr", "expr": "-" * 1000 + "x1"}}},
@@ -344,7 +348,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "M-huge-int", "seed-fractional", "seed-negative", "n-float", "n-bool",
         "samples-zero", "samples-negative", "verify-seed-negative", "base_seed-negative",
         "verify-flag-seed-negative", "stochastic-flag-seed-negative", "matrix-3x3-at-n1",
-        "cell_table-empty", "expr-nested-1000", "expr-nested-50000"])
+        "cell_table-empty", "cell_table-ragged", "matrix-string", "expr-nested-1000", "expr-nested-50000"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload, key):
     """One config-error line that names the offending key or token, and exit 2."""
     cfg = write_cfg(tmp_path, payload)

@@ -741,7 +741,8 @@ def test_interpolation_products_are_scipys(shape, seed):
         return x
 
     r, e = vector(2 * P.shape[0]), vector(2 * P.shape[1])
-    _assert_bitwise(P.rmatvec(r[:P.shape[0]]), ref.T @ r[:P.shape[0]], ref.T.tocsr() @ r[:P.shape[0]])
+    r1 = r[:P.shape[0]]
+    _assert_bitwise(P.rmatvec(r1), ref.T @ r1, ref.T.tocsr() @ r1)
     _assert_bitwise(np.concatenate([P.rmatvec(h) for h in r.reshape(2, -1)]),
                     block.T @ r, block.T.tocsr() @ r)
     _assert_bitwise(np.concatenate([P @ h for h in e.reshape(2, -1)]), block @ e)

@@ -120,6 +120,8 @@ class CellTableCoefficient(CoefficientField):
         N = 2 * n + 1
         if table.ndim != N:
             raise ValueError(f"table must have {N} axes for n={n}")
+        if table.size == 0:
+            raise ValueError(f"table must not be empty, got shape {table.shape}")
         if not np.all((0 < table) & (table < math.inf)):
             raise ValueError("table values must be positive and finite")
         self.n = n
@@ -317,6 +319,10 @@ class MatrixPowerIntegrand(Integrand):
         self.c2 = max(self.eig_max**p, 1.0)
 
     def coefficients_at(self, X):
+        m = np.shape(X)[-1] - 1  # 2n, for points of the group R^(2n+1)
+        if m != len(self.matrix):
+            raise ValueError(f"the {len(self.matrix)} x {len(self.matrix)} matrix does not act on "
+                             f"the 2n = {m} horizontal directions of points in R^{m + 1}")
         return self.matrix
 
     def eval_cells(self, A, Q):

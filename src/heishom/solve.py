@@ -24,11 +24,12 @@ Three routes:
   (``_SymmetricDia``, whose product is bitwise that of the full DIA
   matrix).  CG runs on that float64 K; its residual, its stopping test and
   the energy are float64.  The V-cycle's coarse operators are Galerkin
-  products computed by stencil, one axis at a time, with no sparse-sparse
-  product; its smoothed levels are float32 and their stencil operators are
-  stored by diagonals (4-byte values and no index arrays in its
-  memory-bound sweeps; level 0 is K's stored diagonals cast), its set-up
-  and coarsest LU float64.
+  products computed by stencil in float64, one axis at a time, with no
+  sparse-sparse product.  Its levels hold 2^-e K, e the exponent of K's
+  largest diagonal entry; the smoothed ones are float32, stored by
+  diagonals (4-byte values and no index arrays in its memory-bound sweeps;
+  level 0 is K's stored diagonals scaled and cast) and set up from the
+  operator they apply, and the coarsest is float64, for its LU.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton, matrix-free in the gradient: the cell gradients B u and
   the gradient B^T flux are applied by stencil from the corner weights,
@@ -358,6 +359,10 @@ class _Dia(NamedTuple):
         _dia_matvec(n, n, len(self.offsets), self.data.shape[1], self.offsets, self.data, v, out)
         return out
 
+    def diagonal(self):
+        n, k = self.shape[0], np.flatnonzero(self.offsets == 0)
+        return self.data[k[0], :n].copy() if k.size else np.zeros(n, self.data.dtype)
+
     def csc(self):
         """(data, indices, indptr): the CSC arrays of ``dia_matrix.tocsc()``,
         each column's nonzero entries with their rows ascending (offsets
@@ -375,9 +380,9 @@ class _SymmetricDia:
     """A symmetric matrix stored by its diagonals of offset >= 0 alone,
     offsets ascending from the main diagonal, each a full row laid out as a
     ``dia_matrix`` row (A[c - o, c] at column c).  It reads like a
-    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``full()``
-    (every diagonal, a ``_Dia``, offsets ascending) and ``todia()`` (that
-    ``scipy.sparse.dia_matrix``, for the tests).
+    dia_matrix: ``A @ v``, ``diagonal()``, ``ldexp(e, dtype)`` (2^e A in
+    dtype), ``full()`` (every diagonal, a ``_Dia``, offsets ascending) and
+    ``todia()`` (that ``scipy.sparse.dia_matrix``, for the tests).
 
     The lower diagonal -o is the stored row o from column o on: A[c + o, c]
     = A[c, c + o].  ``A @ v`` applies the lower diagonals one at a time
@@ -424,8 +429,10 @@ class _SymmetricDia:
     def diagonal(self):
         return self.data[0].copy()
 
-    def astype(self, dtype):
-        return _SymmetricDia(self.data.astype(dtype), self.offsets)
+    def ldexp(self, e, dtype):
+        """2^e A in dtype, each value rounded once from float64 (no float64
+        copy is made)."""
+        return _SymmetricDia(np.ldexp(self.data, e, out=np.empty(self.data.shape, dtype)), self.offsets)
 
     def full(self):
         offsets = np.concatenate([-self.offsets[:0:-1], self.offsets])
@@ -566,13 +573,18 @@ def _positive_diagonal(A):
 # bound and a preconditioner need not be exact: float32 values cost no CG
 # iterations on the checkerboard at k <= 4 (up to 13 on some random-tile
 # cells), and the residual, the stopping test and the energy stay float64, so
-# the solution still meets TOL_RESIDUAL.  A level operator is a 3^N-point
+# the solution still meets TOL_RESIDUAL.  The levels hold 2^-e K, K's largest
+# diagonal entry scaled into [0.5, 1), so the float32 range limits no
+# coefficient scale that float64 K takes.  A level operator is a 3^N-point
 # stencil on its node grid (a 2 x 2 block of them on the augmented levels),
 # so it has few diagonals and is stored by them: a DIA product streams the
 # values alone, with no column indices.  Level 0 is K's ``_SymmetricDia``
-# cast, each coupling stored once; the augmented levels keep the full DIA
-# layout: in a prototype, applying their diagonals one at a time cost more
-# time than it saved.
+# scaled and cast, each coupling stored once; the augmented levels keep the
+# full DIA layout: in a prototype, applying their diagonals one at a time
+# cost more time than it saved.  Level 0's Chebyshev bound is taken on
+# float64 K: on K cast it moved by about 1e-6 relative in a prototype, which
+# changed the CG counts of random-tile cells where it is short of the
+# largest eigenvalue.
 
 _COARSE_UNKNOWNS = 1500   # factor directly at or below this size
 _CHEB_DEGREE = 3
@@ -604,7 +616,7 @@ class _Csr(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """One smoothed level of the V-cycle; every array is float32."""
+    """One smoothed level of the V-cycle, for 2^-e K; every array is float32."""
 
     A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _Dia
     dinv: np.ndarray     # inverse diagonal of A
@@ -678,10 +690,11 @@ def _flat_offset(o, shape):
     return sum(oa * math.prod(shape[a + 1:]) for a, oa in enumerate(o))
 
 
-def _dia_stencil(A, shape):
-    """o -> a_o of the ``_SymmetricDia`` A on the node grid shape, as a new
-    array.  A lower coupling (flat offset f < 0) is read from the stored row
-    -f at the node itself: A[x, x + f] = A[x + f, x], kept at column x."""
+def _dia_stencil(A, shape, e):
+    """o -> the stencil array of 2^e A, for the ``_SymmetricDia`` A on the
+    node grid shape, as a new array.  A lower coupling (flat offset f < 0) is
+    read from the stored row -f at the node itself: A[x, x + f] = A[x + f, x],
+    kept at column x."""
     rows = {int(f): k for k, f in enumerate(A.offsets)}
 
     def a(o):
@@ -690,7 +703,7 @@ def _dia_stencil(A, shape):
         k = rows.get(abs(f))
         if box is not None and k is not None:
             x, y = box  # DIA keeps A[c - f, c] at column c
-            out[x] = A.data[k].reshape(shape)[y if f >= 0 else x]
+            np.ldexp(A.data[k].reshape(shape)[y if f >= 0 else x], e, out=out[x])
         return out
     return a
 
@@ -757,13 +770,13 @@ def _galerkin(a, shape, symmetric):
 _SYMMETRIC = (True, False, True)  # of the blocks A11, A21, A22
 
 
-def _augmented_blocks(K, shape, sign):
-    """The stencils of A11 = P^T K P, A21 = P^T S K P and A22 = P^T S K S P,
-    the blocks of [P, S P]^T K [P, S P] with S = diag(sign), and the coarse
-    shape.  S K has the stencil sign(x) a_o(x) and S K S the stencil
-    (-1)^(sum o) a_o: the signs enter the first pass one stencil array at a
-    time, and no signed copy of K is built."""
-    a = _dia_stencil(K, shape)
+def _augmented_blocks(K, shape, sign, e):
+    """The stencils of A11 = P^T A P, A21 = P^T S A P and A22 = P^T S A S P,
+    the blocks of [P, S P]^T A [P, S P] for A = 2^e K and S = diag(sign),
+    and the coarse shape.  S A has the stencil sign(x) a_o(x) and S A S the
+    stencil (-1)^(sum o) a_o: the signs enter the first pass one stencil
+    array at a time, and no signed copy of K is built."""
+    a = _dia_stencil(K, shape, e)
 
     def sk(o):
         v = a(o)
@@ -788,75 +801,51 @@ def _coarse_blocks(blocks, shape):
     return (A11, A21, A22), coarse
 
 
-class _BlockStencil:
-    """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the node
-    grid shape, kept as the float64 stencils of its blocks and read like a
-    dia_matrix: ``A @ v`` in float64, ``diagonal()``, ``astype(dtype)`` (a
-    ``_Dia``, offsets ascending) and ``full()`` (the float64 one).
+def _block_dia(blocks, shape, dtype):
+    """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the
+    node grid shape, from the float64 stencils of its blocks, as a ``_Dia``
+    of dtype (offsets ascending), each value rounded once.
 
     Stencil offset o of a block with flat offset f couples node i to node
     i + f of the flattened grid: A[i, i + f] = a_o[i], and for A21^T
     a21_(-o)[i + f].  A stencil array is zero where x + o is off the grid, so
     it is read over the whole flat range; where offsets of different blocks
     share a diagonal, all but one of them read zero at each entry.  An
-    all-zero stencil array adds no diagonal.  The product adds each row's
-    terms in ascending offset order, as a DIA product does, so it is bitwise
-    that of ``full()``, which is not built.
+    all-zero stencil array adds no diagonal.
     """
-
-    def __init__(self, blocks, shape):
-        A11, A21, A22 = self.blocks = blocks
-        self.center = (0,) * len(shape)
-        n = self.n = math.prod(shape)
-        self.shape = (2 * n, 2 * n)
-        diagonals = {}  # DIA offset -> [(row block, column block, f, values at rows i or at i + f)]
-        for o in itertools.product((-1, 0, 1), repeat=len(shape)):
-            if _box(o, shape) is None:
-                continue
-            f = _flat_offset(o, shape)
-            pieces = ((0, 0, A11[o], 0), (0, 1, A21[tuple(-v for v in o)], f),
-                      (1, 0, A21[o], 0), (1, 1, A22[o], 0))
-            for bi, bj, a, shift in pieces:
-                if a.any():
-                    diagonals.setdefault((bj - bi) * n + f, []).append(
-                        (bi, bj, f, a.reshape(-1)[max(0, -f) + shift:n - max(0, f) + shift]))
-        self.diagonals = sorted(diagonals.items())
-
-    def __matmul__(self, v):
-        n = self.n
-        v, out = v.reshape(2, n), np.zeros((2, n))
-        for _, pieces in self.diagonals:
-            for bi, bj, f, a in pieces:
-                out[bi, max(0, -f):n - max(0, f)] += a * v[bj, max(0, f):n + min(0, f)]
-        return out.reshape(-1)
-
-    def diagonal(self):
-        A11, _, A22 = self.blocks
-        return np.concatenate([A11[self.center].reshape(-1), A22[self.center].reshape(-1)])
-
-    def astype(self, dtype):
-        n = self.n
-        data = np.zeros((len(self.diagonals), 2, n), dtype=dtype)
-        for diag, (_, pieces) in zip(data, self.diagonals):
-            for _, bj, f, a in pieces:
-                diag[bj, max(0, f):n + min(0, f)] += a  # DIA keeps A[c - F, c] at column c
-        offsets = np.array([f for f, _ in self.diagonals], dtype=np.int32)
-        return _Dia(data.reshape(len(offsets), -1), offsets, self.shape)
-
-    def full(self):
-        return self.astype(np.float64)
+    A11, A21, A22 = blocks
+    n = math.prod(shape)
+    diagonals = {}  # DIA offset -> [(column block, f, values at rows i or at i + f)]
+    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+        if _box(o, shape) is None:
+            continue
+        f = _flat_offset(o, shape)
+        pieces = ((0, 0, A11[o], 0), (0, 1, A21[tuple(-v for v in o)], f),
+                  (1, 0, A21[o], 0), (1, 1, A22[o], 0))
+        for bi, bj, a, shift in pieces:
+            if a.any():
+                diagonals.setdefault((bj - bi) * n + f, []).append(
+                    (bj, f, a.reshape(-1)[max(0, -f) + shift:n - max(0, f) + shift]))
+    offsets = sorted(diagonals)
+    data = np.zeros((len(offsets), 2, n), dtype=dtype)
+    for diag, offset in zip(data, offsets):
+        for bj, f, a in diagonals[offset]:
+            diag[bj, max(0, f):n + min(0, f)] += a  # DIA keeps A[c - F, c] at column c
+    return _Dia(data.reshape(len(offsets), -1), np.array(offsets, dtype=np.int32), (2 * n, 2 * n))
 
 
 def _chebyshev(A, dinv):
     """Interval of the degree-3 Chebyshev smoother on D^-1 A (Adams et al.,
-    JCP 2003), as (theta, delta, sigma), from float64 A and dinv.
+    JCP 2003), as (theta, delta, sigma), from A and dinv = 1 / diag(A), in
+    their precision: CG's float64 K on level 0, below it a level's float32
+    ``_Dia`` with the smoother's own product (no float64 copy of it is made).
 
     The largest eigenvalue comes from power iterations started from a fixed
     vector, so the smoother (and the V-cycle) is deterministic.  The three
     values are Python floats: under numpy 2 promotion a numpy float64 scalar
     would turn the float32 smoothing vectors into float64 ones.
     """
-    v = np.cos(np.arange(A.shape[0]))
+    v = np.cos(np.arange(A.shape[0])).astype(dinv.dtype)
     for _ in range(_POWER_STEPS):
         w = dinv * (A @ v)
         v = w / math.sqrt(_dot(w, w))
@@ -883,6 +872,12 @@ def _smooth(level, b, x=None):
     return x
 
 
+def _smoothed(size, shape):
+    """Whether a level of size unknowns on the node grid shape is smoothed and
+    coarsened again; the coarsest is factored instead."""
+    return size > _COARSE_UNKNOWNS and max(shape) >= 3
+
+
 def _multigrid(K, shape):
     """One symmetric V-cycle for K on the interior node shape, as r -> z.
 
@@ -891,42 +886,43 @@ def _multigrid(K, shape):
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate each half with P', bitwise blockdiag(P', P')
     (unbuilt: a row of it reads its own block alone).  Every coarse
-    operator is a Galerkin product computed by stencil, axis by axis
+    operator is a float64 Galerkin product by stencil, axis by axis
     (``_augmented_blocks`` from K's stored diagonals, then
-    ``_coarse_blocks``), and kept as the float64 stencils of its blocks
-    (``_BlockStencil``): no sparse matrix product is formed and no CSR copy
-    of K is made.
+    ``_coarse_blocks``), with no sparse matrix product.
 
-    Set-up is float64: the Galerkin stencils, the diagonals and the Chebyshev
-    intervals (level 0's from K itself).  Each smoothed level is then kept as
-    a float32 ``_Level``: level 0's operator is K, a ``_SymmetricDia``, cast
-    (its stored diagonals of offset >= 0, each coupling once), and a coarser
-    level's is written straight into float32 diagonals (a ``_Dia``); P is
-    a float32 ``_Csr`` on one copy of its node grid.  The coarsest LU factor
-    stays float64 and casts on the way in and out.  The returned map takes a
-    float64 r to a float64 z through a float32 V-cycle; with no smoothed
-    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) it is the exact
-    float64 LU solve.
+    The levels hold 2^-e K, e the exponent of K's largest diagonal entry
+    (``_precondition`` undoes it).  A smoothed level is a float32 ``_Level``:
+    its operator is K's stored diagonals scaled and cast on level 0, and
+    below it the block stencils written by ``_block_dia``; P is a ``_Csr`` on
+    one copy of its node grid.  A level's inverse diagonal and Chebyshev
+    interval come from the operator the set-up holds: CG's float64 K on
+    level 0, the level's own float32 ``_Dia`` below it.  Only the coarsest
+    level is written in float64, for its LU factor.  With no smoothed level
+    (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is K's exact LU
+    solve.
     """
-    levels = []
-    A = K
+    if not _smoothed(K.shape[0], shape):
+        _positive_diagonal(K)
+        return _lu(K.full()).solve
+    e = math.frexp(float(np.max(K.diagonal())))[1]
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
-    while A.shape[0] > _COARSE_UNKNOWNS and max(shape) >= 3:
-        P, _ = _interpolation(shape)
+    levels, A, stored, shift = [], K, K.ldexp(-e, np.float32), e  # stored = 2^-shift A
+    while True:
         dinv = 1.0 / _positive_diagonal(A)
-        cheb = _chebyshev(A, dinv)
-        S = None if levels else sign.reshape(-1)
-        levels.append(_Level(A.astype(np.float32), dinv.astype(np.float32), cheb, P, S))
+        P, _ = _interpolation(shape)
+        levels.append(_Level(stored, np.ldexp(dinv, shift).astype(np.float32), _chebyshev(A, dinv), P,
+                             None if levels else sign.reshape(-1)))
         if len(levels) == 1:
-            blocks, shape = _augmented_blocks(K, shape, sign)
+            blocks, shape = _augmented_blocks(K, shape, sign, -e)
         else:
-            blocks, shape = _coarse_blocks(A.blocks, shape)
-        A = _BlockStencil(blocks, shape)
-    _positive_diagonal(A)
-    coarse = _lu(A.full())
-    if not levels:
-        return coarse.solve
-    return functools.partial(_precondition, levels, coarse)
+            blocks, shape = _coarse_blocks(blocks, shape)
+        if not _smoothed(2 * math.prod(shape), shape):
+            break
+        A = stored = _block_dia(blocks, shape, np.float32)
+        shift = 0
+    coarse = _block_dia(blocks, shape, np.float64)
+    _positive_diagonal(coarse)
+    return functools.partial(_precondition, levels, _lu(coarse), e)
 
 
 def _lu(A):
@@ -939,16 +935,18 @@ def _lu(A):
                           csc_construct_func=None, ilu=False, options={})
 
 
-def _precondition(levels, coarse, r):
-    """z = M^-1 r for a float64 r, through the float32 V-cycle.
+def _precondition(levels, coarse, e, r):
+    """z = M^-1 r for a float64 r, through the float32 V-cycle on the levels
+    of 2^-e K.
 
-    r is scaled by a power of two (exact, and rounding commutes with it)
-    so that its largest entry lies in [0.5, 1): the float32 range then
-    limits neither a tiny nor a huge residual.
+    r is scaled by a power of two 2^-m (exact, and rounding commutes with
+    it) so that its largest entry lies in [0.5, 1): the float32 range then
+    limits neither a tiny nor a huge residual.  The V-cycle's result is
+    scaled back by 2^(m - e), again exactly.
     """
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1])
-    z = _vcycle(levels, coarse, (r / scale).astype(np.float32))
-    return z.astype(np.float64) * scale
+    m = math.frexp(float(np.max(np.abs(r))))[1]
+    z = _vcycle(levels, coarse, (r / math.ldexp(1.0, m)).astype(np.float32))
+    return np.ldexp(z.astype(np.float64), m - e)
 
 
 def _vcycle(levels, coarse, b, level=0):

@@ -18,6 +18,7 @@ from heishom import (
     checkerboard_coefficient,
     concentration_report,
     matrix_p_integrand,
+    mu_q,
     power_integrand,
     rescale_integrand,
     translate_integrand,
@@ -127,6 +128,28 @@ def test_matrix_integrand_validation():
         MatrixPowerIntegrand(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     F = MatrixPowerIntegrand(np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert F.eig_min > 0 and F.eig_max < 3.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 0), (0, 2, 2), (2, 0, 2, 2, 2)])
+def test_cell_table_rejects_an_empty_table(shape):
+    with pytest.raises(ValueError, match="table must not be empty"):
+        CellTableCoefficient(np.zeros(shape), n=(len(shape) - 1) // 2)
+
+
+@pytest.mark.parametrize("size, n", [(3, 1), (4, 1), (2, 2)])
+def test_matrix_integrand_rejects_a_grid_of_another_size(size, n):
+    """The matrix acts on the 2n horizontal directions; a lookup at points of
+    another group names both sizes instead of failing in numpy's broadcast."""
+    f = MatrixPowerIntegrand(np.eye(size))
+    X = np.zeros((5, 2 * n + 1))
+    with pytest.raises(ValueError, match=rf"{size} x {size} matrix .* 2n = {2 * n} "):
+        f.coefficients_at(X)
+    np.testing.assert_array_equal(MatrixPowerIntegrand(np.eye(2 * n)).coefficients_at(X), np.eye(2 * n))
+
+
+def test_mu_q_of_a_4x4_matrix_at_n1_is_a_value_error():
+    with pytest.raises(ValueError, match=r"4 x 4 matrix .* 2n = 2 "):
+        mu_q(MatrixPowerIntegrand(np.eye(4)), (1.0, 0.0), 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
     np.testing.assert_array_equal(K.diagonal(), full.diagonal())
-    np.testing.assert_array_equal(K.astype(np.float32).data, K.data.astype(np.float32))
+    np.testing.assert_array_equal(K.ldexp(-3, np.float32).data, (K.data * 2.0**-3).astype(np.float32))
 
 
 def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
@@ -549,15 +549,17 @@ class _Float32Only:
 
 def test_multigrid_levels_are_float32(monkeypatch):
     K, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
-    levels, coarse = precond.args
+    levels, coarse, e = precond.args
     assert len(levels) == 1 and K.dtype == np.float64
     level = levels[0]
-    # level 0 is K's stored diagonals cast to float32, at K's offsets (the 14
-    # of offset >= 0, each coupling once); no index arrays
+    # level 0 is 2^-e K's stored diagonals cast to float32, at K's offsets (the
+    # 14 of offset >= 0, each coupling once), its largest diagonal entry in
+    # [0.5, 1); no index arrays
     assert isinstance(K, solve._SymmetricDia) and K.offsets.size == 14
     assert isinstance(level.A, solve._SymmetricDia) and level.A.dtype == level.A.data.dtype == np.float32
     np.testing.assert_array_equal(level.A.offsets, K.offsets)
-    np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
+    np.testing.assert_array_equal(level.A.data, (K.data * 2.0**-e).astype(np.float32))
+    assert 0.5 <= level.A.diagonal().max() < 1.0
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
     for a in (level.dinv, level.P.data, level.sign):
         assert a.dtype == np.float32
@@ -575,6 +577,47 @@ def test_multigrid_levels_are_float32(monkeypatch):
     e = solve._vcycle(checked, coarse, b)
     assert e.dtype == np.float32
     np.testing.assert_array_equal(e, solve._vcycle(levels, coarse, b))
+
+
+def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
+    """Level 0's inverse diagonal and Chebyshev interval come from CG's
+    float64 K, a coarser level's from the float32 ``_Dia`` it stores and
+    smooths with (through the same kernel product).  On the 1/3 checkerboard
+    the coarse levels do not cast to float32 exactly, so the two differ."""
+    f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
+    K, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
+    levels, _, e = precond.args
+    assert len(levels) == 2
+    dinv = 1.0 / K.diagonal()
+    np.testing.assert_array_equal(levels[0].dinv, (dinv * 2.0**e).astype(np.float32))
+    assert levels[0].cheb == solve._chebyshev(K, dinv)
+    for level in levels[1:]:
+        assert type(level.A) is solve._Dia and level.A.data.dtype == np.float32
+        dinv = 1.0 / level.A.diagonal()
+        assert dinv.dtype == np.float32
+        np.testing.assert_array_equal(level.dinv, dinv)
+        assert level.cheb == solve._chebyshev(level.A, dinv)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 1), (3, 2)])
+def test_chebyshev_interval_covers_each_level(monkeypatch, k, depth):
+    """theta + delta, the top of each level's smoothing interval, is at least
+    the largest eigenvalue of D^-1 A for the float32 operator and inverse
+    diagonal the level stores: a mode above it the Chebyshev polynomial
+    amplifies, and the V-cycle need not be definite.  The contrast-4
+    checkerboard; on smooth coefficients the bound still falls short."""
+    from scipy.sparse.linalg import eigsh
+
+    _, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), k, 4)
+    levels = precond.args[0]
+    assert len(levels) == depth
+    for level in levels:
+        A = level.A.todia() if type(level.A) is solve._SymmetricDia else \
+            sp.dia_matrix((level.A.data, level.A.offsets), shape=level.A.shape)
+        h = sp.diags(np.sqrt(level.dinv.astype(np.float64)))
+        lmax = eigsh(h @ A.astype(np.float64) @ h, k=1, which="LA", return_eigenvectors=False)[0]
+        theta, delta, _ = level.cheb
+        assert lmax <= theta + delta
 
 
 def _random_spd_stencil(shape, gen):
@@ -628,40 +671,47 @@ def _kron_interpolation(shape):
 
 def _check_galerkin_levels(K, shape):
     """The first two stencil Galerkin levels of ``_multigrid`` against the sparse
-    products built from scipy's interpolation: [P, S P]^T K [P, S P], then
-    blockdiag(P', P')^T A1 blockdiag(P', P'), each to 1e-14 of its largest entry."""
+    products built from scipy's interpolation: [P, S P]^T A [P, S P] for
+    A = 2^-3 K, then blockdiag(P', P')^T A1 blockdiag(P', P'), each to 1e-14
+    of its largest entry."""
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
     P, (_, coarse) = _kron_interpolation(shape), solve._interpolation(shape)
     Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
-    ref = (Q.T @ K.todia().tocsr() @ Q).tocsr()
-    blocks, got_shape = solve._augmented_blocks(K, shape, sign)
+    ref = (Q.T @ (K.todia().tocsr() * 2.0**-3) @ Q).tocsr()
+    blocks, got_shape = solve._augmented_blocks(K, shape, sign, -3)
     assert got_shape == coarse
-    A1 = solve._BlockStencil(blocks, coarse)
-    _check_level(A1, ref)
+    _check_level(blocks, coarse, ref)
     if max(coarse) < 3:
         return
     P2, (_, coarse2) = _kron_interpolation(coarse), solve._interpolation(coarse)
     Q2 = sp.block_diag((P2, P2), format="csr")
     blocks2, got_shape2 = solve._coarse_blocks(blocks, coarse)
     assert got_shape2 == coarse2
-    _check_level(solve._BlockStencil(blocks2, coarse2), (Q2.T @ ref @ Q2).tocsr())
+    _check_level(blocks2, coarse2, (Q2.T @ ref @ Q2).tocsr())
 
 
-def _check_level(A, ref):
-    """A ``_BlockStencil`` level against its sparse product ref: its diagonals
-    (a ``_Dia``), its diagonal, and its float64 product, bitwise that of its
-    diagonals by scipy and by the kernel."""
-    full = A.full()
-    assert type(full) is solve._Dia and full.offsets.dtype == np.int32
+def _check_level(blocks, shape, ref):
+    """The level ``_block_dia`` writes from the block stencils against its
+    sparse product ref: its float64 diagonals (a ``_Dia``), their diagonal
+    and kernel product; its float32 diagonals, the float64 ones cast, their
+    diagonal and kernel product."""
+    full = solve._block_dia(blocks, shape, np.float64)
+    assert type(full) is solve._Dia and full.offsets.dtype == np.int32 and full.data.dtype == np.float64
     D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
-    assert D.shape == A.shape == ref.shape
+    assert D.shape == ref.shape
     assert np.all(np.diff(D.offsets) > 0)
     assert abs(D.tocsr() - ref).max() <= 1e-14 * abs(ref).max()
-    np.testing.assert_array_equal(A.diagonal(), D.diagonal())
-    np.testing.assert_array_equal(A.astype(np.float32).data, D.data.astype(np.float32))
-    v = np.cos(np.arange(A.shape[0]))  # the start of the power iterations
-    np.testing.assert_array_equal(A @ v, D @ v)
+    np.testing.assert_array_equal(full.diagonal(), D.diagonal())
+    single = solve._block_dia(blocks, shape, np.float32)
+    assert type(single) is solve._Dia and single.shape == full.shape and single.data.dtype == np.float32
+    np.testing.assert_array_equal(single.offsets, full.offsets)
+    np.testing.assert_array_equal(single.data, D.data.astype(np.float32))
+    np.testing.assert_array_equal(single.diagonal(), D.diagonal().astype(np.float32))
+    v = np.cos(np.arange(full.shape[0]))  # the start of the power iterations
     np.testing.assert_array_equal(full @ v, D @ v)
+    D32 = sp.dia_matrix((single.data, single.offsets), shape=single.shape)
+    for x in (v, v.astype(np.float32)):  # the bound's and the smoother's products
+        _assert_bitwise(single @ x, D32 @ x)
 
 
 @settings(max_examples=120, deadline=None)
@@ -846,6 +896,17 @@ def test_float32_range_does_not_limit_the_slope(e):
     sol = mu_q(CHECKER, (2.0 ** e, 0.0), 2, 4)
     assert sol.converged and sol.iterations == base.iterations
     assert sol.energy == base.energy * 2.0 ** (2 * e)
+
+
+@pytest.mark.parametrize("e", [-140, 130])
+def test_float32_range_does_not_limit_the_coefficient(e):
+    """mu_q is linear in the coefficient, and scaling it by an even power of
+    two scales K exactly; the float32 levels (two smoothed at k = 3) must not
+    underflow or overflow where CG's float64 K does not."""
+    base = mu_q(CHECKER, (1.0, 0.0), 3, 4)
+    sol = mu_q(power_integrand(checkerboard_coefficient(2.0 ** e, 2.0 ** (e + 2)), 2.0), (1.0, 0.0), 3, 4)
+    assert sol.converged and sol.iterations == base.iterations
+    assert sol.energy == base.energy * 2.0 ** e
 
 
 _CG_FINGERPRINT = """

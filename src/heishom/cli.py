@@ -50,6 +50,7 @@ from .stochastic import (
     RandomTileCoefficient,
     TwoPointLaw,
     UniformLaw,
+    check_concentration_inputs,
     concentration_report,
     monte_carlo_effective,
 )
@@ -209,18 +210,32 @@ def _expr_coefficient(spec, n):
             raise ConfigError(f"cannot evaluate expr: {exc}") from None
         return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
 
-    return SmoothCoefficient(
-        fn,
-        a_min=_number(spec, "a_min", 0.0),
-        a_max=_number(spec, "a_max", np.inf),
-        h_periodic=bool(spec.get("h_periodic", False)),
-    )
+    return SmoothCoefficient(fn, a_min=_number(spec, "a_min", 0.0), a_max=_number(spec, "a_max", np.inf))
 
 
-def _object(spec, what):
+# what -> (the key that names an object's type, type -> the other keys it takes)
+_SPEC_KEYS = {
+    "integrand": ("type", {"power": ("alpha", "coefficient"), "matrix_p": ("matrix", "p")}),
+    "coefficient": ("type", {"constant": ("value",), "checkerboard": ("lo", "hi"), "cell_table": ("table",),
+                             "smooth_expr": ("expr", "a_min", "a_max"), "random_tiles": ("law", "seed")}),
+    "law": ("kind", {"uniform": ("lo", "hi"), "two_point": ("a", "b", "prob")}),
+}
+
+
+def _object(spec, what, default=None):
+    """The type of the config object spec (default if it names none), after
+    checking that spec is a JSON object of a known type holding only that
+    type's keys."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
-    return spec
+    tag, types = _SPEC_KEYS[what]
+    kind = spec.get(tag, default)
+    if not isinstance(kind, str) or kind not in types:
+        raise ConfigError(f"unknown {what} {tag} {kind!r}")
+    extra = set(spec) - {tag, *types[kind]}
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    return kind
 
 
 def _number(spec, key, default=None):
@@ -243,7 +258,7 @@ def _array(spec, key, what):
 
 
 def coefficient_from_spec(spec: dict, n: int):
-    kind = _object(spec, "coefficient").get("type")
+    kind = _object(spec, "coefficient")
     if kind == "constant":
         return ConstantCoefficient(_number(spec, "value", 1.0))
     if kind == "checkerboard":
@@ -252,35 +267,29 @@ def coefficient_from_spec(spec: dict, n: int):
         return CellTableCoefficient(_array(spec, "table", "cell_table"), n=n)
     if kind == "smooth_expr":
         return _expr_coefficient(spec, n)
-    if kind == "random_tiles":
-        law = law_from_spec(spec.get("law", {"kind": "uniform", "lo": 1.0, "hi": 2.0}))
-        seed = spec.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"'seed' must be a non-negative integer in {spec!r}")
-        return RandomTileCoefficient(law, seed, n=n)
-    raise ConfigError(f"unknown coefficient type {kind!r}")
+    # random_tiles
+    law = law_from_spec(spec.get("law", {"kind": "uniform", "lo": 1.0, "hi": 2.0}))
+    seed = spec.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer in {spec!r}")
+    return RandomTileCoefficient(law, seed)
 
 
 def integrand_from_spec(spec: dict, n: int):
-    kind = _object(spec, "integrand").get("type", "power")
-    if kind == "power":
+    if _object(spec, "integrand", "power") == "power":
         coeff = coefficient_from_spec(spec.get("coefficient", {"type": "constant", "value": 1.0}), n)
         return PowerIntegrand(coeff, alpha=_number(spec, "alpha", 2.0))
-    if kind == "matrix_p":
-        matrix, m = _array(spec, "matrix", "matrix_p"), GroupParams(n).m
-        if matrix.shape != (m, m):
-            raise ConfigError(f"matrix_p 'matrix' must be 2n x 2n = {m} x {m}, got shape {matrix.shape}")
-        return MatrixPowerIntegrand(matrix, p=_number(spec, "p", 2.0))
-    raise ConfigError(f"unknown integrand type {kind!r}")
+    # matrix_p
+    matrix, m = _array(spec, "matrix", "matrix_p"), GroupParams(n).m
+    if matrix.shape != (m, m):
+        raise ConfigError(f"matrix_p 'matrix' must be 2n x 2n = {m} x {m}, got shape {matrix.shape}")
+    return MatrixPowerIntegrand(matrix, p=_number(spec, "p", 2.0))
 
 
 def law_from_spec(spec: dict):
-    kind = _object(spec, "law").get("kind")
-    if kind == "uniform":
+    if _object(spec, "law") == "uniform":
         return UniformLaw(_number(spec, "lo"), _number(spec, "hi"))
-    if kind == "two_point":
-        return TwoPointLaw(_number(spec, "a"), _number(spec, "b"), _number(spec, "prob", 0.5))
-    raise ConfigError(f"unknown law kind {spec.get('kind')!r}")
+    return TwoPointLaw(_number(spec, "a"), _number(spec, "b"), _number(spec, "prob", 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +411,8 @@ def _cmd_sweep(cfg, args):
 
 def _cmd_stochastic(cfg, args):
     law = law_from_spec(cfg.law)
+    if cfg.delta:  # 0 turns the report off; its inputs are checked before any solve
+        check_concentration_inputs(cfg.delta, cfg.n_samples, len(cfg.k_list))
     mc = monte_carlo_effective(
         law, cfg.q, k_list=cfg.k_list, n_samples=cfg.n_samples,
         base_seed=cfg.base_seed, alpha=cfg.alpha, M=cfg.M, n=cfg.n,

@@ -22,14 +22,15 @@ Three routes:
   (``_multigrid``), to a relative residual tolerance.  K is symmetric and
   stored once per coupling, by its diagonals of offset >= 0
   (``_SymmetricDia``, whose product is bitwise that of the full DIA
-  matrix).  CG runs on that float64 K; its residual, its stopping test and
-  the energy are float64.  The V-cycle's coarse operators are Galerkin
-  products computed by stencil in float64, one axis at a time, with no
-  sparse-sparse product.  Its levels hold 2^-e K, e the exponent of K's
-  largest diagonal entry; the smoothed ones are float32, stored by
-  diagonals (4-byte values and no index arrays in its memory-bound sweeps;
-  level 0 is K's stored diagonals scaled and cast) and set up from the
-  operator they apply, and the coarsest is float64, for its LU.
+  matrix).  K and rhs are scaled once by 2^-e, e the exponent of K's
+  largest diagonal entry (exact, so CG's iterates do not change), and CG
+  runs on that float64 K; its residual, its stopping test and the energy
+  are float64.  The V-cycle's coarse operators are Galerkin products
+  computed by stencil in float64, one axis at a time, with no sparse-sparse
+  product.  Its smoothed levels are float32, stored by diagonals (4-byte
+  values and no index arrays in its memory-bound sweeps; level 0 is K's
+  stored diagonals cast) and set up from the operator they apply, and the
+  coarsest is float64, for its LU.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton, matrix-free in the gradient: the cell gradients B u and
   the gradient B^T flux are applied by stencil from the corner weights,
@@ -267,6 +268,29 @@ def _cell_gradients(grid, W, u, order):
     return G
 
 
+def _box(o, shape):
+    """The nodes x with x + o on the grid, as slices, and the nodes x + o; None
+    if there are none."""
+    xs, ys = [], []
+    for oa, n in zip(o, shape):
+        lo, hi = max(0, -oa), n - max(0, oa)
+        if hi <= lo:
+            return None
+        xs.append(slice(lo, hi))
+        ys.append(slice(lo + oa, hi + oa))
+    return tuple(xs), tuple(ys)
+
+
+def _flat_offset(o, shape):
+    return sum(oa * math.prod(shape[a + 1:]) for a, oa in enumerate(o))
+
+
+def _corner_cells(nodes, c):
+    """The cells whose corner c is at the interior nodes ``nodes`` (slices of
+    the interior node grid): the nodes shifted by 1 - c."""
+    return tuple(slice(x.start + 1 - ca, x.stop + 1 - ca) for x, ca in zip(nodes, c))
+
+
 def _interior_transpose(grid, W, v):
     """(B^T v) on the interior nodes (flat, in ``interior_flat`` order) for
     per-cell values v of shape the cell shape + (m,).  A node adds its cells
@@ -274,18 +298,17 @@ def _interior_transpose(grid, W, v):
     to 0.0: the order of the CSC product ``gradient_operator(grid).T @ v``,
     which this is bitwise for the weights W of ``_corner_weights``."""
     corners, _ = _corner_signs(grid.N)
-    cells = grid.cell_shape
-    R = np.zeros(tuple(s - 1 for s in cells))
+    R = np.zeros(tuple(s - 1 for s in grid.cell_shape))
     term = np.empty(R.shape)
     v_a = [v[..., a] for a in range(grid.m)]
+    box = _box((0,) * grid.N, R.shape)  # every interior node
+    if box is None:
+        return R.reshape(-1)
     for i in reversed(range(len(corners))):
-        box = _pair_box(corners[i], corners[i], cells)
-        if box is not None:
-            cell_box, nodes = box
-            at = R[nodes]
-            for a, v_at in enumerate(v_a):
-                np.multiply(W[i][a][cell_box], v_at[cell_box], out=term)
-                np.add(at, term, out=at)
+        cells = _corner_cells(box[0], corners[i])
+        for a, v_at in enumerate(v_a):
+            np.multiply(W[i][a][cells], v_at[cells], out=term)
+            np.add(R, term, out=R)
     return R.reshape(-1)
 
 
@@ -330,20 +353,6 @@ def _weighted_corners(grid, S, w):
     return V
 
 
-def _pair_box(ci, cj, cell_shape):
-    """The cells whose corners ci and cj are both interior nodes, as slices of
-    the cell grid, and the interior nodes at their corner cj; None if no cell
-    has both."""
-    cells, nodes = [], []
-    for a, size in enumerate(cell_shape):
-        lo, hi = 1 - min(ci[a], cj[a]), size - max(ci[a], cj[a])
-        if hi <= lo:
-            return None
-        cells.append(slice(lo, hi))
-        nodes.append(slice(lo + cj[a] - 1, hi + cj[a] - 1))
-    return tuple(cells), tuple(nodes)
-
-
 class _Dia(NamedTuple):
     """A square matrix by its diagonals in scipy's DIA layout (row k holds
     A[c - offsets[k], c] at column c, offsets ascending), applied by the
@@ -380,9 +389,9 @@ class _SymmetricDia:
     """A symmetric matrix stored by its diagonals of offset >= 0 alone,
     offsets ascending from the main diagonal, each a full row laid out as a
     ``dia_matrix`` row (A[c - o, c] at column c).  It reads like a
-    dia_matrix: ``A @ v``, ``diagonal()``, ``ldexp(e, dtype)`` (2^e A in
-    dtype), ``full()`` (every diagonal, a ``_Dia``, offsets ascending) and
-    ``todia()`` (that ``scipy.sparse.dia_matrix``, for the tests).
+    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``full()``
+    (every diagonal, a ``_Dia``, offsets ascending) and ``todia()`` (that
+    ``scipy.sparse.dia_matrix``, for the tests).
 
     The lower diagonal -o is the stored row o from column o on: A[c + o, c]
     = A[c, c + o].  ``A @ v`` applies the lower diagonals one at a time
@@ -429,10 +438,8 @@ class _SymmetricDia:
     def diagonal(self):
         return self.data[0].copy()
 
-    def ldexp(self, e, dtype):
-        """2^e A in dtype, each value rounded once from float64 (no float64
-        copy is made)."""
-        return _SymmetricDia(np.ldexp(self.data, e, out=np.empty(self.data.shape, dtype)), self.offsets)
+    def astype(self, dtype):
+        return _SymmetricDia(self.data.astype(dtype), self.offsets)
 
     def full(self):
         offsets = np.concatenate([-self.offsets[:0:-1], self.offsets])
@@ -454,19 +461,18 @@ def _normal_matrix(grid, V):
     """
     corners, _ = _corner_signs(grid.N)
     inner = tuple(s - 1 for s in grid.cell_shape)
-    strides = [math.prod(inner[a + 1:]) for a in range(grid.N)]
-    upper = {0: []}  # offset >= 0 -> [(i, j, box)], i descending; offset 0 even with no interior
+    upper = {0: []}  # offset >= 0 -> [(i, j, cells, nodes)], i descending; offset 0 even with no interior
     for i in reversed(range(len(corners))):
         for j, cj in enumerate(corners):
-            box = _pair_box(corners[i], cj, grid.cell_shape)
-            offset = sum((b - a) * s for a, b, s in zip(corners[i], cj, strides))
-            if box is not None and offset >= 0:  # with a box: offset > 0 iff c_j - c_i > 0 (lexicographic)
-                upper.setdefault(offset, []).append((i, j, box))
+            o = tuple(b - a for a, b in zip(corners[i], cj))
+            box, offset = _box(o, inner), _flat_offset(o, inner)
+            if box is not None and offset >= 0:  # with a box: offset > 0 iff o > 0 (lexicographic)
+                upper.setdefault(offset, []).append((i, j, _corner_cells(box[0], corners[i]), box[1]))
     offsets = sorted(upper)
     data = np.zeros((len(offsets), math.prod(inner)))
     for diag, offset in zip(data, offsets):
-        at = diag.reshape(inner)  # DIA keeps entry (col - offset, col) at column col
-        for i, j, (cells, nodes) in upper[offset]:
+        at = diag.reshape(inner)  # DIA keeps entry (col - offset, col) at column col: nodes at corner j
+        for i, j, cells, nodes in upper[offset]:
             for a in range(grid.m):
                 at[nodes] += V[i, a][cells] * V[j, a][cells]
     return _SymmetricDia(data, offsets)
@@ -573,13 +579,13 @@ def _positive_diagonal(A):
 # bound and a preconditioner need not be exact: float32 values cost no CG
 # iterations on the checkerboard at k <= 4 (up to 13 on some random-tile
 # cells), and the residual, the stopping test and the energy stay float64, so
-# the solution still meets TOL_RESIDUAL.  The levels hold 2^-e K, K's largest
-# diagonal entry scaled into [0.5, 1), so the float32 range limits no
+# the solution still meets TOL_RESIDUAL.  ``_solve_quadratic`` puts K's
+# largest diagonal entry in [0.5, 1), so the float32 range limits no
 # coefficient scale that float64 K takes.  A level operator is a 3^N-point
 # stencil on its node grid (a 2 x 2 block of them on the augmented levels),
 # so it has few diagonals and is stored by them: a DIA product streams the
 # values alone, with no column indices.  Level 0 is K's ``_SymmetricDia``
-# scaled and cast, each coupling stored once; the augmented levels keep the
+# cast, each coupling stored once; the augmented levels keep the
 # full DIA layout: in a prototype, applying their diagonals one at a time
 # cost more time than it saved.  Level 0's Chebyshev bound is taken on
 # float64 K: on K cast it moved by about 1e-6 relative in a prototype, which
@@ -616,7 +622,7 @@ class _Csr(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """One smoothed level of the V-cycle, for 2^-e K; every array is float32."""
+    """One smoothed level of the V-cycle, for the normalised K; every array is float32."""
 
     A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _Dia
     dinv: np.ndarray     # inverse diagonal of A
@@ -673,28 +679,11 @@ def _interpolation(shape):
 _WEIGHTS = {-1: 0.5, 0: 1.0, 1: 0.5}  # coarse node I of an axis sits at fine node 2I + 1
 
 
-def _box(o, shape):
-    """The nodes x with x + o on the grid, as slices, and the nodes x + o; None
-    if there are none."""
-    xs, ys = [], []
-    for oa, n in zip(o, shape):
-        lo, hi = max(0, -oa), n - max(0, oa)
-        if hi <= lo:
-            return None
-        xs.append(slice(lo, hi))
-        ys.append(slice(lo + oa, hi + oa))
-    return tuple(xs), tuple(ys)
-
-
-def _flat_offset(o, shape):
-    return sum(oa * math.prod(shape[a + 1:]) for a, oa in enumerate(o))
-
-
-def _dia_stencil(A, shape, e):
-    """o -> the stencil array of 2^e A, for the ``_SymmetricDia`` A on the
-    node grid shape, as a new array.  A lower coupling (flat offset f < 0) is
-    read from the stored row -f at the node itself: A[x, x + f] = A[x + f, x],
-    kept at column x."""
+def _dia_stencil(A, shape):
+    """o -> the stencil array of the ``_SymmetricDia`` A on the node grid
+    shape, as a new array.  A lower coupling (flat offset f < 0) is read from
+    the stored row -f at the node itself: A[x, x + f] = A[x + f, x], kept at
+    column x."""
     rows = {int(f): k for k, f in enumerate(A.offsets)}
 
     def a(o):
@@ -703,7 +692,7 @@ def _dia_stencil(A, shape, e):
         k = rows.get(abs(f))
         if box is not None and k is not None:
             x, y = box  # DIA keeps A[c - f, c] at column c
-            np.ldexp(A.data[k].reshape(shape)[y if f >= 0 else x], e, out=out[x])
+            out[x] = A.data[k].reshape(shape)[y if f >= 0 else x]
         return out
     return a
 
@@ -770,13 +759,13 @@ def _galerkin(a, shape, symmetric):
 _SYMMETRIC = (True, False, True)  # of the blocks A11, A21, A22
 
 
-def _augmented_blocks(K, shape, sign, e):
-    """The stencils of A11 = P^T A P, A21 = P^T S A P and A22 = P^T S A S P,
-    the blocks of [P, S P]^T A [P, S P] for A = 2^e K and S = diag(sign),
-    and the coarse shape.  S A has the stencil sign(x) a_o(x) and S A S the
-    stencil (-1)^(sum o) a_o: the signs enter the first pass one stencil
-    array at a time, and no signed copy of K is built."""
-    a = _dia_stencil(K, shape, e)
+def _augmented_stencils(K, shape, sign):
+    """The stencil readers o -> array of K, S K and S K S, S = diag(sign),
+    whose ``_coarse_blocks`` are the blocks of [P, S P]^T K [P, S P].  S K
+    has the stencil sign(x) a_o(x) and S K S the stencil (-1)^(sum o) a_o:
+    the signs enter the first pass one stencil array at a time, and no
+    signed copy of K is built."""
+    a = _dia_stencil(K, shape)
 
     def sk(o):
         v = a(o)
@@ -786,25 +775,22 @@ def _augmented_blocks(K, shape, sign, e):
     def sks(o):
         v = a(o)
         return np.negative(v, out=v) if sum(o) % 2 else v
+    return a, sk, sks
 
+
+def _coarse_blocks(stencils, shape):
+    """The blocks (A11, A21, A22) of the next level, as stencil readers o ->
+    array, and its shape: the ``_galerkin`` product of each of the three
+    ``stencils``, ``_augmented_stencils`` or the blocks of a coarse level."""
     (A11, coarse), (A21, _), (A22, _) = (
-        _galerkin(b, shape, sym) for b, sym in zip((a, sk, sks), _SYMMETRIC))
-    return (A11, A21, A22), coarse
-
-
-def _coarse_blocks(blocks, shape):
-    """The stencils of blockdiag(P, P)^T A blockdiag(P, P) for the augmented
-    level A with the stencil blocks (A11, A21, A22): each block's Galerkin
-    product, and the coarse shape."""
-    (A11, coarse), (A21, _), (A22, _) = (
-        _galerkin(b.__getitem__, shape, sym) for b, sym in zip(blocks, _SYMMETRIC))
-    return (A11, A21, A22), coarse
+        _galerkin(b, shape, sym) for b, sym in zip(stencils, _SYMMETRIC))
+    return (A11.__getitem__, A21.__getitem__, A22.__getitem__), coarse
 
 
 def _block_dia(blocks, shape, dtype):
     """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the
-    node grid shape, from the float64 stencils of its blocks, as a ``_Dia``
-    of dtype (offsets ascending), each value rounded once.
+    node grid shape, from the float64 stencil readers of its blocks, as a
+    ``_Dia`` of dtype (offsets ascending), each value rounded once.
 
     Stencil offset o of a block with flat offset f couples node i to node
     i + f of the flattened grid: A[i, i + f] = a_o[i], and for A21^T
@@ -820,8 +806,8 @@ def _block_dia(blocks, shape, dtype):
         if _box(o, shape) is None:
             continue
         f = _flat_offset(o, shape)
-        pieces = ((0, 0, A11[o], 0), (0, 1, A21[tuple(-v for v in o)], f),
-                  (1, 0, A21[o], 0), (1, 1, A22[o], 0))
+        pieces = ((0, 0, A11(o), 0), (0, 1, A21(tuple(-v for v in o)), f),
+                  (1, 0, A21(o), 0), (1, 1, A22(o), 0))
         for bi, bj, a, shift in pieces:
             if a.any():
                 diagonals.setdefault((bj - bi) * n + f, []).append(
@@ -886,15 +872,14 @@ def _multigrid(K, shape):
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate each half with P', bitwise blockdiag(P', P')
     (unbuilt: a row of it reads its own block alone).  Every coarse
-    operator is a float64 Galerkin product by stencil, axis by axis
-    (``_augmented_blocks`` from K's stored diagonals, then
-    ``_coarse_blocks``), with no sparse matrix product.
+    operator is a float64 Galerkin product by stencil, axis by axis, with no
+    sparse matrix product: ``_coarse_blocks`` builds each level from the
+    stencil readers of the one above it, first ``_augmented_stencils(K)``.
 
-    The levels hold 2^-e K, e the exponent of K's largest diagonal entry
-    (``_precondition`` undoes it).  A smoothed level is a float32 ``_Level``:
-    its operator is K's stored diagonals scaled and cast on level 0, and
-    below it the block stencils written by ``_block_dia``; P is a ``_Csr`` on
-    one copy of its node grid.  A level's inverse diagonal and Chebyshev
+    K is normalised (``_solve_quadratic``).  A smoothed level is a float32
+    ``_Level``: its operator is K's stored diagonals cast on level 0, and
+    below it the block stencils written by ``_block_dia``; P is a ``_Csr``
+    on one copy of its node grid.  A level's inverse diagonal and Chebyshev
     interval come from the operator the set-up holds: CG's float64 K on
     level 0, the level's own float32 ``_Dia`` below it.  Only the coarsest
     level is written in float64, for its LU factor.  With no smoothed level
@@ -904,25 +889,20 @@ def _multigrid(K, shape):
     if not _smoothed(K.shape[0], shape):
         _positive_diagonal(K)
         return _lu(K.full()).solve
-    e = math.frexp(float(np.max(K.diagonal())))[1]
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
-    levels, A, stored, shift = [], K, K.ldexp(-e, np.float32), e  # stored = 2^-shift A
+    levels, A, stored, stencils = [], K, K.astype(np.float32), _augmented_stencils(K, shape, sign)
     while True:
         dinv = 1.0 / _positive_diagonal(A)
         P, _ = _interpolation(shape)
-        levels.append(_Level(stored, np.ldexp(dinv, shift).astype(np.float32), _chebyshev(A, dinv), P,
+        levels.append(_Level(stored, dinv.astype(np.float32), _chebyshev(A, dinv), P,
                              None if levels else sign.reshape(-1)))
-        if len(levels) == 1:
-            blocks, shape = _augmented_blocks(K, shape, sign, -e)
-        else:
-            blocks, shape = _coarse_blocks(blocks, shape)
+        stencils, shape = _coarse_blocks(stencils, shape)  # rebound: frees the finer level's stencils
         if not _smoothed(2 * math.prod(shape), shape):
             break
-        A = stored = _block_dia(blocks, shape, np.float32)
-        shift = 0
-    coarse = _block_dia(blocks, shape, np.float64)
+        A = stored = _block_dia(stencils, shape, np.float32)
+    coarse = _block_dia(stencils, shape, np.float64)
     _positive_diagonal(coarse)
-    return functools.partial(_precondition, levels, _lu(coarse), e)
+    return functools.partial(_precondition, levels, _lu(coarse))
 
 
 def _lu(A):
@@ -935,18 +915,17 @@ def _lu(A):
                           csc_construct_func=None, ilu=False, options={})
 
 
-def _precondition(levels, coarse, e, r):
-    """z = M^-1 r for a float64 r, through the float32 V-cycle on the levels
-    of 2^-e K.
+def _precondition(levels, coarse, r):
+    """z = M^-1 r for a float64 r, through the float32 V-cycle on the levels.
 
     r is scaled by a power of two 2^-m (exact, and rounding commutes with
     it) so that its largest entry lies in [0.5, 1): the float32 range then
     limits neither a tiny nor a huge residual.  The V-cycle's result is
-    scaled back by 2^(m - e), again exactly.
+    scaled back by 2^m, again exactly.
     """
     m = math.frexp(float(np.max(np.abs(r))))[1]
     z = _vcycle(levels, coarse, (r / math.ldexp(1.0, m)).astype(np.float32))
-    return np.ldexp(z.astype(np.float64), m - e)
+    return np.ldexp(z.astype(np.float64), m)
 
 
 def _vcycle(levels, coarse, b, level=0):
@@ -1015,9 +994,11 @@ def _pcg(K, rhs, x0, preconditioner, tol_rel, max_iter):
 def _solve_quadratic(problem, S, trace):
     """Assemble the normal system K x = rhs and run PCG on it from the trace.
 
-    rhs lies in the range of K, and the pinned boundary keeps K definite (the
-    hourglass modes are nonzero there), so neither PCG nor the coarse LU of
-    the V-cycle needs regularisation.
+    K and rhs are scaled in place by 2^-e, e the exponent of K's largest
+    diagonal entry (into [0.5, 1), for the float32 V-cycle), which changes
+    no CG iterate.  rhs lies in the range of K, and the pinned boundary keeps
+    K definite (the hourglass modes are nonzero there), so neither PCG nor
+    the coarse LU of the V-cycle needs regularisation.
     """
     grid = problem.grid
     interior = grid.interior_flat
@@ -1027,6 +1008,9 @@ def _solve_quadratic(problem, S, trace):
     rhs = _normal_rhs(grid, V, u_bd)
     K = _normal_matrix(grid, V)
     del V, u_bd
+    e = math.frexp(float(np.max(K.diagonal(), initial=0.0)))[1]  # a cell may have no interior node
+    np.ldexp(K.data, -e, out=K.data)
+    np.ldexp(rhs, -e, out=rhs)
     shape = tuple(s - 2 for s in grid.shape)
     return _pcg(K, rhs, trace[interior], lambda K: _multigrid(K, shape), TOL_RESIDUAL, MAX_ITER)
 

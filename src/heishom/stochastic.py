@@ -31,6 +31,7 @@ __all__ = [
     "MonteCarloReport",
     "monte_carlo_effective",
     "ConcentrationReport",
+    "check_concentration_inputs",
     "concentration_report",
 ]
 
@@ -96,10 +97,9 @@ class RandomTileCoefficient(CoefficientField):
     h_periodic = False
     x_independent = False
 
-    def __init__(self, law, seed, n=1):
+    def __init__(self, law, seed):
         self.law = law
         self.seed = int(seed)
-        self.n = n
         self.a_min, self.a_max = law.support
 
     def value_for_tile(self, k) -> float:
@@ -125,9 +125,9 @@ class RandomTileCoefficient(CoefficientField):
         return vals[inv].reshape(X.shape[:-1])
 
 
-def sample_random_integrand(seed, law, alpha=2.0, n=1) -> PowerIntegrand:
+def sample_random_integrand(seed, law, alpha=2.0) -> PowerIntegrand:
     """Power integrand with a fresh random tile coefficient for this seed."""
-    return PowerIntegrand(RandomTileCoefficient(law, seed, n=n), alpha)
+    return PowerIntegrand(RandomTileCoefficient(law, seed), alpha)
 
 
 def tile_correlation_radius(n=1) -> float:
@@ -177,7 +177,7 @@ def monte_carlo_effective(
     seeds = tuple(int(base_seed) + i for i in range(int(n_samples)))
 
     def one(s):
-        f = sample_random_integrand(s, law, alpha=alpha, n=n)
+        f = sample_random_integrand(s, law, alpha=alpha)
         return energy_density_sequence(f, q, k_list=k_list, M=M, n=n)
 
     reports = map_jobs(one, seeds, threads)
@@ -212,6 +212,20 @@ class ConcentrationReport:
     ok: bool
 
 
+def check_concentration_inputs(delta, n_samples, n_scales) -> float:
+    """delta as a float, once the inputs of a concentration report hold: a
+    positive finite delta, at least eight samples and at least two scales.
+    A ValueError names the config key at fault: delta, n_samples or k_list."""
+    delta = float(delta)
+    if not 0 < delta < math.inf:
+        raise ValueError(f"'delta' must be positive and finite, got {delta!r}")
+    if n_samples < 8:
+        raise ValueError(f"'n_samples' must be at least 8 for a concentration report, got {n_samples}")
+    if n_scales < 2:
+        raise ValueError(f"'k_list' needs at least two scales for a concentration report, got {n_scales}")
+    return delta
+
+
 def concentration_report(mc: MonteCarloReport, delta) -> ConcentrationReport:
     """Exceedance fractions |e_k - pooled| > delta per scale.
 
@@ -219,13 +233,7 @@ def concentration_report(mc: MonteCarloReport, delta) -> ConcentrationReport:
     asks the total exceedance fraction to be non-increasing in k, tolerating
     a single inversion (small-sample noise).
     """
-    delta = float(delta)
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite: {delta!r}")
-    if len(mc.k_list) < 2:
-        raise ValueError("need at least two scales")
-    if len(mc.seeds) < 8:
-        raise ValueError("need at least eight samples")
+    delta = check_concentration_inputs(delta, len(mc.seeds), len(mc.k_list))
 
     pooled = float(mc.mean[-1])
     above = (mc.e > pooled + delta).mean(axis=0)

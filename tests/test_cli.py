@@ -343,16 +343,54 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("cell", {"M": 2, "t": 1, "integrand": {
         "type": "power", "coefficient": {"type": "smooth_expr", "expr": "-" * 50000 + "x1"}}},
      "expr is nested too deeply"),
+    # a nested object takes its own type's keys alone
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "constant", "value": 1, "foo": 2}}}, "'foo'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "checkerboard", "low": 1, "hi": 4}}}, "'low'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "smooth_expr", "expr": "1", "h_periodic": "no"}}},
+     "'h_periodic'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {
+        "type": "power", "coefficient": {"type": "random_tiles", "law": {
+            "kind": "uniform", "lo": 1, "hi": 2, "prob": 0.5}}}}, "'prob'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {"alpah": 3}}, "'alpah'"),
+    ("cell", {"M": 2, "t": 1, "integrand": {"type": "matrix_p", "matrix": [[1, 0], [0, 1]], "alpha": 3}},
+     "'alpha'"),
+    ("stochastic", {"law": {"kind": "two_point", "a": 1, "b": 4, "p": 0.5}}, "'p'"),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
         "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
         "M-huge-int", "seed-fractional", "seed-negative", "n-float", "n-bool",
         "samples-zero", "samples-negative", "verify-seed-negative", "base_seed-negative",
         "verify-flag-seed-negative", "stochastic-flag-seed-negative", "matrix-3x3-at-n1",
-        "cell_table-empty", "cell_table-ragged", "matrix-string", "expr-nested-1000", "expr-nested-50000"])
+        "cell_table-empty", "cell_table-ragged", "matrix-string", "expr-nested-1000", "expr-nested-50000",
+        "constant-foo", "checkerboard-low", "smooth_expr-h_periodic", "uniform-law-prob",
+        "power-alpah", "matrix_p-alpha", "two_point-p"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload, key):
     """One config-error line that names the offending key or token, and exit 2."""
     cfg = write_cfg(tmp_path, payload)
     assert main(command.split() + ["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("heishom: config error: ")
+    assert key in err[0]
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"delta": -0.5}, "'delta'"),
+    ({"n_samples": 4}, "'n_samples'"),
+    ({"k_list": [2]}, "'k_list'"),
+], ids=["delta-negative", "n_samples-under-8", "k_list-one-scale"])
+def test_concentration_inputs_are_checked_before_any_solve(tmp_path, capsys, monkeypatch, payload, key):
+    """A concentration report that cannot be made is a config error naming
+    its key before the Monte Carlo solves start."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("monte_carlo_effective called")
+
+    monkeypatch.setattr("heishom.cli.monte_carlo_effective", refuse)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["stochastic", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()

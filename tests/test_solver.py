@@ -218,7 +218,7 @@ def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
     np.testing.assert_array_equal(K.diagonal(), full.diagonal())
-    np.testing.assert_array_equal(K.ldexp(-3, np.float32).data, (K.data * 2.0**-3).astype(np.float32))
+    np.testing.assert_array_equal(K.astype(np.float32).data, K.data.astype(np.float32))
 
 
 def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
@@ -549,16 +549,16 @@ class _Float32Only:
 
 def test_multigrid_levels_are_float32(monkeypatch):
     K, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
-    levels, coarse, e = precond.args
+    levels, coarse = precond.args
     assert len(levels) == 1 and K.dtype == np.float64
     level = levels[0]
-    # level 0 is 2^-e K's stored diagonals cast to float32, at K's offsets (the
-    # 14 of offset >= 0, each coupling once), its largest diagonal entry in
-    # [0.5, 1); no index arrays
+    # level 0 is the normalised K's stored diagonals cast to float32, at K's
+    # offsets (the 14 of offset >= 0, each coupling once), its largest
+    # diagonal entry in [0.5, 1); no index arrays
     assert isinstance(K, solve._SymmetricDia) and K.offsets.size == 14
     assert isinstance(level.A, solve._SymmetricDia) and level.A.dtype == level.A.data.dtype == np.float32
     np.testing.assert_array_equal(level.A.offsets, K.offsets)
-    np.testing.assert_array_equal(level.A.data, (K.data * 2.0**-e).astype(np.float32))
+    np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
     assert 0.5 <= level.A.diagonal().max() < 1.0
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
     for a in (level.dinv, level.P.data, level.sign):
@@ -586,10 +586,10 @@ def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
     the coarse levels do not cast to float32 exactly, so the two differ."""
     f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
     K, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
-    levels, _, e = precond.args
+    levels, _ = precond.args
     assert len(levels) == 2
     dinv = 1.0 / K.diagonal()
-    np.testing.assert_array_equal(levels[0].dinv, (dinv * 2.0**e).astype(np.float32))
+    np.testing.assert_array_equal(levels[0].dinv, dinv.astype(np.float32))
     assert levels[0].cheb == solve._chebyshev(K, dinv)
     for level in levels[1:]:
         assert type(level.A) is solve._Dia and level.A.data.dtype == np.float32
@@ -677,8 +677,9 @@ def _check_galerkin_levels(K, shape):
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
     P, (_, coarse) = _kron_interpolation(shape), solve._interpolation(shape)
     Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
-    ref = (Q.T @ (K.todia().tocsr() * 2.0**-3) @ Q).tocsr()
-    blocks, got_shape = solve._augmented_blocks(K, shape, sign, -3)
+    K = solve._SymmetricDia(K.data * 2.0**-3, K.offsets)
+    ref = (Q.T @ K.todia().tocsr() @ Q).tocsr()
+    blocks, got_shape = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
     assert got_shape == coarse
     _check_level(blocks, coarse, ref)
     if max(coarse) < 3:
@@ -691,7 +692,7 @@ def _check_galerkin_levels(K, shape):
 
 
 def _check_level(blocks, shape, ref):
-    """The level ``_block_dia`` writes from the block stencils against its
+    """The level ``_block_dia`` writes from the block stencil readers against its
     sparse product ref: its float64 diagonals (a ``_Dia``), their diagonal
     and kernel product; its float32 diagonals, the float64 ones cast, their
     diagonal and kernel product."""
@@ -896,6 +897,21 @@ def test_float32_range_does_not_limit_the_slope(e):
     sol = mu_q(CHECKER, (2.0 ** e, 0.0), 2, 4)
     assert sol.converged and sol.iterations == base.iterations
     assert sol.energy == base.energy * 2.0 ** (2 * e)
+
+
+def test_solve_normalises_k_once(monkeypatch):
+    """The K the V-cycle gets is scaled by the power of two that puts its
+    largest diagonal entry in [0.5, 1), so it is bitwise the same K for a
+    coefficient scaled by 2^-140 or 2^130."""
+    captured = []
+    for scale in (1.0, 2.0**-140, 2.0**130):
+        f = power_integrand(checkerboard_coefficient(scale, 4.0 * scale), 2.0)
+        K, _ = _hierarchy(monkeypatch, f, (1.0, 0.0), 2, 4)
+        assert 0.5 <= K.diagonal().max() < 1.0
+        captured.append(K)
+    for K in captured[1:]:
+        np.testing.assert_array_equal(K.offsets, captured[0].offsets)
+        assert K.data.tobytes() == captured[0].data.tobytes()
 
 
 @pytest.mark.parametrize("e", [-140, 130])

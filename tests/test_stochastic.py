@@ -125,9 +125,8 @@ def test_values_at_equals_per_point_tile_lookup(X, seed):
     """Tiling round trip: the grouped lookup returns, at every point, the value
     of the tile that ``tile_index`` assigns to that point alone."""
     law = UniformLaw(1.0, 2.0)  # continuous: a point given another tile's value shows
-    n = (X.shape[-1] - 1) // 2
-    vals = RandomTileCoefficient(law, seed, n=n).values_at(X)
-    ref = RandomTileCoefficient(law, seed, n=n)
+    vals = RandomTileCoefficient(law, seed).values_at(X)
+    ref = RandomTileCoefficient(law, seed)
     expected = [ref.value_for_tile(tile_index(x, guard=BIN_GUARD)) for x in X]
     assert vals.shape == (len(X),)
     assert vals.tolist() == expected

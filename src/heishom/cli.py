@@ -77,7 +77,8 @@ def _json_matches(value, default):
     return isinstance(value, type(default))
 
 
-_LEAST = {"seed": 0, "base_seed": 0, "samples": 1}  # seeds are non-negative; verify draws samples
+# seeds are non-negative; verify draws samples; a variance needs two samples
+_LEAST = {"seed": 0, "base_seed": 0, "samples": 1, "n_samples": 2}
 
 
 @dataclasses.dataclass
@@ -363,22 +364,16 @@ def _cmd_verify(cfg, args):
         {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_time_s"}
         for r in results
     ]}
-    emit("verify", cfg, header, rows, payload, args.format, args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return header, rows, payload, all(r.passed for r in results)
 
 
 def _cmd_cell(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
     sol = mu_q(f, cfg.q, cfg.t, cfg.M, n=cfg.n)
-    vol = sol.u.grid.volume
     header = ["t", "M", "energy", "energy_density", "iterations", "residual", "converged", "method"]
-    rows = [(cfg.t, cfg.M, sol.energy, sol.energy / vol, sol.iterations,
-             sol.residual, sol.converged, sol.method)]
-    payload = {"energy": sol.energy, "energy_density": sol.energy / vol,
-               "iterations": sol.iterations, "residual": sol.residual,
-               "converged": sol.converged, "method": sol.method}
-    emit("cell", cfg, header, rows, payload, args.format, args.out)
-    return 0 if sol.converged else 1
+    row = (cfg.t, cfg.M, sol.energy, sol.energy / sol.u.grid.volume, sol.iterations,
+           sol.residual, sol.converged, sol.method)
+    return header, [row], dict(zip(header[2:], row[2:])), sol.converged
 
 
 def _cmd_effective(cfg, args):
@@ -387,26 +382,16 @@ def _cmd_effective(cfg, args):
     header = ["k", "e_k", "iterations", "residual"]
     rows = [(d["k"], d["e_k"], d["iterations"], d["residual"])
             for d in rep.diagnostics]
-    payload = {"q": list(rep.q), "k_list": list(rep.k_list), "e": rep.e,
-               "f0_estimate": rep.f0_estimate, "verdicts": rep.verdicts,
-               "diagnostics": rep.diagnostics}
-    emit("effective", cfg, header, rows, payload, args.format, args.out)
-    ok = rep.verdicts["bounds_ok"] and rep.verdicts["solves_converged"] and rep.verdicts["monotone_trend_ok"]
-    return 0 if ok else 1
+    return header, rows, dataclasses.asdict(rep), all(rep.verdicts.values())
 
 
 def _cmd_sweep(cfg, args):
     f = integrand_from_spec(cfg.integrand, cfg.n)
     table = q_sweep(f, q_axis=cfg.q_axis, k_list=cfg.k_list, M=cfg.M, n=cfg.n,
                     threads=args.threads)
-    m = table.qs.shape[1]
-    header = [f"q{i + 1}" for i in range(m)] + ["f0"]
+    header = [f"q{i + 1}" for i in range(table.qs.shape[1])] + ["f0"]
     rows = [tuple(qv) + (f0,) for qv, f0 in zip(table.qs, table.f0)]
-    payload = {"qs": table.qs, "f0": table.f0, "verdicts": table.verdicts,
-               "worst_convexity_violation": table.worst_convexity_violation,
-               "worst_symmetry_gap": table.worst_symmetry_gap}
-    emit("sweep", cfg, header, rows, payload, args.format, args.out)
-    return 0 if all(table.verdicts.values()) else 1
+    return header, rows, dataclasses.asdict(table), all(table.verdicts.values())
 
 
 def _cmd_stochastic(cfg, args):
@@ -418,12 +403,9 @@ def _cmd_stochastic(cfg, args):
         base_seed=cfg.base_seed, alpha=cfg.alpha, M=cfg.M, n=cfg.n,
         threads=args.threads,
     )
-    conc = concentration_report(mc, cfg.delta) if cfg.delta else None
     header = ["seed", "k", "e_k", "iterations"]
-    rows = []
-    for i, s in enumerate(mc.seeds):
-        for j, k in enumerate(mc.k_list):
-            rows.append((s, k, mc.e[i, j], mc.diagnostics[i][j]["iterations"]))
+    rows = [(s, k, mc.e[i, j], mc.diagnostics[i][j]["iterations"])
+            for i, s in enumerate(mc.seeds) for j, k in enumerate(mc.k_list)]
     payload = {
         "law": law.to_json(), "alpha": mc.alpha, "q": list(mc.q),
         "k_list": list(mc.k_list), "seeds": list(mc.seeds), "e": mc.e,
@@ -431,16 +413,11 @@ def _cmd_stochastic(cfg, args):
         "correlation_radius": mc.correlation_radius,
     }
     ok = mc.growth_ok
-    if conc is not None:
-        payload["concentration"] = {
-            "delta": conc.delta, "pooled": conc.pooled,
-            "frac_above": conc.frac_above, "frac_below": conc.frac_below,
-            "total_exceedance": conc.total_exceedance,
-            "inversions": conc.inversions, "ok": conc.ok,
-        }
+    if cfg.delta:
+        conc = concentration_report(mc, cfg.delta)
+        payload["concentration"] = dataclasses.asdict(conc)
         ok = ok and conc.ok
-    emit("stochastic", cfg, header, rows, payload, args.format, args.out)
-    return 0 if ok else 1
+    return header, rows, payload, ok
 
 
 def _cmd_ultimo(cfg, args):
@@ -448,9 +425,7 @@ def _cmd_ultimo(cfg, args):
     rep = ultimo_check(f, cfg.q, cfg.t, rho=cfg.rho, M=cfg.M, n=cfg.n)
     header = ["t", "rho", "M", "energy_direct", "scaled_rescaled", "rel_diff", "ok"]
     rows = [(rep.t, rep.rho, cfg.M, rep.energy_direct, rep.scaled_rescaled, rep.rel_diff, rep.ok)]
-    payload = dataclasses.asdict(rep)
-    emit("ultimo", cfg, header, rows, payload, args.format, args.out)
-    return 0 if rep.ok else 1
+    return header, rows, dataclasses.asdict(rep), rep.ok
 
 
 def _cmd_recover(cfg, args):
@@ -459,11 +434,7 @@ def _cmd_recover(cfg, args):
     rep = recover_integrand_pointwise(f, x0, cfg.q, rho_list=cfg.rho_list, M=cfg.M, n=cfg.n)
     header = ["rho", "value", "error"]
     rows = list(zip(rep.rho_list, rep.values, rep.errors))
-    payload = {"x0": list(rep.x0), "q": list(rep.q), "rho_list": list(rep.rho_list),
-               "values": rep.values, "reference": rep.reference,
-               "errors": rep.errors, "strictly_decreasing": rep.strictly_decreasing}
-    emit("recover", cfg, header, rows, payload, args.format, args.out)
-    return 0 if rep.strictly_decreasing else 1
+    return header, rows, dataclasses.asdict(rep), rep.strictly_decreasing
 
 
 _HANDLERS = {
@@ -537,7 +508,9 @@ def main(argv=None) -> int:
             cfg.base_seed = args.seed
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        return _HANDLERS[args.command](cfg, args)
+        header, rows, payload, ok = _HANDLERS[args.command](cfg, args)
+        emit(args.command, cfg, header, rows, payload, args.format, args.out)
+        return 0 if ok else 1
     except NumericalError as exc:
         print(f"heishom: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ trustworthy on a grid:
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class HomogReport:
     k_list: tuple
     e: np.ndarray
     f0_estimate: float
-    diagnostics: list
     verdicts: dict
+    diagnostics: list
 
 
 def map_jobs(fn, items, threads=1):
@@ -155,7 +156,6 @@ def energy_density_sequence(f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1) -> H
         "bounds_ok": bounds_ok,
         "monotone_trend_ok": bool(divis_ordered and shrinking),
         "solves_converged": bool(all(d["converged"] for d in diagnostics)),
-        "ultimo_ok": None,
     }
 
     f0 = float(np.min(e))
@@ -164,8 +164,8 @@ def energy_density_sequence(f: Integrand, q, k_list=(1, 2, 3, 4), M=4, n=1) -> H
         k_list=k_list,
         e=e,
         f0_estimate=f0,
-        diagnostics=diagnostics,
         verdicts=verdicts,
+        diagnostics=diagnostics,
     )
 
 
@@ -357,10 +357,7 @@ def q_sweep(
     mesh = np.meshgrid(*axes, indexing="ij")
     qs = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
 
-    def one(qv):
-        return energy_density_sequence(f, qv, k_list=k_list, M=M, n=n)
-
-    reports = map_jobs(one, qs, threads)
+    reports = map_jobs(partial(energy_density_sequence, f, k_list=k_list, M=M, n=n), qs, threads)
     f0 = np.array([rep.f0_estimate for rep in reports])
     growth_ok = all(rep.verdicts["bounds_ok"] for rep in reports)
 

@@ -15,6 +15,7 @@ diameter is recorded in reports as the correlation radius.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -155,6 +156,12 @@ class MonteCarloReport:
     diagnostics: list
 
 
+def _sample_ladder(seed, law, alpha, q, k_list, M, n):
+    """The ladder of the medium drawn under seed: one Monte Carlo job."""
+    f = sample_random_integrand(seed, law, alpha=alpha)
+    return energy_density_sequence(f, q, k_list=k_list, M=M, n=n)
+
+
 def monte_carlo_effective(
     law,
     q,
@@ -172,15 +179,12 @@ def monte_carlo_effective(
     function of (base_seed, configuration) -- independent of threads.
     """
     if n_samples < 2:
-        raise ValueError("need at least two samples for variance estimates")
+        raise ValueError(f"'n_samples' must be at least 2 for variance estimates, got {n_samples}")
     q = np.atleast_1d(np.asarray(q, dtype=float))
     seeds = tuple(int(base_seed) + i for i in range(int(n_samples)))
 
-    def one(s):
-        f = sample_random_integrand(s, law, alpha=alpha)
-        return energy_density_sequence(f, q, k_list=k_list, M=M, n=n)
-
-    reports = map_jobs(one, seeds, threads)
+    job = partial(_sample_ladder, law=law, alpha=alpha, q=q, k_list=k_list, M=M, n=n)
+    reports = map_jobs(job, seeds, threads)
     e = np.stack([rep.e for rep in reports])
     growth_ok = all(rep.verdicts["bounds_ok"] for rep in reports)
     diagnostics = [rep.diagnostics for rep in reports]

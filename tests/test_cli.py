@@ -1,5 +1,6 @@
 """Command-line front end: configs, formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from heishom.cli import RunConfig, coefficient_from_spec, integrand_from_spec, main
+from heishom.homog import EffectiveIntegrandTable, HomogReport, RecoveryReport, UltimoReport
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -238,7 +240,8 @@ def test_n2_effective_and_ultimo(tmp_path):
     out = os.path.join(tmp_path, "eff.json")
     assert main(["effective", "--config", cfg, "--out", out, "--format", "json"]) == 0
     doc = json.loads(Path(out).read_text())
-    assert all(doc["verdicts"][k] for k in ("bounds_ok", "monotone_trend_ok", "solves_converged"))
+    assert all(type(v) is bool for v in doc["verdicts"].values())
+    assert all(doc["verdicts"].values())
     # growth bounds c1 |q|^2 <= e_k <= c2 (|q|^2 + 1) with c1 = 1, c2 = 4, |q| = 1
     assert len(doc["e"]) == 2
     assert all(1.0 <= e <= 8.0 for e in doc["e"])
@@ -247,6 +250,33 @@ def test_n2_effective_and_ultimo(tmp_path):
     doc = json.loads(Path(out).read_text())
     assert doc["ok"] is True
     assert doc["rel_diff"] <= 1e-10
+
+
+def test_effective_exits_zero_iff_every_verdict_holds(tmp_path):
+    """On the 1/4 checkerboard e_3 - e_2 is not below e_2 - e_1: the trend
+    verdict fails, and so does the command."""
+    cfg = write_cfg(tmp_path, {"integrand": CHECKER_SPEC, "k_list": [1, 2, 3], "M": 2})
+    out = os.path.join(tmp_path, "eff.json")
+    assert main(["effective", "--config", cfg, "--out", out, "--format", "json"]) == 1
+    verdicts = json.loads(Path(out).read_text())["verdicts"]
+    assert all(type(v) is bool for v in verdicts.values())
+    assert verdicts["monotone_trend_ok"] is False
+
+
+@pytest.mark.parametrize("command, report, cfg", [
+    ("effective", HomogReport, {"k_list": [1, 2]}),
+    ("sweep", EffectiveIntegrandTable, {"q_axis": [0.0, 1.0], "k_list": [1]}),
+    ("ultimo", UltimoReport, {"t": 1.0}),
+    ("recover", RecoveryReport, {"rho_list": [0.5, 0.25]}),
+])
+def test_json_output_is_the_library_report(tmp_path, command, report, cfg):
+    """After schema, command and config a JSON output holds the report's
+    fields, in order."""
+    out = os.path.join(tmp_path, "out.json")
+    main([command, "--config", write_cfg(tmp_path, dict(cfg, M=2)), "--out", out, "--format", "json"])
+    keys = list(json.loads(Path(out).read_text()))
+    assert keys[:3] == ["schema", "command", "config"]
+    assert keys[3:] == [f.name for f in dataclasses.fields(report)]
 
 
 @pytest.mark.parametrize("command", ["verify", "cell", "effective", "sweep", "stochastic",
@@ -358,6 +388,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("cell", {"M": 2, "t": 1, "integrand": {"type": "matrix_p", "matrix": [[1, 0], [0, 1]], "alpha": 3}},
      "'alpha'"),
     ("stochastic", {"law": {"kind": "two_point", "a": 1, "b": 4, "p": 0.5}}, "'p'"),
+    ("stochastic", {"n_samples": 1, "delta": 0}, "'n_samples'"),
 ], ids=["q-number", "integrand-string", "t-null", "law-missing-lo", "k_list-string",
         "alpha-NaN", "value-Infinity", "delta-NaN", "alpha-huge-int", "t-huge-int",
         "M-huge-int", "seed-fractional", "seed-negative", "n-float", "n-bool",
@@ -365,7 +396,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "verify-flag-seed-negative", "stochastic-flag-seed-negative", "matrix-3x3-at-n1",
         "cell_table-empty", "cell_table-ragged", "matrix-string", "expr-nested-1000", "expr-nested-50000",
         "constant-foo", "checkerboard-low", "smooth_expr-h_periodic", "uniform-law-prob",
-        "power-alpah", "matrix_p-alpha", "two_point-p"])
+        "power-alpah", "matrix_p-alpha", "two_point-p", "n_samples-one"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, command, payload, key):
     """One config-error line that names the offending key or token, and exit 2."""
     cfg = write_cfg(tmp_path, payload)

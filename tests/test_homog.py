@@ -1,5 +1,8 @@
 """Energy-density ladders, rescaling identity, recovery, slope sweeps."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from heishom import (
     ConstantCoefficient,
     SmoothCoefficient,
+    TwoPointLaw,
     checkerboard_coefficient,
     energy_density_sequence,
+    monte_carlo_effective,
     noninteger_scale_check,
     power_integrand,
     q_sweep,
@@ -17,6 +22,7 @@ from heishom import (
     rescale_integrand,
     ultimo_check,
 )
+from heishom import homog, stochastic
 from heishom.homog import ULTIMO_TOL, map_jobs
 
 CHECKER = power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0)
@@ -143,3 +149,25 @@ def test_q_sweep_threads_bitwise_equal():
 def test_map_jobs_preserves_order():
     out = map_jobs(lambda v: v * v, range(20), threads=4)
     assert out == [v * v for v in range(20)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: q_sweep(CHECKER, q_axis=(0.0, 1.0), k_list=(1,), M=2),
+    lambda: monte_carlo_effective(TwoPointLaw(1.0, 4.0), (1.0, 0.0), k_list=(1,), n_samples=2, M=2),
+], ids=["q_sweep", "monte_carlo_effective"])
+def test_fan_out_jobs_survive_pickling(monkeypatch, run):
+    """The job map_jobs fans out is a module-level callable with plain
+    arguments: after a pickle round trip it gives the same report."""
+    jobs = []
+
+    def pickling_map_jobs(fn, items, threads=1):
+        jobs.append(fn)
+        fn = pickle.loads(pickle.dumps(fn))
+        return [fn(item) for item in items]
+
+    expected = run()
+    monkeypatch.setattr(homog, "map_jobs", pickling_map_jobs)
+    monkeypatch.setattr(stochastic, "map_jobs", pickling_map_jobs)
+    got = run()
+    assert len(jobs) == 1
+    np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(expected))

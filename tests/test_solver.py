@@ -599,16 +599,29 @@ def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
         assert level.cheb == solve._chebyshev(level.A, dinv)
 
 
-@pytest.mark.parametrize("k, depth", [(2, 1), (3, 2)])
-def test_chebyshev_interval_covers_each_level(monkeypatch, k, depth):
+_BOUND_SHORT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: power-iteration bound falls short")
+SMOOTH = power_integrand(heishom.SmoothCoefficient(lambda X: 2.0 + np.cos(X[..., 2]), 1.0, 3.0), 2.0)
+NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
+
+
+@pytest.mark.parametrize("f, k, depth", [
+    pytest.param(CHECKER, 2, 1, id="2-1"),
+    pytest.param(CHECKER, 3, 2, id="3-2"),
+    pytest.param(SMOOTH, 2, 1, id="smooth-2-1", marks=_BOUND_SHORT),
+    pytest.param(SMOOTH, 3, 2, id="smooth-3-2", marks=_BOUND_SHORT),
+    pytest.param(NEAR_FLAT, 2, 1, id="near-flat-2-1", marks=_BOUND_SHORT),
+    pytest.param(NEAR_FLAT, 3, 2, id="near-flat-3-2", marks=_BOUND_SHORT),
+])
+def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, depth):
     """theta + delta, the top of each level's smoothing interval, is at least
     the largest eigenvalue of D^-1 A for the float32 operator and inverse
     diagonal the level stores: a mode above it the Chebyshev polynomial
-    amplifies, and the V-cycle need not be definite.  The contrast-4
-    checkerboard; on smooth coefficients the bound still falls short."""
+    amplifies, and the V-cycle need not be definite.  It holds on the
+    contrast-4 checkerboard; on the smooth coefficient 2 + cos(x3) and the
+    1/1.001 checkerboard level 0's bound falls short (expected failures)."""
     from scipy.sparse.linalg import eigsh
 
-    _, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), k, 4)
+    _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), k, 4)
     levels = precond.args[0]
     assert len(levels) == depth
     for level in levels:

@@ -196,7 +196,7 @@ def test_single_tile_energy_equals_tile_value():
 
 def test_monte_carlo_validation():
     law = TwoPointLaw(1.0, 4.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'n_samples'"):
         monte_carlo_effective(law, (1.0, 0.0), k_list=(1,), n_samples=1, M=2)
     mc = monte_carlo_effective(law, (1.0, 0.0), k_list=(1, 2), n_samples=8, M=2)
     with pytest.raises(ValueError):

@@ -268,7 +268,7 @@ def test_effective_exits_zero_iff_every_verdict_holds(tmp_path):
     ("sweep", EffectiveIntegrandTable, {"q_axis": [0.0, 1.0], "k_list": [1]}),
     ("ultimo", UltimoReport, {"t": 1.0}),
     ("recover", RecoveryReport, {"rho_list": [0.5, 0.25]}),
-])
+], ids=["effective", "sweep", "ultimo", "recover"])
 def test_json_output_is_the_library_report(tmp_path, command, report, cfg):
     """After schema, command and config a JSON output holds the report's
     fields, in order."""

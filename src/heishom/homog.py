@@ -53,6 +53,10 @@ SCALE_SLACK = 1e-6           # absolute allowance on every non-integer scale ban
 RECOVERY_ZERO = 1e-10        # relative recovery error at or below which a value is exact
 SWEEP_CONVEXITY_TOL = 1e-3   # midpoint convexity violation, relative to max(1, |f0|)
 SWEEP_SYMMETRY_TOL = 2e-10   # evenness gap |f0(q) - f0(-q)|, relative to max(1, |f0|)
+# q_sweep solves one slope of each exact pair {q, -q}, so its evenness gap is
+# 0 there by construction; the tolerance bites only on slopes that round to
+# -q at 9 decimals without equalling it.  Tier-1 tests check evenness against
+# direct solves of both slopes.
 
 
 @dataclass
@@ -71,12 +75,13 @@ def map_jobs(fn, items, threads=1):
     The threads share one interpreter lock, which the solves hold for much
     of their time: Newton's steps and the V-cycle set-up are many short
     numpy calls.  So threads speed a batch of solves up by well under their
-    count.  Measured on 2 cores: the 18 solves of an alpha = 3 sweep over
-    {-1, 0, 1}^2 at k = 1, 2 took 1.55-1.63 s serial, 1.33-1.35 s on 2
-    threads and 0.83-1.08 s as 2 processes; in an 8-sample Monte Carlo
-    ladder (k = 1..3) the V-cycle set-ups took 1.27-1.35 s of thread time
-    serial and 1.59-1.71 s on 2 threads.  Eight random-tile solves (q = (1, 0),
-    M = 4) ran at k = 2 x1.00-1.11 the serial speed on 2 threads and
+    count.  Measured on 2 cores: the 10 solves of an alpha = 3 sweep over
+    {-1, 0, 1}^2 at k = 1, 2 (one slope of each +-q pair) took 0.66-0.81 s
+    serial, 0.60-0.69 s on 2 threads and 0.39-0.46 s as 2 processes (pool
+    start-up excluded); in an 8-sample Monte Carlo ladder (k = 1..3) the
+    V-cycle set-ups took 1.27-1.35 s of thread time serial and 1.59-1.71 s
+    on 2 threads.  Eight random-tile solves (q = (1, 0), M = 4) ran at
+    k = 2 x1.00-1.11 the serial speed on 2 threads and
     x1.44-1.68 as 2 forked processes, and at k = 3 x1.2-1.9 on threads and
     x1.6-2.0 as processes.  The only BLAS calls are the small dense blocks of
     the coarsest-level LU (at most 1500 unknowns).
@@ -339,16 +344,46 @@ def _slope_key(q):
     return tuple(np.round(q, 9))
 
 
+def _sign_classes(qs):
+    """For each slope, the index of the slope whose solve it takes.
+
+    q and -q are one class, by exact equality: +0.0 and -0.0 match,
+    duplicates share a class, and a slope only close to -q is a class of
+    its own.  The solved member is the first whose first nonzero entry is
+    positive (the zero slope counts as positive), else the class's first.
+    """
+    keys, positive = [], []
+    for q in qs:
+        nz = q[q != 0]
+        positive.append(nz.size == 0 or nz[0] > 0)
+        keys.append(tuple(q if positive[-1] else -q))  # tuples compare entries with ==
+    solved = {}
+    for want in (True, False):
+        for i, key in enumerate(keys):
+            if positive[i] == want:
+                solved.setdefault(key, i)
+    return [solved[key] for key in keys]
+
+
 def q_sweep(
     f: Integrand, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), k_list=(1, 2, 3, 4), M=4, n=1, threads=1
 ) -> EffectiveIntegrandTable:
     """Tabulate f0 over the grid q_axis x ... x q_axis (m factors).
 
+    Every integrand is even in the slope, and the discrete cell problem
+    keeps this bit for bit: each rounding commutes with negation, so the
+    minimiser for -q is exactly -u_q, with the same energy, iterations and
+    residual.  So the sweep solves one slope of each pair {q, -q}
+    (``_sign_classes``) and gives the other its report: a 5 x 5 grid takes
+    13 ladders, not 25.  The Tier-1 tests check this evenness against
+    direct solves of both slopes.
+
     Audits growth bounds per entry, midpoint convexity on all collinear
     triples inside the table (to ``SWEEP_CONVEXITY_TOL``) and evenness
     f0(q) = f0(-q) (to ``SWEEP_SYMMETRY_TOL``), both relative to the local
-    value scale.  ``k_list``, ``M`` and ``n`` are passed to
-    ``energy_density_sequence``; ``threads`` fans the slopes out.
+    value scale; with the pairs solved once, evenness holds by
+    construction.  ``k_list``, ``M`` and ``n`` are passed to
+    ``energy_density_sequence``; ``threads`` fans the solved slopes out.
     """
     if len(q_axis) == 0:
         raise ValueError("q_axis must contain at least one slope")
@@ -357,7 +392,11 @@ def q_sweep(
     mesh = np.meshgrid(*axes, indexing="ij")
     qs = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
 
-    reports = map_jobs(partial(energy_density_sequence, f, k_list=k_list, M=M, n=n), qs, threads)
+    solved = _sign_classes(qs)
+    members = sorted(set(solved))
+    ladder = partial(energy_density_sequence, f, k_list=k_list, M=M, n=n)
+    by_member = dict(zip(members, map_jobs(ladder, qs[members], threads)))
+    reports = [by_member[j] for j in solved]
     f0 = np.array([rep.f0_estimate for rep in reports])
     growth_ok = all(rep.verdicts["bounds_ok"] for rep in reports)
 

@@ -264,11 +264,27 @@ def test_08_checkerboard_ladder_stays_in_band(acceptance_log):
     assert elapsed < 600.0
 
 
-def test_09_effective_integrand_properties(acceptance_log):
+def test_09_effective_integrand_properties(acceptance_log, monkeypatch):
     f = _checkerboard_quadratic()
+    solved = []
+
+    def recorded(f, q, *args, **kwargs):
+        solved.append(tuple(q))
+        return hh.energy_density_sequence(f, q, *args, **kwargs)
+
+    monkeypatch.setattr(hh.homog, "energy_density_sequence", recorded)
     t0 = time.perf_counter()
     tab = hh.q_sweep(f, q_axis=(-2.0, -1.0, 0.0, 1.0, 2.0), k_list=(1, 2), M=4, threads=4)
     elapsed = time.perf_counter() - t0
+    monkeypatch.undo()
+
+    # the oracle: every slope the sweep did not solve is solved directly here
+    solved_set = set(solved)
+    mapped = [i for i, q in enumerate(tab.qs) if tuple(q) not in solved_set]
+    direct = hh.homog.map_jobs(
+        lambda i: hh.energy_density_sequence(f, tab.qs[i], k_list=(1, 2), M=4).f0_estimate,
+        mapped, threads=4)
+    mapped_bitwise = len(solved) + len(mapped) == 25 and all(tab.f0[mapped] == direct)
 
     nq = np.sum(np.asarray(tab.qs) ** 2, axis=1)
     growth = bool(
@@ -276,15 +292,17 @@ def test_09_effective_integrand_properties(acceptance_log):
     )
     convex = tab.verdicts["convexity_ok"]
     even = tab.worst_symmetry_gap <= 2e-10
-    ok = growth and convex and even and elapsed < 900.0
+    ok = growth and convex and even and mapped_bitwise and elapsed < 900.0
     acceptance_log(
         9, "effective-integrand-structure", ok,
         f"growth={growth} convexity_violation={tab.worst_convexity_violation:.2e} "
-        f"symmetry_gap={tab.worst_symmetry_gap:.2e} on 25 slopes", elapsed,
+        f"symmetry_gap={tab.worst_symmetry_gap:.2e} on 25 slopes "
+        f"({len(solved)} solved, {len(mapped)} mapped, bitwise={mapped_bitwise})", elapsed,
     )
     assert growth, "growth envelope a_min|q|^2 <= f0 <= a_max(|q|^2+1) violated"
     assert convex and tab.verdicts["growth_ok"]
     assert even, f"f0(q) vs f0(-q) gap {tab.worst_symmetry_gap:.3e}"
+    assert mapped_bitwise, f"mapped slopes {tab.qs[mapped]}: {tab.f0[mapped]} vs direct {direct}"
     assert elapsed < 900.0
 
 

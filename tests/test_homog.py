@@ -14,12 +14,15 @@ from heishom import (
     TwoPointLaw,
     checkerboard_coefficient,
     energy_density_sequence,
+    matrix_p_integrand,
     monte_carlo_effective,
+    mu_q,
     noninteger_scale_check,
     power_integrand,
     q_sweep,
     recover_integrand_pointwise,
     rescale_integrand,
+    sample_random_integrand,
     ultimo_check,
 )
 from heishom import homog, stochastic
@@ -138,12 +141,68 @@ def test_q_sweep_structure_and_audits():
     for i, qv in enumerate(tab.qs):
         j = int(np.flatnonzero(np.all(tab.qs == -qv, axis=1))[0])
         assert tab.f0[i] == pytest.approx(tab.f0[j], rel=1e-9)
+    # the slopes the sweep took from their negation are bitwise their direct solves
+    mapped = [i for i, j in enumerate(homog._sign_classes(tab.qs)) if i != j]
+    assert len(mapped) == 4
+    for i in mapped:
+        assert energy_density_sequence(CHECKER, tab.qs[i], k_list=(1,), M=2).f0_estimate == tab.f0[i]
 
 
 def test_q_sweep_threads_bitwise_equal():
     a = q_sweep(CHECKER, q_axis=(-1.0, 1.0), k_list=(1,), M=2, threads=1)
     b = q_sweep(CHECKER, q_axis=(-1.0, 1.0), k_list=(1,), M=2, threads=4)
     np.testing.assert_array_equal(a.f0, b.f0)
+
+
+@pytest.mark.parametrize("f, q, t, M, n", [
+    (CHECKER, (1.0, 0.5), 3, 2, 1),  # V-cycle CG: 4235 unknowns, coarse levels below
+    (power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, -0.5), 2, 2, 1),
+    (power_integrand(checkerboard_coefficient(1.0, 4.0), 2.5), (0.7, 1.3), 1, 4, 1),
+    (matrix_p_integrand([[2.0, 0.5], [0.5, 1.0]], 3.0), (1.0, 0.5), 1, 4, 1),
+    (sample_random_integrand(4, TwoPointLaw(1.0, 4.0)), (0.3, -1.0), 2, 2, 1),
+    (power_integrand(SmoothCoefficient(lambda X: 2.0 + np.sin(X[..., 0]), 1.0, 3.0), 2.0),
+     (1.0, 0.5), 2, 2, 1),
+    (power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0), (1.0, 0.5, -0.25, 2.0), 1, 2, 2),
+    (power_integrand(checkerboard_coefficient(1.0, 4.0), 3.0), (1.0, 0.0), 1, 4, 1),
+], ids=["vcycle", "newton_alpha3", "newton_alpha2.5", "matrix_p", "random_tiles", "smooth", "n2",
+        "zero_entry"])
+def test_mu_q_is_odd_in_the_slope(f, q, t, M, n):
+    """The premise of q_sweep's sign classes: the minimiser for -q is exactly
+    -u_q, with the same energy, iterations, residual and verdict."""
+    a = mu_q(f, np.asarray(q), t, M, n)
+    b = mu_q(f, -np.asarray(q), t, M, n)
+    np.testing.assert_array_equal(b.u.values, -a.u.values)
+    assert (b.energy, b.iterations, b.residual, b.converged) == (
+        a.energy, a.iterations, a.residual, a.converged)
+
+
+@pytest.mark.parametrize("q_axis, calls", [
+    ((-1.0, 0.0, 1.0), 5),
+    ((-2.0, -1.0, 0.0, 1.0, 2.0), 13),
+    ((1.0, 1.0), 1),                        # duplicate entries are one class
+    ((0.3, -0.30000000000000004), 4),       # close to -q is not -q
+    ((-0.0, 0.0, 1.0), 4),                  # +0.0 and -0.0 match
+])
+def test_q_sweep_solves_one_slope_per_sign_class(monkeypatch, q_axis, calls):
+    solved = []
+
+    def counted(f, q, *args, **kwargs):
+        solved.append(tuple(q))
+        return energy_density_sequence(f, q, *args, **kwargs)
+
+    monkeypatch.setattr(homog, "energy_density_sequence", counted)
+    tab = q_sweep(CHECKER, q_axis=q_axis, k_list=(1,), M=2)
+    assert len(solved) == calls
+    threaded = q_sweep(CHECKER, q_axis=q_axis, k_list=(1,), M=2, threads=4)
+    np.testing.assert_array_equal(threaded.f0, tab.f0)
+    # a slope whose first nonzero entry is negative is solved only if its
+    # negation is not in the table
+    table = set(map(tuple, tab.qs))
+    for q in solved:
+        first = next((v for v in q if v != 0), 0.0)
+        assert first >= 0 or tuple(-v for v in q) not in table
+    direct = [energy_density_sequence(CHECKER, q, k_list=(1,), M=2).f0_estimate for q in tab.qs]
+    np.testing.assert_array_equal(tab.f0, direct)
 
 
 def test_map_jobs_preserves_order():

@@ -78,8 +78,8 @@ def map_jobs(fn, items, threads=1):
     count.  Measured on 2 cores: the 10 solves of an alpha = 3 sweep over
     {-1, 0, 1}^2 at k = 1, 2 (one slope of each +-q pair) took 0.66-0.81 s
     serial, 0.60-0.69 s on 2 threads and 0.39-0.46 s as 2 processes (pool
-    start-up excluded); in an 8-sample Monte Carlo ladder (k = 1..3) the
-    V-cycle set-ups took 1.27-1.35 s of thread time serial and 1.59-1.71 s
+    start-up excluded); in an 8-sample Monte Carlo ladder (k = 1..3) the 16
+    V-cycle set-ups took 0.56-0.57 s of thread time serial and 0.67-0.71 s
     on 2 threads.  Eight random-tile solves (q = (1, 0), M = 4) ran at
     k = 2 x1.00-1.11 the serial speed on 2 threads and
     x1.44-1.68 as 2 forked processes, and at k = 3 x1.2-1.9 on threads and

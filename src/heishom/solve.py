@@ -29,8 +29,8 @@ Three routes:
   computed by stencil in float64, one axis at a time, with no sparse-sparse
   product.  Its smoothed levels are float32, stored by diagonals (4-byte
   values and no index arrays in its memory-bound sweeps; level 0 is K's
-  stored diagonals cast) and set up from the operator they apply, and the
-  coarsest is float64, for its LU.
+  stored diagonals cast), each set up by one rule from the float32
+  operator it applies, and the coarsest is float64, for its LU.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton, matrix-free in the gradient: the cell gradients B u and
   the gradient B^T flux are applied by stencil from the corner weights,
@@ -580,9 +580,9 @@ def _positive_diagonal(A):
 # The smoothed levels run in float32, CG in float64 (mixed-precision
 # multigrid: Goeddeke, Strzodka & Turek, IJPEDS 2007).  The V-cycle is memory
 # bound and a preconditioner need not be exact: float32 values cost no CG
-# iterations on the checkerboard at k <= 4 (up to 13 on some random-tile
-# cells), and the residual, the stopping test and the energy stay float64, so
-# the solution still meets TOL_RESIDUAL.  ``_solve_quadratic`` puts K's
+# iterations on the checkerboard at k <= 5 or on the random-tile cells
+# measured, and the residual, the stopping test and the energy stay float64,
+# so the solution still meets TOL_RESIDUAL.  ``_solve_quadratic`` puts K's
 # largest diagonal entry in [0.5, 1), so the float32 range limits no
 # coefficient scale that float64 K takes.  A level operator is a 3^N-point
 # stencil on its node grid (a 2 x 2 block of them on the augmented levels),
@@ -590,10 +590,16 @@ def _positive_diagonal(A):
 # values alone, with no column indices.  Level 0 is K's ``_SymmetricDia``
 # cast, each coupling stored once; the augmented levels keep the
 # full DIA layout: in a prototype, applying their diagonals one at a time
-# cost more time than it saved.  Level 0's Chebyshev bound is taken on
-# float64 K: on K cast it moved by about 1e-6 relative in a prototype, which
-# changed the CG counts of random-tile cells where it is short of the
-# largest eigenvalue.
+# cost more time than it saved.  Every smoothed level, level 0 included,
+# takes its inverse diagonal and Chebyshev interval from the float32
+# operator it stores and smooths with.  The interval must reach the top of
+# the spectrum of D^-1 A, or the smoother amplifies the modes above it and
+# the V-cycle is indefinite: a power iteration started from cos(i) fell
+# 4-19% short on smooth, near-flat and some random-tile coefficients (CG
+# took 1300 iterations on 2 + cos(x3) at k = 2).  Started from a hashed
+# pseudo-random vector, 1.1 times its estimate covers them: the largest
+# eigenvalue reads 0.92-0.97 of the bound on level 0 at k = 2..4 and
+# 0.96-0.996 on the coarser levels.  That margin is measured, not proven.
 
 _COARSE_UNKNOWNS = 1500   # factor directly at or below this size
 _CHEB_DEGREE = 3
@@ -825,16 +831,25 @@ def _block_dia(blocks, shape, dtype):
 
 def _chebyshev(A, dinv):
     """Interval of the degree-3 Chebyshev smoother on D^-1 A (Adams et al.,
-    JCP 2003), as (theta, delta, sigma), from A and dinv = 1 / diag(A), in
-    their precision: CG's float64 K on level 0, below it a level's float32
-    ``_Dia`` with the smoother's own product (no float64 copy of it is made).
+    JCP 2003), as (theta, delta, sigma), from a level's float32 operator A and
+    dinv = 1 / diag(A), with the smoother's own product (no float64 copy of A
+    is made).
 
-    The largest eigenvalue comes from power iterations started from a fixed
-    vector, so the smoother (and the V-cycle) is deterministic.  The three
-    values are Python floats: under numpy 2 promotion a numpy float64 scalar
-    would turn the float32 smoothing vectors into float64 ones.
+    The largest eigenvalue is 1.1 times a power-iteration estimate.  The
+    start holds no structure of the grid, so it reaches the top modes of
+    smooth coefficients too: entry i is the first output of splitmix64
+    (Steele, Lea & Flood, OOPSLA 2014) seeded with i, mapped to [-1, 1).  It
+    is hashed from the index on uint64 arrays, which wrap silently, so the
+    smoother (and the V-cycle) is deterministic without a random generator.
+    The three values are Python floats: under numpy 2 promotion a numpy
+    float64 scalar would turn the float32 smoothing vectors into float64
+    ones.
     """
-    v = np.cos(np.arange(A.shape[0])).astype(dinv.dtype)
+    z = np.arange(A.shape[0], dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    v = ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).astype(dinv.dtype)
     for _ in range(_POWER_STEPS):
         w = dinv * (A @ v)
         v = w / math.sqrt(_dot(w, w))
@@ -882,27 +897,25 @@ def _multigrid(K, shape):
     K is normalised (``_solve_quadratic``).  A smoothed level is a float32
     ``_Level``: its operator is K's stored diagonals cast on level 0, and
     below it the block stencils written by ``_block_dia``; P is a ``_Csr``
-    on one copy of its node grid.  A level's inverse diagonal and Chebyshev
-    interval come from the operator the set-up holds: CG's float64 K on
-    level 0, the level's own float32 ``_Dia`` below it.  Only the coarsest
-    level is written in float64, for its LU factor.  With no smoothed level
-    (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is K's exact LU
-    solve.
+    on one copy of its node grid.  Every level's inverse diagonal and
+    Chebyshev interval come from that float32 operator, by one rule.  Only
+    the coarsest level is written in float64, for its LU factor.  With no
+    smoothed level (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is
+    K's exact LU solve.
     """
     if not _smoothed(K.shape[0], shape):
         _positive_diagonal(K)
         return _lu(K.full()).solve
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
-    levels, A, stored, stencils = [], K, K.astype(np.float32), _augmented_stencils(K, shape, sign)
+    levels, A, stencils = [], K.astype(np.float32), _augmented_stencils(K, shape, sign)
     while True:
         dinv = 1.0 / _positive_diagonal(A)
         P, _ = _interpolation(shape)
-        levels.append(_Level(stored, dinv.astype(np.float32), _chebyshev(A, dinv), P,
-                             None if levels else sign.reshape(-1)))
+        levels.append(_Level(A, dinv, _chebyshev(A, dinv), P, None if levels else sign.reshape(-1)))
         stencils, shape = _coarse_blocks(stencils, shape)  # rebound: frees the finer level's stencils
         if not _smoothed(2 * math.prod(shape), shape):
             break
-        A = stored = _block_dia(stencils, shape, np.float32)
+        A = _block_dia(stencils, shape, np.float32)
     coarse = _block_dia(stencils, shape, np.float64)
     _positive_diagonal(coarse)
     return functools.partial(_precondition, levels, _lu(coarse))

@@ -509,8 +509,16 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
 def test_multigrid_iterations_grow_slowly_with_the_cell():
     its = {k: mu_q(CHECKER, (1.0, 0.0), k, 4).iterations for k in (1, 2, 3)}
     assert its[1] == 1  # 343 unknowns: the coarse factorisation solves it
-    assert its[2] <= 42 and its[3] <= 58  # the counts of a float64 V-cycle
+    assert its[2] <= 42 and its[3] <= 59  # the counts under a Chebyshev bound that covers each level
     assert its[3] <= 2 * its[2]
+
+
+def test_multigrid_iterations_on_a_smooth_coefficient():
+    """On 2 + cos(x3) a power iteration started from cos(i) fell short of
+    the top of the spectrum of D^-1 K: the V-cycle was indefinite there and
+    CG took 1300 / 156 iterations at k = 2 / 3."""
+    its = {k: mu_q(SMOOTH, (1.0, 0.0), k, 4).iterations for k in (2, 3)}
+    assert its[2] <= 40 and its[3] <= 45
 
 
 def _hierarchy(monkeypatch, f, q, t, M, n=1):
@@ -580,26 +588,21 @@ def test_multigrid_levels_are_float32(monkeypatch):
 
 
 def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
-    """Level 0's inverse diagonal and Chebyshev interval come from CG's
-    float64 K, a coarser level's from the float32 ``_Dia`` it stores and
-    smooths with (through the same kernel product).  On the 1/3 checkerboard
-    the coarse levels do not cast to float32 exactly, so the two differ."""
+    """Every level's inverse diagonal and Chebyshev interval come from the
+    float32 operator it stores and smooths with, through the same kernel
+    product: K's stored diagonals cast on level 0, a ``_Dia`` below it."""
     f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
-    K, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
+    _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
     levels, _ = precond.args
-    assert len(levels) == 2
-    dinv = 1.0 / K.diagonal()
-    np.testing.assert_array_equal(levels[0].dinv, dinv.astype(np.float32))
-    assert levels[0].cheb == solve._chebyshev(K, dinv)
-    for level in levels[1:]:
-        assert type(level.A) is solve._Dia and level.A.data.dtype == np.float32
+    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._Dia]
+    for level in levels:
+        assert level.A.data.dtype == np.float32
         dinv = 1.0 / level.A.diagonal()
         assert dinv.dtype == np.float32
         np.testing.assert_array_equal(level.dinv, dinv)
         assert level.cheb == solve._chebyshev(level.A, dinv)
 
 
-_BOUND_SHORT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: power-iteration bound falls short")
 SMOOTH = power_integrand(heishom.SmoothCoefficient(lambda X: 2.0 + np.cos(X[..., 2]), 1.0, 3.0), 2.0)
 NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
 
@@ -607,18 +610,19 @@ NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
 @pytest.mark.parametrize("f, k, depth", [
     pytest.param(CHECKER, 2, 1, id="2-1"),
     pytest.param(CHECKER, 3, 2, id="3-2"),
-    pytest.param(SMOOTH, 2, 1, id="smooth-2-1", marks=_BOUND_SHORT),
-    pytest.param(SMOOTH, 3, 2, id="smooth-3-2", marks=_BOUND_SHORT),
-    pytest.param(NEAR_FLAT, 2, 1, id="near-flat-2-1", marks=_BOUND_SHORT),
-    pytest.param(NEAR_FLAT, 3, 2, id="near-flat-3-2", marks=_BOUND_SHORT),
+    pytest.param(SMOOTH, 2, 1, id="smooth-2-1"),
+    pytest.param(SMOOTH, 3, 2, id="smooth-3-2"),
+    pytest.param(NEAR_FLAT, 2, 1, id="near-flat-2-1"),
+    pytest.param(NEAR_FLAT, 3, 2, id="near-flat-3-2"),
+    pytest.param(sample_random_integrand(26, TwoPointLaw(1.0, 4.0)), 2, 1, id="tile-26-2-1"),
 ])
 def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, depth):
     """theta + delta, the top of each level's smoothing interval, is at least
     the largest eigenvalue of D^-1 A for the float32 operator and inverse
     diagonal the level stores: a mode above it the Chebyshev polynomial
-    amplifies, and the V-cycle need not be definite.  It holds on the
-    contrast-4 checkerboard; on the smooth coefficient 2 + cos(x3) and the
-    1/1.001 checkerboard level 0's bound falls short (expected failures)."""
+    amplifies, and the V-cycle need not be definite.  A power iteration
+    started from cos(i) fell 4-19% short on the smooth coefficient
+    2 + cos(x3), the 1/1.001 checkerboard and tile seed 26 at level 0."""
     from scipy.sparse.linalg import eigsh
 
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), k, 4)
@@ -721,10 +725,10 @@ def _check_level(blocks, shape, ref):
     np.testing.assert_array_equal(single.offsets, full.offsets)
     np.testing.assert_array_equal(single.data, D.data.astype(np.float32))
     np.testing.assert_array_equal(single.diagonal(), D.diagonal().astype(np.float32))
-    v = np.cos(np.arange(full.shape[0]))  # the start of the power iterations
+    v = np.cos(np.arange(full.shape[0]))
     np.testing.assert_array_equal(full @ v, D @ v)
     D32 = sp.dia_matrix((single.data, single.offsets), shape=single.shape)
-    for x in (v, v.astype(np.float32)):  # the bound's and the smoother's products
+    for x in (v, v.astype(np.float32)):  # either input dtype; the smoother's and the bound's are float32
         _assert_bitwise(single @ x, D32 @ x)
 
 
@@ -892,7 +896,11 @@ def test_solver_kernels_are_the_modules_scipy_sparse_uses():
 
 def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
     """CG needs M^-1 symmetric and definite; float32 rounding may break the
-    symmetry only at single precision.  Coefficient jumps of 4 stress it."""
+    symmetry only at single precision.  Coefficient jumps of 4 stress it with
+    random residuals; on 2 + cos(x3) the residuals K v of the top eigenvectors
+    v of D^-1 K are where a smoother bound short of them makes M indefinite."""
+    from scipy.sparse.linalg import eigsh
+
     K, precond = _hierarchy(monkeypatch, _random_tile_sample(), (1.0, 0.0), 2.0, 4)
     gen = rng(11)
     for _ in range(4):
@@ -900,6 +908,13 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
         zr, zs = precond(r), precond(s)
         assert abs(s @ zr - r @ zs) <= 1e-5 * np.linalg.norm(s) * np.linalg.norm(zr)
         assert r @ zr > 0 and s @ zs > 0
+
+    K, precond = _hierarchy(monkeypatch, SMOOTH, (1.0, 0.0), 2.0, 4)
+    h = sp.diags(1.0 / np.sqrt(K.diagonal()))
+    _, W = eigsh(h @ K.todia() @ h, k=4, which="LA")
+    for v in (h @ W).T:
+        r = K @ v
+        assert r @ precond(r) > 0
 
 
 @pytest.mark.parametrize("e", [-120, 130])

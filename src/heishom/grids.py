@@ -110,9 +110,11 @@ class AnisoGrid:
     def cell_center_axes(self) -> tuple:
         return tuple(0.5 * (a[1:] + a[:-1]) for a in self.axes)
 
-    @cached_property
+    @property
     def cell_centers(self) -> np.ndarray:
-        """All cell centers as a (num_cells, N) matrix in C order."""
+        """All cell centers as a (num_cells, N) matrix in C order, built anew
+        on each access: a grid does not keep it (3.0 MiB at k = 4, M = 4),
+        and a solve reads it once, for the coefficient lookup."""
         mesh = np.meshgrid(*self.cell_center_axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 

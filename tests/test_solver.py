@@ -487,13 +487,13 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
     H-affine start is already exact for x-independent integrands)."""
     f, grid = make_f(), build_grid(t, M, n)
     problem = CellProblem(grid, f, HAffineBoundary(q))
-    S = f.quad_cells(f.coefficients_at(grid.cell_centers))
+    coeffs = f.coefficients_at(grid.cell_centers)
     trace = problem.boundary.trace(grid).reshape(-1)
     start = trace.copy()
     start[grid.interior_flat] += rng(63).uniform(-1.0, 1.0, grid.interior_flat.size)
 
     def energy_and_iterations():
-        x, it, _, converged = solve._solve_quadratic(problem, S, start)
+        x, it, _, converged = solve._solve_quadratic(problem, coeffs, start)
         assert converged
         vals = trace.copy()
         vals[grid.interior_flat] = x
@@ -590,13 +590,14 @@ def test_multigrid_levels_are_float32(monkeypatch):
 def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
     """Every level's inverse diagonal and Chebyshev interval come from the
     float32 operator it stores and smooths with, through the same kernel
-    product: K's stored diagonals cast on level 0, a ``_Dia`` below it."""
+    product: K's stored diagonals cast on level 0, a ``_BlockDia`` below it."""
     f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
     levels, _ = precond.args
-    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._Dia]
+    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._BlockDia]
+    assert all(part.data.dtype == np.float32 for part in levels[1].A)
     for level in levels:
-        assert level.A.data.dtype == np.float32
+        assert level.A.dtype == np.float32
         dinv = 1.0 / level.A.diagonal()
         assert dinv.dtype == np.float32
         np.testing.assert_array_equal(level.dinv, dinv)
@@ -629,8 +630,8 @@ def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, depth):
     levels = precond.args[0]
     assert len(levels) == depth
     for level in levels:
-        A = level.A.todia() if type(level.A) is solve._SymmetricDia else \
-            sp.dia_matrix((level.A.data, level.A.offsets), shape=level.A.shape)
+        full = level.A.full()
+        A = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
         h = sp.diags(np.sqrt(level.dinv.astype(np.float64)))
         lmax = eigsh(h @ A.astype(np.float64) @ h, k=1, which="LA", return_eigenvectors=False)[0]
         theta, delta, _ = level.cheb
@@ -709,25 +710,29 @@ def _check_galerkin_levels(K, shape):
 
 
 def _check_level(blocks, shape, ref):
-    """The level ``_block_dia`` writes from the block stencil readers against its
-    sparse product ref: its float64 diagonals (a ``_Dia``), their diagonal
-    and kernel product; its float32 diagonals, the float64 ones cast, their
-    diagonal and kernel product."""
-    full = solve._block_dia(blocks, shape, np.float64)
+    """The level ``_block_dia`` writes from the block stencils against its
+    sparse product ref: the padded DIA of its float64 storage (``full()``,
+    a ``_Dia``), its diagonal and its product; its float32 storage, the
+    float64 one cast, its diagonal and its product."""
+    level = solve._block_dia(blocks, shape, np.float64)
+    assert type(level) is solve._BlockDia
+    full = level.full()
     assert type(full) is solve._Dia and full.offsets.dtype == np.int32 and full.data.dtype == np.float64
     D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
     assert D.shape == ref.shape
     assert np.all(np.diff(D.offsets) > 0)
     assert abs(D.tocsr() - ref).max() <= 1e-14 * abs(ref).max()
-    np.testing.assert_array_equal(full.diagonal(), D.diagonal())
+    np.testing.assert_array_equal(level.diagonal(), D.diagonal())
     single = solve._block_dia(blocks, shape, np.float32)
-    assert type(single) is solve._Dia and single.shape == full.shape and single.data.dtype == np.float32
-    np.testing.assert_array_equal(single.offsets, full.offsets)
-    np.testing.assert_array_equal(single.data, D.data.astype(np.float32))
+    assert type(single) is solve._BlockDia and single.shape == level.shape and single.dtype == np.float32
+    for got, want in zip(single, level):
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.data, want.data.astype(np.float32))
+    np.testing.assert_array_equal(single.full().data, D.data.astype(np.float32))
     np.testing.assert_array_equal(single.diagonal(), D.diagonal().astype(np.float32))
     v = np.cos(np.arange(full.shape[0]))
-    np.testing.assert_array_equal(full @ v, D @ v)
-    D32 = sp.dia_matrix((single.data, single.offsets), shape=single.shape)
+    _assert_bitwise(level @ v, full @ v, D @ v)
+    D32 = sp.dia_matrix((single.full().data, single.full().offsets), shape=single.shape)
     for x in (v, v.astype(np.float32)):  # either input dtype; the smoother's and the bound's are float32
         _assert_bitwise(single @ x, D32 @ x)
 
@@ -750,6 +755,86 @@ def test_galerkin_levels_of_the_n2_checkerboard(monkeypatch):
     grid = build_grid(1, 4, 2)
     assert K.offsets.size == 122 and K.todia().offsets.size == 243
     _check_galerkin_levels(K, tuple(s - 2 for s in grid.shape))
+
+
+@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(lambda s: max(s) >= 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=[2, 9, 5], seed=0)        # a short axis, kept on the coarse level
+@example(shape=[3, 3, 3, 3, 5], seed=1)  # N = 5 axes, as at n = 2
+def test_block_level_product_is_the_padded_dia_product_bitwise(shape, seed):
+    """A ``_BlockDia`` keeps the four blocks and nothing beside them: A11 and
+    A22 in one DIA of 2n columns, A21 and A21^T in DIAs of n columns.  Its
+    three-call product, on float32 and float64 vectors with signed zeros, is
+    bitwise scipy's ``dia_matrix`` product on its ``full()`` rows, for a
+    float32 and a float64 level."""
+    shape, gen = tuple(shape), rng(seed)
+    sign = (-1.0) ** np.indices(shape).sum(axis=0)
+    K = _random_spd_stencil(shape, gen)
+    blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
+    n = math.prod(coarse)
+    for dtype in (np.float32, np.float64):
+        level = solve._block_dia(blocks, coarse, dtype)
+        assert level.lower.shape == level.upper.shape == (n, n) and level.shape == (2 * n, 2 * n)
+        assert [part.data.shape[1] for part in level] == [n, 2 * n, n]
+        assert all(part.data.dtype == dtype and np.all(np.diff(part.offsets) > 0) for part in level)
+        full = level.full()
+        D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
+        for x in (_signed_zeros_or_normal(gen, 2 * n, np.float32), _signed_zeros_or_normal(gen, 2 * n, np.float64)):
+            _assert_bitwise(level @ x, D @ x)
+
+
+def test_first_augmented_level_stores_no_padding():
+    """Level 1 at k = 4 (15 x 15 x 63 nodes per copy) stores 27 offsets for
+    each of its four blocks, 1,530,900 float32 values, where the padded DIA
+    of the same matrix holds 81 rows of 2n, 2,296,350.  Its symmetric blocks
+    keep 15 of their 27 float64 stencil arrays."""
+    grid = build_grid(4, 4)
+    S = CHECKER.quad_cells(CHECKER.coefficients_at(grid.cell_centers))
+    K = solve._normal_matrix(grid, solve._weighted_corners(grid, S, solve._corner_weights(grid)))
+    shape = tuple(s - 2 for s in grid.shape)
+    sign = (-1.0) ** np.indices(shape).sum(axis=0)
+    blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
+    assert coarse == (15, 15, 63) and [len(b.arrays) for b in blocks] == [15, 27, 15]
+    level = solve._block_dia(blocks, coarse, np.float32)
+    assert [part.offsets.size for part in level] == [27, 27, 27]
+    assert sum(part.data.size for part in level) == 1_530_900
+    assert level.full().data.size == 2_296_350
+
+
+def _centre_matrix(grid):
+    """The (C, N) matrix of cell centres as grids used to cache it."""
+    mesh = np.meshgrid(*grid.cell_center_axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def test_grid_keeps_no_cell_centres():
+    """A quadratic solve reads the cell centres once, for the coefficient
+    lookup, and leaves no (C, N) matrix on the grid; each access builds the
+    same bits."""
+    grid = build_grid(2, 4)
+    assert solve_cell(CellProblem(grid, CHECKER, HAffineBoundary((1.0, 0.0)))).method == "cg"
+    assert "cell_centers" not in vars(grid)
+    _assert_bitwise(grid.cell_centers, _centre_matrix(grid))
+    assert "cell_centers" not in vars(grid)
+
+
+@pytest.mark.parametrize("grid", [build_grid(2.5, 2), build_grid(1, 3, 2)], ids=["n1", "n2"])
+def test_corner_weights_are_those_of_the_centre_matrix(grid):
+    """The corner weights, computed on the cell-centre axes, are bitwise those
+    computed from the (C, N) matrix of centres, and each is a contiguous array
+    of the whole cell shape: Newton's transpose slices them by box."""
+    N, n = grid.N, grid.n
+    _, signs = solve._corner_signs(N)
+    x = _centre_matrix(grid).T.reshape((N,) + grid.cell_shape)
+    shear = [-0.5 * x[n + j] for j in range(n)] + [0.5 * x[j] for j in range(n)]
+    edge_w, inv_steps = 1.0 / 2 ** (N - 1), [1.0 / s for s in grid.steps]
+    for i, wi in enumerate(solve._corner_weights(grid)):
+        for a, got in enumerate(wi):
+            want = signs[i, a] * edge_w * inv_steps[a] + shear[a] * (signs[i, N - 1] * edge_w * inv_steps[N - 1])
+            assert got.shape == grid.cell_shape and got.flags.c_contiguous and got.flags.owndata
+            _assert_bitwise(got, want)
 
 
 def _assert_same_arrays(got, want, names, dtype):

@@ -83,8 +83,8 @@ def map_jobs(fn, items, threads=1):
     on 2 threads.  Eight random-tile solves (q = (1, 0), M = 4) ran at
     k = 2 x1.00-1.11 the serial speed on 2 threads and
     x1.44-1.68 as 2 forked processes, and at k = 3 x1.2-1.9 on threads and
-    x1.6-2.0 as processes.  The only BLAS calls are the small dense blocks of
-    the coarsest-level LU (at most 1500 unknowns).
+    x1.6-2.0 as processes.  No solve calls BLAS, so no BLAS thread pool
+    competes with these threads.
     """
     items = list(items)
     if threads and int(threads) > 1 and len(items) > 1:

@@ -31,7 +31,9 @@ Three routes:
   values and no index arrays in its memory-bound sweeps; level 0 is K's
   stored diagonals cast, each level below it its four blocks with no
   padding between them), each set up by one rule from the float32
-  operator it applies, and the coarsest is float64, for its LU.  A solve
+  operator it applies, and the coarsest, at most ``_COARSE_UNKNOWNS``
+  unknowns, is inverted in float64 by elimination in numpy (``_inverse``)
+  and applied by ``einsum``.  A solve
   keeps no assembly input beside K: the factor S and the weighted corners
   are dropped once read, and the grid caches no matrix of cell centres.
 * first-order path (reported as "first_order"; any other convex integrand)
@@ -57,20 +59,20 @@ trace, by ``_solve_quadratic`` when the integrand's ``quad_cells`` returns a
 factor (it returns None otherwise) and by ``_solve_newton`` when it does
 not, and recomputes the energy of the returned field from those
 coefficients (the arithmetic of ``discrete_energy``, without its second
-lookup).  Inner products bypass BLAS, so results do not depend on its
-thread setting (its only calls are in the coarsest sparse LU).  A
-non-positive (or NaN) diagonal entry or CG curvature, and a residual,
+lookup).  No solve calls BLAS or LAPACK: inner products, the coarse
+inverse and its product are numpy ufuncs and ``einsum``, so results do
+not depend on the BLAS build or thread setting.  A
+non-positive (or NaN) diagonal entry, coarse pivot or CG curvature, and a residual,
 energy, Newton gradient or Hessian factor that is not finite, raise
 ``NumericalError``.  Solves are deterministic; distinct
 problems share no mutable state.
 
 A solve builds no scipy.sparse object and imports no scipy package.  It
-calls four compiled scipy routines: ``dia_matvec``, ``csr_matvec`` and
+calls three compiled scipy routines, ``dia_matvec``, ``csr_matvec`` and
 ``csc_matvec`` of ``scipy.sparse._sparsetools`` (the kernels of
-``dia_matrix @ v``, ``csr_matrix @ v`` and ``csc_matrix @ v``) and SuperLU's
-``gstrf`` of ``scipy.sparse.linalg._dsolve._superlu`` (what ``splu``
-calls), and this module loads those two extensions from their files
-(``_scipy_extension``), so results are bitwise those of the scipy objects.
+``dia_matrix @ v``, ``csr_matrix @ v`` and ``csc_matrix @ v``), and this
+module loads that one extension from its file (``_scipy_extension``), so
+its products are bitwise those of the scipy objects.
 The packages cost more than the solves that use them: on 2 cores (Python 3.11, numpy 2.4, scipy
 1.17) ``import scipy.sparse`` takes 0.17-0.23 s and 22 MiB over numpy alone,
 0.15-0.19 s of it in scipy's array-API layer importing ``numpy.f2py``,
@@ -148,7 +150,6 @@ def _scipy_extension(name):
 
 
 _sparsetools = _scipy_extension("scipy.sparse._sparsetools")  # dia_, csr_ and csc_matvec: y += A x
-_superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")  # gstrf, the factorisation of splu
 _dia_matvec = _sparsetools.dia_matvec
 
 
@@ -384,17 +385,14 @@ class _Dia(NamedTuple):
         n, k = self.shape[0], np.flatnonzero(self.offsets == 0)
         return self.data[k[0], :n].copy() if k.size else np.zeros(n, self.data.dtype)
 
-    def csc(self):
-        """(data, indices, indptr): the CSC arrays of ``dia_matrix.tocsc()``,
-        each column's nonzero entries with their rows ascending (offsets
-        descending), int32 indices; zeros, -0.0 too, are dropped."""
+    def dense(self):
+        """A as a dense array, for the coarse solve and the tests."""
         n = self.shape[0]
-        data = self.data[::-1, :n].T  # column-major: column c, then offsets descending
-        rows = np.arange(n, dtype=np.int32)[:, None] - self.offsets[::-1]
-        keep = (rows >= 0) & (rows < n) & (data != 0)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return data[keep], rows[keep], indptr
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        for o, row in zip(self.offsets.tolist(), self.data):
+            c = np.arange(max(0, o), min(n, n + o))  # the columns whose row c - o is on the matrix
+            out[c - o, c] = row[c]
+        return out
 
 
 class _SymmetricDia:
@@ -614,8 +612,18 @@ def _positive_diagonal(A):
 # pseudo-random vector, 1.1 times its estimate covers them: the largest
 # eigenvalue reads 0.92-0.97 of the bound on level 0 at k = 2..4 and
 # 0.96-0.996 on the coarser levels.  That margin is measured, not proven.
+#
+# The coarsest level is inverted once per solve in float64, by an LDL^T
+# elimination in numpy ufuncs and ``einsum`` (``_inverse``), and the V-cycle
+# applies that inverse by ``einsum``: no solve calls BLAS or LAPACK, so none
+# wakes a BLAS thread pool and no result depends on its thread setting.  At
+# 400 unknowns the coarsest level of the M = 4 checkerboard holds 343
+# unknowns at k = 1 (K itself, so that solve is exact: one CG iteration),
+# 126, 64 and 270 at k = 2, 3, 4; the n = 2 cell's level of 486 unknowns is
+# smoothed instead.  Below 343, K at k = 1 is smoothed and its CG takes 14
+# iterations.
 
-_COARSE_UNKNOWNS = 1500   # factor directly at or below this size
+_COARSE_UNKNOWNS = 400    # invert directly at or below this size
 _CHEB_DEGREE = 3
 _CHEB_RATIO = 30.0        # smoothed part of the spectrum: [lmax / ratio, lmax]
 _POWER_STEPS = 15
@@ -660,36 +668,63 @@ def _interpolation(shape):
     shorter axes are kept.  Returns the float32 ``_Csr`` of the Kronecker
     product of the axes' interpolations and the coarse shape.
 
-    Fine node i of an axis of at least 3 nodes takes coarse node (i - 1) / 2
-    with weight 1 if i is odd, and i / 2 - 1 and i / 2, where they exist,
-    with weight 1/2 each if it is even.  A row of the product takes one of
-    two slots per axis (a zero weight marks an empty one), slots in
-    lexicographic order, so its columns ascend; a value is a product of 1s
-    and 1/2s, exact in float32.  These are the arrays of ``sp.kron`` of the
-    axes' CSR matrices, cast to float32.
+    The product is built from the last axis outwards, one ``_kron`` per
+    axis, straight into its nonzeros; a value is a product of 1s and 1/2s,
+    exact in float32.  These are the arrays of ``sp.kron`` of the axes' CSR
+    matrices, cast to float32.
     """
-    N = len(shape)
     coarse = tuple(nf if nf < 3 else nf // 2 for nf in shape)
-    cols = np.zeros(shape + (2,) * N, dtype=np.int32)
-    vals = np.ones(shape + (2,) * N, dtype=np.float32)
-    for a, (nf, nc) in enumerate(zip(shape, coarse)):
-        i = np.arange(nf, dtype=np.int32)
-        if nf < 3:
-            c, w = np.stack([i, i], 1), np.tile([1.0, 0.0], (nf, 1))
-        else:
-            odd = i % 2 == 1
-            c = np.stack([(i - 1) // 2, i // 2], 1)
-            w = np.stack([np.where(odd, 1.0, np.where(i >= 2, 0.5, 0.0)),
-                          np.where(odd | (i // 2 >= nc), 0.0, 0.5)], 1)
-        at = [1] * (2 * N)
-        at[a], at[N + a] = nf, 2
-        cols += (c * math.prod(coarse[a + 1:])).reshape(at)
-        vals *= w.astype(np.float32).reshape(at)
-    cols, vals = cols.reshape(-1, 2 ** N), vals.reshape(-1, 2 ** N)
-    keep = vals != 0
-    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+    P = None
+    for a in reversed(range(len(shape))):
+        axis = _axis_interpolation(shape[a], coarse[a])
+        P = axis if P is None else _kron(axis, P, math.prod(coarse[a + 1:]))
+    return _Csr(*P, (math.prod(shape), math.prod(coarse))), coarse
+
+
+def _axis_interpolation(nf, nc):
+    """One axis's interpolation from nc coarse nodes, as CSR arrays (data,
+    indices, indptr).  Fine node i of an axis of at least 3 nodes takes
+    coarse node (i - 1) / 2 with weight 1 if i is odd, and i / 2 - 1 and
+    i / 2, where they exist, with weight 1/2 each if it is even; an axis of
+    fewer nodes is kept (the identity)."""
+    i = np.arange(nf, dtype=np.int32)
+    if nf < 3:
+        cols, w = i[:, None], np.ones((nf, 1))
+    else:
+        odd = i % 2 == 1
+        cols = np.stack([(i - 1) // 2, i // 2], 1)
+        w = np.stack([np.where(odd, 1.0, np.where(i >= 2, 0.5, 0.0)),
+                      np.where(odd | (i // 2 >= nc), 0.0, 0.5)], 1)
+    keep = w != 0
+    indptr = np.zeros(nf + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return _Csr(vals[keep], cols[keep], indptr, (len(keep), math.prod(coarse))), coarse
+    return w[keep].astype(np.float32), cols[keep], indptr
+
+
+def _kron(a, b, b_cols):
+    """The CSR arrays (data, indices, indptr) of kron(A, B), from those of A
+    and of B (b_cols columns).  Row (r, s) holds, for each entry of A's row
+    r in turn, B's row s with its columns shifted by b_cols times that
+    entry's column and its values times that entry's value, so its columns
+    ascend.  Each row block r is written in one piece: B's rows, each
+    repeated once per entry of A's row r."""
+    (va, ja, ia), (vb, jb, ib) = a, b
+    ca, cb = np.diff(ia), np.diff(ib)
+    indptr = np.zeros(ca.size * cb.size + 1, dtype=np.int32)
+    np.cumsum(np.multiply.outer(ca, cb), out=indptr[1:])
+    data, indices = np.empty(indptr[-1], dtype=np.float32), np.empty(indptr[-1], dtype=np.int32)
+    repeated = {}  # c -> (B's entry, which of A's c entries it pairs with) at each place of c copies
+    for r, c in enumerate(ca.tolist()):
+        if c not in repeated:
+            run = np.repeat(cb, c * cb)  # the length of B's row at each place
+            place = np.arange(c * ib[-1]) - np.repeat(c * ib[:-1], c * cb)  # within the repeated row
+            repeated[c] = np.repeat(ib[:-1], c * cb) + place % run, place // run
+        entry, which = repeated[c]
+        at = slice(indptr[r * cb.size], indptr[(r + 1) * cb.size])
+        e = ia[r] + which
+        np.multiply(va[e], vb[entry], out=data[at])
+        np.add(ja[e] * b_cols, jb[entry], out=indices[at])
+    return data, indices, indptr
 
 
 # The coarse levels, by stencil.  A level operator A on a node grid is read as
@@ -843,7 +878,7 @@ class _BlockDia(NamedTuple):
     offset order of ``full()``, the padded DIA of the whole matrix, and the
     two products are bitwise equal: the other terms of a padded row multiply
     stored zeros, and a sum that starts from +0.0 never turns -0.0, so they
-    change no bit of it.  ``full()`` serves the coarse LU and the tests.
+    change no bit of it.  ``full()`` serves the coarse inverse and the tests.
     """
 
     lower: _Dia
@@ -977,7 +1012,7 @@ def _smooth(level, b, x=None):
 
 def _smoothed(size, shape):
     """Whether a level of size unknowns on the node grid shape is smoothed and
-    coarsened again; the coarsest is factored instead."""
+    coarsened again; the coarsest is inverted instead."""
     return size > _COARSE_UNKNOWNS and max(shape) >= 3
 
 
@@ -985,7 +1020,7 @@ def _multigrid(K, shape):
     """One symmetric V-cycle for K on the interior node shape, as r -> z.
 
     Levels are coarsened by ``_interpolation`` until at most
-    ``_COARSE_UNKNOWNS`` unknowns remain, which ``_lu`` factors.  The first
+    ``_COARSE_UNKNOWNS`` unknowns remain, which ``_inverse`` inverts.  The first
     coarse space is [P, S P] with S = (-1)^(i+j+...), kept as a sign vector;
     later levels interpolate each half with P', bitwise blockdiag(P', P')
     (unbuilt: a row of it reads its own block alone).  Every coarse
@@ -999,20 +1034,20 @@ def _multigrid(K, shape):
     stencils; P is a ``_Csr`` on one copy of its node grid.  Every level's
     inverse diagonal and Chebyshev interval come from that float32
     operator, by one rule.  The same writer gives the coarsest level in
-    float64, whose ``full()`` DIA ``_lu`` factors.  With no smoothed level
-    (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is K's exact LU
-    solve.
+    float64, whose ``full()`` DIA ``_inverse`` inverts.  With no smoothed
+    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is the
+    product with K's inverse, an exact solve to rounding.
 
     A level is set up in the order that keeps the transients apart: P
-    (whose build peaks at about 3.5 times its size), the next level's
+    (whose build peaks at about 1.3 times its size), the next level's
     blocks, then this level's float32 operator and its bounds.  At k = 4
     the set-up's traced peak is 42.8 MiB, where level 1's float32 operator
     is set up beside its own float64 blocks and the next level's, against
-    44.0 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
+    44.5 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
     """
     if not _smoothed(K.shape[0], shape):
         _positive_diagonal(K)
-        return _lu(K.full()).solve
+        return functools.partial(_coarse_solve, _inverse(K.full()))
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
     levels, operator, stencils = [], K.astype, _augmented_stencils(K, shape, sign)
     while True:  # operator(dtype): this level's matrix; stencils: its stencil readers
@@ -1026,17 +1061,50 @@ def _multigrid(K, shape):
             break
     coarse = operator(np.float64).full()
     _positive_diagonal(coarse)
-    return functools.partial(_precondition, levels, _lu(coarse))
+    return functools.partial(_precondition, levels, _inverse(coarse))
 
 
-def _lu(A):
-    """SuperLU's factorisation of the float64 ``_Dia`` A: ``gstrf`` on A's
-    CSC arrays with splu's default options, so bitwise ``splu(dia_matrix
-    .tocsc())``; its ``solve`` is the coarse solve.  ``csc_construct_func``
-    builds the factor's L and U, which nothing reads."""
-    data, indices, indptr = A.csc()
-    return _superlu.gstrf(A.shape[0], data.size, data, indices, indptr,
-                          csc_construct_func=None, ilu=False, options={})
+def _inverse(A):
+    """A^-1 for the symmetric positive definite float64 ``_Dia`` A, a dense
+    array, by LDL^T elimination in numpy ufuncs and ``einsum``: no BLAS or
+    LAPACK call, so its bits depend on no BLAS build or thread setting.
+
+    A's unit lower factor L keeps A's half-bandwidth w (its largest
+    |offset|).  Column k of L and the pivot d_k are A's column k less the
+    earlier columns' terms, one ``einsum`` over at most w of them
+    (left-looking, in place of A's lower triangle).  Then L^-1 is formed a
+    row at a time, scaled by D^-1, and A^-1 = L^-T D^-1 L^-1 solved from
+    the last row up; each row is computed up to the diagonal alone, and the
+    upper triangle is the lower one mirrored, so A^-1 is exactly
+    symmetric.  A pivot that is not positive (or NaN) raises
+    ``NumericalError``.
+    """
+    n = A.shape[0]
+    w = min(n - 1, int(np.max(np.abs(A.offsets))))
+    L = A.dense()
+    d = np.empty(n)
+    for k in range(n):
+        lo, hi = max(0, k - w), min(n, k + w + 1)
+        v = L[k:hi, k] - np.einsum("ij,j->i", L[k:hi, lo:k], d[lo:k] * L[k, lo:k])
+        if not v[0] > 0:
+            raise NumericalError(f"the coarsest level has a pivot that is not positive ({v[0]:.3e})")
+        d[k] = v[0]
+        L[k + 1:hi, k] = v[1:] / v[0]
+    X = np.eye(n)  # L^-1, then D^-1 L^-1, then the lower triangle of A^-1
+    for i in range(1, n):
+        lo = max(0, i - w)
+        X[i, :i] -= np.einsum("j,jc->c", L[i, lo:i], X[lo:i, :i])
+    X /= d[:, None]
+    for k in reversed(range(n - 1)):
+        hi = min(n, k + w + 1)
+        X[k, :k + 1] -= np.einsum("i,ij->j", L[k + 1:hi, k], X[k + 1:hi, :k + 1])
+    X += np.tril(X, -1).T
+    return X
+
+
+def _coarse_solve(inverse, b):
+    """The coarse solve inverse @ b, by ``einsum`` (no BLAS call)."""
+    return np.einsum("ij,j->i", inverse, b)
 
 
 def _precondition(levels, coarse, r):
@@ -1054,7 +1122,7 @@ def _precondition(levels, coarse, r):
 
 def _vcycle(levels, coarse, b, level=0):
     if level == len(levels):
-        return coarse.solve(b.astype(np.float64)).astype(np.float32)
+        return _coarse_solve(coarse, b.astype(np.float64)).astype(np.float32)
     lv = levels[level]
     x = _smooth(lv, b)
     r = b - lv.A @ x
@@ -1125,7 +1193,7 @@ def _solve_quadratic(problem, coeffs, trace):
     diagonal entry (into [0.5, 1), for the float32 V-cycle), which changes
     no CG iterate.  rhs lies in the range of K, and the pinned boundary keeps
     K definite (the hourglass modes are nonzero there), so neither PCG nor
-    the coarse LU of the V-cycle needs regularisation.
+    the coarse inverse of the V-cycle needs regularisation.
     """
     grid = problem.grid
     S = problem.integrand.quad_cells(coeffs)

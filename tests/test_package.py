@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` exists in that module, and
 neither importing the command line nor running it imports scipy.sparse,
-scipy.sparse.linalg or scipy.linalg: the solver loads the two compiled scipy
-modules it calls by file (``heishom.solve._scipy_extension``)."""
+scipy.sparse.linalg or scipy.linalg, or loads SuperLU's extension: the solver
+loads the one compiled scipy module it calls by file
+(``heishom.solve._scipy_extension``)."""
 
 import importlib
 import json
@@ -15,7 +16,8 @@ import pytest
 import heishom
 from heishom.cli import main
 
-SCIPY_PACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
+SCIPY_PACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+                  "scipy.sparse.linalg._dsolve._superlu")  # and SuperLU, with scipy's OpenBLAS
 
 
 def test_every_exported_name_resolves():
@@ -52,15 +54,15 @@ _CHECKER = {"type": "cell_table", "table": [[[1.0, 4.0], [4.0, 1.0]], [[4.0, 1.0
 @pytest.mark.parametrize("command, config, flags, rc", [
     ("sweep", {"M": 2, "k_list": [1], "q_axis": [0.0, 1.0],
                "integrand": {"type": "power", "alpha": 3.0, "coefficient": _CHECKER}}, [], 0),
-    ("effective", {"M": 4, "k_list": [1, 2],  # k = 2 has a smoothed level, then the coarse LU
+    ("effective", {"M": 4, "k_list": [1, 2],  # k = 2 has two smoothed levels, then the coarse inverse
                    "integrand": {"type": "power", "alpha": 2.0, "coefficient": _CHECKER}}, [], 0),
     ("stochastic", {"M": 2, "k_list": [1, 2], "n_samples": 8, "delta": 0.5}, ["--threads", "2"], 0),
     ("cell", {"qq": [1.0, 0.0]}, [], 2),
 ], ids=["sweep-alpha3", "effective-alpha2", "stochastic-threads2", "config-error"])
 def test_commands_import_no_scipy_sparse(tmp_path, capsys, command, config, flags, rc):
     """Each command, run in a fresh interpreter, exits as in this process,
-    writes the same bytes and leaves scipy.sparse, scipy.sparse.linalg and
-    scipy.linalg unimported."""
+    writes the same bytes and leaves scipy.sparse, scipy.sparse.linalg,
+    scipy.linalg and SuperLU's extension unimported."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     outs = [tmp_path / "fresh.json", tmp_path / "here.json"]

@@ -1,14 +1,13 @@
-"""The private scipy extensions the solver calls.
+"""The private scipy extension the solver calls.
 
-``heishom.solve`` loads two compiled modules straight from their files in
+``heishom.solve`` loads one compiled module straight from its file in
 scipy's package directory, so that no solve imports scipy.sparse:
 ``scipy.sparse._sparsetools`` (``dia_matvec``, ``csr_matvec`` and
 ``csc_matvec``, the kernels behind ``dia_matrix @ v``, ``csr_matrix @ v`` and
-``csc_matrix @ v``, which add into the caller's output vector) and ``scipy.sparse.linalg._dsolve._superlu`` (``gstrf``, the
-factorisation ``splu`` calls).  None of them is public API, so a scipy
-release may move, rename or change them.  This module imports nothing from
-heishom, so it still runs, and says why, when that happens and every solver
-test fails at import.
+``csc_matrix @ v``, which add into the caller's output vector).  It is not
+public API, so a scipy release may move, rename or change it.  This module
+imports nothing from heishom, so it still runs, and says why, when that
+happens and every solver test fails at import.
 """
 
 import importlib.machinery
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
-EXTENSIONS = ("scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")
+EXTENSIONS = ("scipy.sparse._sparsetools",)
 
 
 def _broken(what):
@@ -75,41 +74,3 @@ def test_csc_matvec_exists_and_adds_into_its_output(dtype):
     assert y.tolist() == [11.0, 25.0, 34.0], _broken(
         f"csc_matvec no longer adds A x into y (y = [10, 20, 30] became {y.tolist()}, "
         "expected [11, 25, 34])")
-
-
-def _random_csc(n, gen):
-    """A random non-symmetric, diagonally dominant matrix as canonical CSC
-    arrays (rows ascending in each column, no zeros)."""
-    A = np.where(gen.random((n, n)) < 0.3, gen.standard_normal((n, n)), 0.0)
-    A += np.diag(np.abs(A).sum(axis=1) + 1.0)
-    keep = A.T != 0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
-    rows = np.nonzero(keep)[1].astype(np.int32)
-    return A.T[keep], rows, indptr
-
-
-@pytest.mark.parametrize("n", [1, 7, 60])
-def test_gstrf_solves_bitwise_like_splu(n):
-    """The call ``solve._lu`` makes, against ``splu(A).solve``: the same bytes,
-    so the same sign bits too (an all -0.0 right-hand side among them)."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    try:
-        from scipy.sparse.linalg._dsolve import _superlu
-    except ImportError as exc:
-        pytest.fail(_broken(f"scipy.sparse.linalg._dsolve._superlu is gone ({exc})"))
-    gen = np.random.default_rng(n)
-    data, indices, indptr = _random_csc(n, gen)
-    try:
-        lu = _superlu.gstrf(n, data.size, data, indices, indptr,
-                            csc_construct_func=None, ilu=False, options={})
-    except Exception as exc:  # a changed signature
-        pytest.fail(_broken(f"_superlu.gstrf no longer takes splu's arguments ({exc!r})"))
-    ref = splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
-    b = gen.standard_normal((3, n))
-    b[0, 0], b[2] = -0.0, -0.0
-    for v in b:
-        got, want = lu.solve(v), ref.solve(v)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), _broken(
-            "_superlu.gstrf with options={} no longer solves bitwise like splu")

@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -508,7 +507,7 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
 
 def test_multigrid_iterations_grow_slowly_with_the_cell():
     its = {k: mu_q(CHECKER, (1.0, 0.0), k, 4).iterations for k in (1, 2, 3)}
-    assert its[1] == 1  # 343 unknowns: the coarse factorisation solves it
+    assert its[1] == 1  # 343 unknowns: the coarse inverse solves it
     assert its[2] <= 42 and its[3] <= 59  # the counts under a Chebyshev bound that covers each level
     assert its[3] <= 2 * its[2]
 
@@ -558,7 +557,7 @@ class _Float32Only:
 def test_multigrid_levels_are_float32(monkeypatch):
     K, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
     levels, coarse = precond.args
-    assert len(levels) == 1 and K.dtype == np.float64
+    assert len(levels) == 2 and K.dtype == np.float64
     level = levels[0]
     # level 0 is the normalised K's stored diagonals cast to float32, at K's
     # offsets (the 14 of offset >= 0, each coupling once), its largest
@@ -573,8 +572,17 @@ def test_multigrid_levels_are_float32(monkeypatch):
         assert a.dtype == np.float32
     # P is CSR arrays applied by scipy's kernels (P^T by the CSC one), with no scipy.sparse object
     assert type(level.P) is solve._Csr and level.P.indices.dtype == level.P.indptr.dtype == np.int32
-    assert type(coarse).__name__ == "SuperLU"
-    assert all(type(c) is float for c in level.cheb)  # a numpy scalar would upcast
+    # level 1 is a _BlockDia on two copies of its grid, every array float32, with no sign
+    below = levels[1]
+    assert type(below.A) is solve._BlockDia and below.sign is None
+    assert all(part.data.dtype == np.float32 for part in below.A)
+    for a in (below.dinv, below.P.data):
+        assert a.dtype == np.float32
+    assert all(type(c) is float for lv in levels for c in lv.cheb)  # a numpy scalar would upcast
+    # the coarsest level is its float64 inverse, dense and exactly symmetric
+    assert type(coarse) is np.ndarray and coarse.dtype == np.float64
+    assert coarse.shape == (2 * below.P.shape[1],) * 2 and coarse.shape[0] <= solve._COARSE_UNKNOWNS
+    np.testing.assert_array_equal(coarse, coarse.T)
 
     r = np.cos(np.arange(K.shape[0]))
     z = precond(r)
@@ -594,8 +602,8 @@ def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
     f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
     levels, _ = precond.args
-    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._BlockDia]
-    assert all(part.data.dtype == np.float32 for part in levels[1].A)
+    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._BlockDia, solve._BlockDia]
+    assert all(part.data.dtype == np.float32 for level in levels[1:] for part in level.A)
     for level in levels:
         assert level.A.dtype == np.float32
         dinv = 1.0 / level.A.diagonal()
@@ -608,7 +616,7 @@ SMOOTH = power_integrand(heishom.SmoothCoefficient(lambda X: 2.0 + np.cos(X[...,
 NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
 
 
-@pytest.mark.parametrize("f, k, depth", [
+@pytest.mark.parametrize("f, k, coarser", [
     pytest.param(CHECKER, 2, 1, id="2-1"),
     pytest.param(CHECKER, 3, 2, id="3-2"),
     pytest.param(SMOOTH, 2, 1, id="smooth-2-1"),
@@ -617,18 +625,20 @@ NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
     pytest.param(NEAR_FLAT, 3, 2, id="near-flat-3-2"),
     pytest.param(sample_random_integrand(26, TwoPointLaw(1.0, 4.0)), 2, 1, id="tile-26-2-1"),
 ])
-def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, depth):
+def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, coarser):
     """theta + delta, the top of each level's smoothing interval, is at least
     the largest eigenvalue of D^-1 A for the float32 operator and inverse
     diagonal the level stores: a mode above it the Chebyshev polynomial
     amplifies, and the V-cycle need not be definite.  A power iteration
     started from cos(i) fell 4-19% short on the smooth coefficient
-    2 + cos(x3), the 1/1.001 checkerboard and tile seed 26 at level 0."""
+    2 + cos(x3), the 1/1.001 checkerboard and tile seed 26 at level 0.
+    Every smoothed level is checked: level 0 and the ``coarser`` smoothed
+    levels below it (the second number of the id)."""
     from scipy.sparse.linalg import eigsh
 
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), k, 4)
     levels = precond.args[0]
-    assert len(levels) == depth
+    assert len(levels) == 1 + coarser
     for level in levels:
         full = level.A.full()
         A = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
@@ -901,31 +911,57 @@ def test_interpolation_products_are_scipys(shape, seed):
     _assert_bitwise(np.concatenate([P @ h for h in e.reshape(2, -1)]), block @ e)
 
 
+_COARSE_SHAPES = st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+                           st.lists(st.integers(1, 4), min_size=5, max_size=5)).filter(
+    lambda s: math.prod(s) <= solve._COARSE_UNKNOWNS)
+
+
 @pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()
 @settings(max_examples=80, deadline=None)
-@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
-def test_coarse_csc_arrays_are_scipys(shape, seed):
-    """The CSC arrays the coarse LU gets are ``dia_matrix.tocsc()``'s: random
-    3^N-point stencils, most values +-0.0 (dropped) and junk in the DIA
-    padding (ignored), for N = 3 and 5; and a symmetric K's full diagonals."""
+@given(shape=_COARSE_SHAPES, seed=st.integers(0, 2**32 - 1))
+@example(shape=[7, 7, 7], seed=0)        # K's shape at k = 1, M = 4: 343 unknowns
+@example(shape=[3, 3, 3, 3, 3], seed=1)  # N = 5 axes, as at n = 2
+def test_coarse_inverse_solves_like_numpy(shape, seed):
+    """The coarse solve, the dense inverse of ``_inverse`` applied by
+    ``_coarse_solve``, agrees with ``numpy.linalg.solve`` to 1e-12 on random
+    SPD stencils of at most ``_COARSE_UNKNOWNS`` unknowns and, where the
+    shape coarsens, on their first augmented level (the kind of matrix the
+    V-cycle inverts, with offsets near +-n).  The inverse is exactly
+    symmetric, and ``dense()`` is scipy's dense matrix."""
     shape, gen = tuple(shape), rng(seed)
-    n = math.prod(shape)
-    nodes = np.arange(n).reshape(shape)
-    rows = {}
-    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
-        box, f = solve._box(o, shape), solve._flat_offset(o, shape)
-        if box is not None:
-            row = rows.setdefault(f, gen.standard_normal(n))  # padding: never read
-            row[nodes[box[1]].reshape(-1)] = _signed_zeros_or_normal(gen, nodes[box[0]].size, np.float64)
-    offsets = np.array(sorted(rows), dtype=np.int32)
-    D = solve._Dia(np.array([rows[f] for f in offsets]), offsets, (n, n))
     K = _random_spd_stencil(shape, gen)
-    for A, want in ((D, sp.dia_matrix((D.data, D.offsets), shape=D.shape).tocsc()),
-                    (K.full(), K.todia().tocsc())):
-        data, indices, indptr = A.csc()
-        got = SimpleNamespace(data=data, indices=indices, indptr=indptr, shape=A.shape)
-        _assert_same_arrays(got, want, ("indptr", "indices"), np.float64)
-        assert np.all(data != 0)
+    np.testing.assert_array_equal(K.full().dense(), K.todia().toarray())
+    matrices = [K.full()]
+    if max(shape) >= 3:
+        sign = (-1.0) ** np.indices(shape).sum(axis=0)
+        blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
+        matrices.append(solve._block_dia(blocks, coarse, np.float64).full())
+    for A in matrices:
+        X, D = solve._inverse(A), A.dense()
+        assert X.dtype == np.float64 and X.shape == A.shape
+        np.testing.assert_array_equal(X, X.T)
+        for b in gen.standard_normal((2, A.shape[0])):
+            want = np.linalg.solve(D, b)
+            assert np.max(np.abs(solve._coarse_solve(X, b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 1.0], [1.0, 1.0]],                    # positive diagonal, second pivot 0
+    [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot -3: indefinite
+    [[1.0, np.nan], [np.nan, 1.0]],
+], ids=["zero", "negative", "nan"])
+def test_coarse_inverse_rejects_a_pivot_that_is_not_positive(A):
+    A = np.array(A)
+    n = len(A)
+    offsets = np.arange(1 - n, n, dtype=np.int32)
+    data = np.zeros((offsets.size, n))
+    for row, o in zip(data, offsets.tolist()):  # DIA rows: A[c - o, c] at column c
+        c = np.arange(max(0, o), min(n, n + o))
+        row[c] = A[c - o, c]
+    D = solve._Dia(data, offsets, (n, n))
+    np.testing.assert_array_equal(D.dense(), A)
+    with pytest.raises(NumericalError, match="pivot"):
+        solve._inverse(D)
 
 
 def _fresh_python(code):
@@ -941,15 +977,17 @@ import sys
 from heishom import checkerboard_coefficient, mu_q, power_integrand
 s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), 2.0), (1.0, 0.0), 3, 4)
 print(s.iterations, s.energy.hex(), s.u.values.tobytes().hex()[:64])
-print(sorted(m for m in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
+print(sorted(m for m in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+                          "scipy.sparse.linalg._dsolve._superlu") if m in sys.modules))
 """
 
 
 def test_quadratic_solve_imports_no_scipy_sparse():
-    """A k=3 solve (two smoothed levels and the coarse LU) runs on scipy's
-    compiled kernels alone: in a fresh interpreter it imports neither
-    scipy.sparse nor scipy.sparse.linalg nor scipy.linalg, and gives this
-    process's result."""
+    """A k=3 solve (three smoothed levels and the coarse inverse) runs on
+    scipy's compiled kernels alone: in a fresh interpreter it imports neither
+    scipy.sparse nor scipy.sparse.linalg nor scipy.linalg, loads no SuperLU
+    extension (nor the OpenBLAS it links), and gives this process's
+    result."""
     result, loaded = _fresh_python(_SOLVE_IMPORTS).splitlines()
     s = mu_q(CHECKER, (1.0, 0.0), 3, 4)
     assert result == f"{s.iterations} {s.energy.hex()} {s.u.values.tobytes().hex()[:64]}"
@@ -964,19 +1002,15 @@ def test_missing_scipy_extension_is_an_import_error_naming_its_file():
 
 
 def test_solver_kernels_are_the_modules_scipy_sparse_uses():
-    """The extensions the solver loads by file are the ones a later
-    ``import scipy.sparse`` and ``scipy.sparse.linalg`` use: one copy each,
-    in a fresh interpreter and in this one."""
-    code = ("import heishom.solve as s, scipy.sparse, scipy.sparse.linalg\n"
+    """The extension the solver loads by file is the one a later
+    ``import scipy.sparse`` uses: one copy, in a fresh interpreter and in
+    this one."""
+    code = ("import heishom.solve as s, scipy.sparse\n"
             "from scipy.sparse import _compressed, _dia\n"
-            "from scipy.sparse.linalg._dsolve import linsolve\n"
-            "print(s._sparsetools is _compressed._sparsetools, s._dia_matvec is _dia.dia_matvec,\n"
-            "      s._superlu is linsolve._superlu)")
-    assert _fresh_python(code).split() == ["True"] * 3
+            "print(s._sparsetools is _compressed._sparsetools, s._dia_matvec is _dia.dia_matvec)")
+    assert _fresh_python(code).split() == ["True"] * 2
     import scipy.sparse._compressed
-    from scipy.sparse.linalg._dsolve import linsolve
     assert solve._sparsetools is scipy.sparse._compressed._sparsetools
-    assert solve._superlu is linsolve._superlu
 
 
 def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
@@ -1042,7 +1076,7 @@ _CG_FINGERPRINT = """
 import hashlib
 from heishom import checkerboard_coefficient, mu_q, power_integrand
 for alpha, t, M in ((2.0, 1, 12), (2.0, 2, 4), (3.0, 2, 4)):
-    # (2, 4) at alpha=2: the coarsest level has 1470 unknowns; alpha=3: Newton
+    # (2, 4) at alpha=2: two smoothed levels, a coarsest of 126 unknowns; alpha=3: Newton
     s = mu_q(power_integrand(checkerboard_coefficient(1.0, 4.0), alpha), (1.0, 0.0), t, M)
     print(s.iterations, s.residual.hex(), s.energy.hex(),
           hashlib.sha256(s.u.values.tobytes()).hexdigest())
@@ -1051,8 +1085,8 @@ for alpha, t, M in ((2.0, 1, 12), (2.0, 2, 4), (3.0, 2, 4)):
 
 def test_cg_result_does_not_depend_on_blas_threads():
     """The PCG, smoother and Newton reductions bypass BLAS, whose threaded
-    dot/nrm2 round differently; the sparse LU of the coarsest level must not
-    depend on the BLAS thread count either."""
+    dot/nrm2 round differently; the dense inverse of the coarsest level and
+    its product must not depend on the BLAS thread count either."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(heishom.__file__)))
     outs = []
     for threads in ("1", "2"):

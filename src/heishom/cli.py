@@ -345,7 +345,21 @@ def emit(command, cfg, header, rows, payload, fmt, out_path):
     else:
         doc = {"schema": 1, "command": command, "config": cfg.to_json()}
         doc.update(_jsonify(payload))
-        write_output(json.dumps(doc, indent=2) + "\n", out_path)
+        write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out_path)
+
+
+def _check_finite(value, name="report"):
+    """Raise ``NumericalError`` at the first number of a report value, as
+    ``_jsonify`` leaves it, that is not finite: JSON has no NaN or Infinity,
+    and no result of a command holds one."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_finite(v, key)
+    elif isinstance(value, list):
+        for v in value:
+            _check_finite(v, name)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NumericalError(f"the reported {name!r} is not finite ({value})")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +523,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         header, rows, payload, ok = _HANDLERS[args.command](cfg, args)
+        _check_finite(_jsonify([payload, rows]))  # before anything is written
         emit(args.command, cfg, header, rows, payload, args.format, args.out)
         return 0 if ok else 1
     except NumericalError as exc:

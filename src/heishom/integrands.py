@@ -315,8 +315,14 @@ class MatrixPowerIntegrand(Integrand):
         self.eig_min = float(w[0])
         self.eig_max = float(w[-1])
         self.alpha = p
-        self.c1 = self.eig_min**p
-        self.c2 = max(self.eig_max**p, 1.0)
+        try:
+            c1, c2 = self.eig_min**p, self.eig_max**p
+        except OverflowError:
+            c1 = c2 = math.inf
+        if c2 == math.inf or c1 == 0.0:
+            raise ValueError(f"the growth constants eig**p of p = {p!r} over the eigenvalue range "
+                             f"[{self.eig_min:.3g}, {self.eig_max:.3g}] overflow or underflow a float")
+        self.c1, self.c2 = c1, max(c2, 1.0)
 
     def coefficients_at(self, X):
         m = np.shape(X)[-1] - 1  # 2n, for points of the group R^(2n+1)

@@ -20,12 +20,12 @@ Three routes:
   by stencil straight into its diagonals (``_normal_matrix``, no gradient
   operator built), preconditioned by one multigrid V-cycle
   (``_multigrid``), to a relative residual tolerance.  K is symmetric and
-  stored once per coupling, by its diagonals of offset >= 0
-  (``_SymmetricDia``, whose product is bitwise that of the full DIA
-  matrix).  K and rhs are scaled once by 2^-e, e the exponent of K's
-  largest diagonal entry (exact, so CG's iterates do not change), and CG
-  runs on that float64 K; its residual, its stopping test and the energy
-  are float64.  The V-cycle's coarse operators are Galerkin products
+  stored once per coupling, by its diagonals of offset >= 0, and applied
+  as a ``_Dia`` (``_symmetric``), bitwise the full DIA matrix's product.
+  K and rhs are scaled once by 2^-e, e the exponent of K's largest
+  diagonal entry (exact, so CG's iterates do not change), and CG runs on
+  that float64 K; its residual, its stopping test and the energy are
+  float64.  The V-cycle's coarse operators are Galerkin products
   computed by stencil in float64, one axis at a time, with no sparse-sparse
   product.  Its smoothed levels are float32, stored by diagonals (4-byte
   values and no index arrays in its memory-bound sweeps; level 0 is K's
@@ -79,8 +79,8 @@ The packages cost more than the solves that use them: on 2 cores (Python 3.11, n
 ``numpy.testing`` and ``numpy.ma``, and ``scipy.sparse.linalg`` 0.12 s and
 10 MiB more (it imports scipy.linalg): 22 of the 61 MiB peak of an
 alpha = 3 sweep that imports them.  Newton calls ``dia_matvec`` alone.
-``gradient_operator`` and ``_SymmetricDia.todia`` import scipy.sparse when
-called; only the tests and the benchmark's statistics call them.
+``gradient_operator`` imports scipy.sparse when called; only the tests and
+the benchmark's statistics call it.
 """
 
 import functools
@@ -362,112 +362,92 @@ def _weighted_corners(grid, S, w):
 
 
 class _Dia(NamedTuple):
-    """A square matrix by its diagonals in scipy's DIA layout (row k holds
-    A[c - offsets[k], c] at column c, offsets ascending), applied by the
-    kernel of ``dia_matrix @ v``, so bitwise that product."""
+    """A square matrix of n rows as an ordered tuple of calls of the kernel
+    of ``dia_matrix @ v``: ``terms`` holds (offsets, data, row, col, size),
+    a DIA of size rows and columns in scipy's layout (row k holds entry
+    (c - offsets[k], c) at column c) placed at (row, col) of the matrix.
+    ``A @ v`` makes the calls in order, each adding into one zero vector.
 
-    data: np.ndarray
-    offsets: np.ndarray  # int32
-    shape: tuple
-
-    def __matmul__(self, v):
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, v))
-        self.add_product(v, out)
-        return out
-
-    def add_product(self, v, out):
-        """out += A v, out a contiguous vector of the product's dtype (a
-        view writes into its base)."""
-        n = self.shape[0]
-        _dia_matvec(n, n, len(self.offsets), self.data.shape[1], self.offsets, self.data, v, out)
-
-    def diagonal(self):
-        n, k = self.shape[0], np.flatnonzero(self.offsets == 0)
-        return self.data[k[0], :n].copy() if k.size else np.zeros(n, self.data.dtype)
-
-    def dense(self):
-        """A as a dense array, for the coarse solve and the tests."""
-        n = self.shape[0]
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        for o, row in zip(self.offsets.tolist(), self.data):
-            c = np.arange(max(0, o), min(n, n + o))  # the columns whose row c - o is on the matrix
-            out[c - o, c] = row[c]
-        return out
-
-
-class _SymmetricDia:
-    """A symmetric matrix stored by its diagonals of offset >= 0 alone,
-    offsets ascending from the main diagonal, each a full row laid out as a
-    ``dia_matrix`` row (A[c - o, c] at column c).  It reads like a
-    dia_matrix: ``A @ v``, ``diagonal()``, ``astype(dtype)``, ``full()``
-    (every diagonal, a ``_Dia``, offsets ascending) and ``todia()`` (that
-    ``scipy.sparse.dia_matrix``, for the tests).
-
-    The lower diagonal -o is the stored row o from column o on: A[c + o, c]
-    = A[c, c + o].  ``A @ v`` applies the lower diagonals one at a time
-    (after ``mirrored()``, all in one call from a copy of them), most
-    negative offset first, then the stored rows in one call, each call
-    adding into the same zero vector with the kernel ``dia_matrix @`` calls.
-    Every row so adds its terms in ascending offset order, as the product
-    of ``full()`` does, and the two are bitwise equal.
+    Where every row meets its terms in ascending offset order, the product
+    is bitwise that of the padded DIA of the whole matrix (one row per
+    offset, ascending): the other terms of a padded row multiply stored
+    zeros, and a sum that starts from +0.0 never turns -0.0, so they change
+    no bit of it.  ``_symmetric`` and ``_block_dia`` build their terms in
+    that order.
     """
 
-    def __init__(self, data, offsets):
-        self.data, self.offsets = data, np.asarray(offsets, dtype=np.int32)
-        self.dtype = data.dtype
-        n = data.shape[1]
-        self.shape = (n, n)
-        # (length, offsets, rows) of each kernel call on the lower diagonals, most negative first
-        self._lower = [(n - o, -self.offsets[k:k + 1], data[k, o:])
-                       for k, o in reversed(list(enumerate(self.offsets.tolist()))) if o]
+    terms: tuple
+    n: int
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    @property
+    def dtype(self):
+        return self.terms[0][1].dtype
 
     def __matmul__(self, v):
-        n = self.shape[0]
-        out = np.zeros(n, dtype=np.result_type(self.data, v))
-        for length, offsets, diags in self._lower:
-            _dia_matvec(n, n, len(offsets), length, offsets, diags, v, out)
-        _dia_matvec(n, n, len(self.offsets), n, self.offsets, self.data, v, out)
+        out = np.zeros(self.n, dtype=np.result_type(self.dtype, v))
+        for offsets, data, row, col, size in self.terms:
+            _dia_matvec(size, size, len(offsets), data.shape[1], offsets, data,
+                        v[col:col + size], out[row:row + size])
         return out
 
-    def _lower_rows(self):
-        """The lower diagonals, most negative first, as new DIA rows."""
-        n, offsets = self.shape[0], self.offsets.tolist()
-        rows = np.zeros((len(offsets) - 1, n), dtype=self.dtype)
-        for row, k in zip(rows, reversed(range(1, len(offsets)))):
-            row[:n - offsets[k]] = self.data[k, offsets[k]:]
-        return rows
-
-    def mirrored(self):
-        """The same matrix with its lower diagonals copied out once, so that a
-        product makes two kernel calls instead of one per diagonal.  Newton's
-        inner PCG applies it for the threads, not for the matrix size: serial
-        solves run as fast on the stored half alone, but on 2 threads under
-        ``map_jobs`` (the alpha = 3 sweep over {-1, 0, 1}^2 at k = 1, 2, on 2
-        cores) the 14 calls per product cost about 30% more wall time."""
-        A = _SymmetricDia(self.data, self.offsets)
-        A._lower = [(self.shape[0], -self.offsets[:0:-1], self._lower_rows())]
-        return A
-
     def diagonal(self):
-        return self.data[0].copy()
+        """The main diagonal, from the offset-0 rows of the terms on it."""
+        out = np.zeros(self.n, dtype=self.dtype)
+        for offsets, data, row, col, size in self.terms:
+            if row == col and 0 in offsets:  # a term's offsets ascend, each once
+                out[row:row + size] += data[np.searchsorted(offsets, 0), :size]
+        return out
 
-    def astype(self, dtype):
-        return _SymmetricDia(self.data.astype(dtype), self.offsets)
+    def dense(self):
+        """A as a dense array, each term's entries added into zeros, for the
+        coarse inverse and the tests."""
+        out = np.zeros(self.shape, dtype=self.dtype)
+        for offsets, data, row, col, size in self.terms:
+            for o, values in zip(offsets.tolist(), data):
+                c = np.arange(max(0, o), min(size, size + o, values.size))  # the columns the kernel reads
+                out[row + c - o, col + c] += values[c]
+        return out
 
-    def full(self):
-        offsets = np.concatenate([-self.offsets[:0:-1], self.offsets])
-        return _Dia(np.concatenate([self._lower_rows(), self.data]), offsets, self.shape)
+    def bandwidth(self):
+        """The largest |offset| of A's entries, from the terms' offsets."""
+        return max(abs(o + col - row) for offsets, _, row, col, _ in self.terms for o in offsets.tolist())
 
-    def todia(self):
-        import scipy.sparse as sp
 
-        return sp.dia_matrix(self.full()[:2], shape=self.shape)
+def _symmetric(data, offsets, mirrored=False):
+    """K stored by its diagonals of offset >= 0 (``_normal_matrix``) as a
+    ``_Dia``: each lower diagonal -o a view of the stored row o from column
+    o on (A[c + o, c] = A[c, c + o]), most negative first, then the stored
+    rows in one term, so each coupling is stored once.
+
+    ``mirrored`` copies the lower diagonals into one term instead: two
+    kernel calls per product, not one per diagonal.  Newton's inner PCG
+    takes it for the threads, not for the matrix size: serial solves run as
+    fast on the views, but on 2 threads under ``map_jobs`` (the alpha = 3
+    sweep over {-1, 0, 1}^2 at k = 1, 2, on 2 cores) the 14 calls per
+    product cost about 30% more wall time.  The quadratic path keeps the
+    views, since the copy adds 13 rows to K (12.1 MiB at k = 4).
+    """
+    offsets = np.asarray(offsets, dtype=np.int32)
+    n = data.shape[1]
+    lower = [(-offsets[k:k + 1], data[k:k + 1, o:], 0, 0, n)
+             for k, o in reversed(list(enumerate(offsets.tolist()))) if o]
+    if mirrored:
+        rows = np.zeros((len(lower), n), dtype=data.dtype)
+        for row, (_, values, *_) in zip(rows, lower):
+            row[:values.size] = values[0]
+        lower = [(-offsets[:0:-1], rows, 0, 0, n)]
+    return _Dia(tuple(lower) + ((offsets, data, 0, 0, n),), n)
 
 
 def _normal_matrix(grid, V):
-    """K on the interior nodes as a float64 ``_SymmetricDia``: its diagonals
-    of offset >= 0, ascending from the main one, summed from the weighted
-    corners V of ``_weighted_corners``.  Each coupling is stored once.
+    """K on the interior nodes as (data, offsets), float64 and int32: its
+    diagonals of offset >= 0, ascending from the main one, as ``dia_matrix``
+    rows, summed from the weighted corners V of ``_weighted_corners``.  Each
+    coupling is stored once; ``_symmetric`` makes the operator.
 
     An entry adds its cells in ascending order (corner i descending), each
     one component after another.
@@ -488,7 +468,7 @@ def _normal_matrix(grid, V):
         for i, j, cells, nodes in upper[offset]:
             for a in range(grid.m):
                 at[nodes] += V[i, a][cells] * V[j, a][cells]
-    return _SymmetricDia(data, offsets)
+    return data, np.array(offsets, dtype=np.int32)
 
 
 def _normal_rhs(grid, V, u):
@@ -597,21 +577,23 @@ def _positive_diagonal(A):
 # coefficient scale that float64 K takes.  A level operator is a 3^N-point
 # stencil on its node grid (a 2 x 2 block of them on the augmented levels),
 # so it has few diagonals and is stored by them: a DIA product streams the
-# values alone, with no column indices.  Level 0 is K's ``_SymmetricDia``
-# cast, each coupling stored once.  An augmented level is a ``_BlockDia``:
-# its diagonal blocks in one DIA over both copies, A21 and A21^T in one-copy
-# DIAs, so no value is stored outside the four blocks (1.53M values at
-# k = 4 on level 1, against 2.30M in one padded DIA) and a product makes
-# three kernel calls, not one per diagonal.  Every smoothed level, level 0
-# included, takes its inverse diagonal and Chebyshev interval from the
-# float32 operator it stores and smooths with.  The interval must reach the
-# top of the spectrum of D^-1 A, or the smoother amplifies the modes above
-# it and the V-cycle is indefinite: a power iteration started from cos(i)
-# fell 4-19% short on smooth, near-flat and some random-tile coefficients
-# (CG took 1300 iterations on 2 + cos(x3) at k = 2).  Started from a hashed
-# pseudo-random vector, 1.1 times its estimate covers them: the largest
-# eigenvalue reads 0.92-0.97 of the bound on level 0 at k = 2..4 and
-# 0.96-0.996 on the coarser levels.  That margin is measured, not proven.
+# values alone, with no column indices.  Every level is one ``_Dia``, an
+# ordered tuple of DIA kernel calls.  Level 0 is ``_symmetric`` on K's
+# stored diagonals cast, each coupling stored once.  An augmented level
+# (``_block_dia``) has three terms: its diagonal blocks in one DIA over both
+# copies, A21 and A21^T in one-copy DIAs, so no value is stored outside the
+# four blocks (1.53M values at k = 4 on level 1, against 2.30M in one padded
+# DIA) and a product makes three kernel calls, not one per diagonal.  Every
+# smoothed level, level 0 included, takes its inverse diagonal and Chebyshev
+# interval from the float32 operator it stores and smooths with.  The
+# interval must reach the top of the spectrum of D^-1 A, or the smoother
+# amplifies the modes above it and the V-cycle is indefinite: a power
+# iteration started from cos(i) fell 4-19% short on smooth, near-flat and
+# some random-tile coefficients (CG took 1300 iterations on 2 + cos(x3) at
+# k = 2).  Started from a hashed pseudo-random vector, 1.1 times its
+# estimate covers them: the largest eigenvalue reads 0.92-0.97 of the bound
+# on level 0 at k = 2..4 and 0.96-0.996 on the coarser levels.  That margin
+# is measured, not proven.
 #
 # The coarsest level is inverted once per solve in float64, by an LDL^T
 # elimination in numpy ufuncs and ``einsum`` (``_inverse``), and the V-cycle
@@ -655,7 +637,7 @@ class _Csr(NamedTuple):
 class _Level(NamedTuple):
     """One smoothed level of the V-cycle, for the normalised K; every array is float32."""
 
-    A: object            # by diagonals: level 0 a _SymmetricDia (each coupling once), below a _BlockDia
+    A: _Dia              # level 0 K's stored diagonals (each coupling once), below the three block terms
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
     P: _Csr              # interpolation onto each copy of the node grid (two below level 0)
@@ -737,12 +719,12 @@ def _kron(a, b, b_cols):
 _WEIGHTS = {-1: 0.5, 0: 1.0, 1: 0.5}  # coarse node I of an axis sits at fine node 2I + 1
 
 
-def _dia_stencil(A, shape):
-    """o -> the stencil array of the ``_SymmetricDia`` A on the node grid
-    shape, as a new array.  A lower coupling (flat offset f < 0) is read from
-    the stored row -f at the node itself: A[x, x + f] = A[x + f, x], kept at
-    column x."""
-    rows = {int(f): k for k, f in enumerate(A.offsets)}
+def _dia_stencil(data, offsets, shape):
+    """o -> the stencil array on the node grid shape of the symmetric matrix
+    stored by its diagonals of offset >= 0 (``_normal_matrix``), as a new
+    array.  A lower coupling (flat offset f < 0) is read from the stored row
+    -f at the node itself: A[x, x + f] = A[x + f, x], kept at column x."""
+    rows = {int(f): k for k, f in enumerate(offsets)}
 
     def a(o):
         out = np.zeros(shape)
@@ -750,7 +732,7 @@ def _dia_stencil(A, shape):
         k = rows.get(abs(f))
         if box is not None and k is not None:
             x, y = box  # DIA keeps A[c - f, c] at column c
-            out[x] = A.data[k].reshape(shape)[y if f >= 0 else x]
+            out[x] = data[k].reshape(shape)[y if f >= 0 else x]
         return out
     return a
 
@@ -838,13 +820,13 @@ def _galerkin(a, shape, symmetric):
 _SYMMETRIC = (True, False, True)  # of the blocks A11, A21, A22
 
 
-def _augmented_stencils(K, shape, sign):
+def _augmented_stencils(data, offsets, shape, sign):
     """The stencil readers o -> array of K, S K and S K S, S = diag(sign),
-    whose ``_coarse_blocks`` are the blocks of [P, S P]^T K [P, S P].  S K
-    has the stencil sign(x) a_o(x) and S K S the stencil (-1)^(sum o) a_o:
-    the signs enter the first pass one stencil array at a time, and no
-    signed copy of K is built."""
-    a = _dia_stencil(K, shape)
+    for K stored as ``_normal_matrix`` returns it; their ``_coarse_blocks``
+    are the blocks of [P, S P]^T K [P, S P].  S K has the stencil sign(x)
+    a_o(x) and S K S the stencil (-1)^(sum o) a_o: the signs enter the first
+    pass one stencil array at a time, and no signed copy of K is built."""
+    a = _dia_stencil(data, offsets, shape)
 
     def sk(o):
         v = a(o)
@@ -865,65 +847,17 @@ def _coarse_blocks(stencils, shape):
     return (A11, A21, A22), A11.shape
 
 
-class _BlockDia(NamedTuple):
-    """An augmented level [[A11, A21^T], [A21, A22]] on two copies of a node
-    grid of n nodes, by its diagonals with no padding between the blocks:
-    ``blocks`` holds A11 and A22 as one DIA over both copies (2n columns),
-    ``lower`` A21 and ``upper`` A21^T as DIAs on one copy (n columns).
-
-    ``A @ v`` makes three kernel calls into one zero vector: lower into the
-    second copy's rows, blocks, upper into the first copy's.  A row of the
-    second copy meets A21's columns before its own, and a row of the first
-    its own before A21^T's, so each row adds its terms in the ascending
-    offset order of ``full()``, the padded DIA of the whole matrix, and the
-    two products are bitwise equal: the other terms of a padded row multiply
-    stored zeros, and a sum that starts from +0.0 never turns -0.0, so they
-    change no bit of it.  ``full()`` serves the coarse inverse and the tests.
-    """
-
-    lower: _Dia
-    blocks: _Dia
-    upper: _Dia
-
-    @property
-    def shape(self):
-        return self.blocks.shape
-
-    @property
-    def dtype(self):
-        return self.blocks.data.dtype
-
-    def __matmul__(self, v):
-        n = self.lower.shape[0]
-        out = np.zeros(2 * n, dtype=np.result_type(self.dtype, v))
-        self.lower.add_product(v[:n], out[n:])
-        self.blocks.add_product(v, out)
-        self.upper.add_product(v[n:], out[:n])
-        return out
-
-    def diagonal(self):
-        return self.blocks.diagonal()
-
-    def full(self):
-        """The whole matrix as one ``_Dia`` of 2n columns, offsets ascending:
-        A21's shifted by -n, the diagonal blocks', A21^T's shifted by n (on
-        a small grid two of them can meet; each entry of the shared row comes
-        from one block, the others add zero)."""
-        n = self.lower.shape[0]
-        pieces = ((self.lower, -n, slice(0, n)), (self.blocks, 0, slice(None)), (self.upper, n, slice(n, None)))
-        offsets = sorted({f + shift for A, shift, _ in pieces for f in A.offsets.tolist()})
-        row = {f: k for k, f in enumerate(offsets)}
-        data = np.zeros((len(offsets), 2 * n), dtype=self.dtype)
-        for A, shift, columns in pieces:
-            for f, values in zip(A.offsets.tolist(), A.data):
-                data[row[f + shift], columns] += values
-        return _Dia(data, np.array(offsets, dtype=np.int32), self.shape)
-
-
 def _block_dia(blocks, shape, dtype):
     """The augmented level [[A11, A21^T], [A21, A22]] on two copies of the
-    node grid shape, from the ``_Stencils`` of its float64 blocks, as a
-    ``_BlockDia`` of dtype, each value rounded once.
+    node grid shape (n nodes), from the ``_Stencils`` of its float64 blocks,
+    as a ``_Dia`` of dtype, each value rounded once, with no padding between
+    the blocks.  Its three terms are A21 as a DIA of n columns into the
+    second copy's rows (at (n, 0)), A11 and A22 as one DIA over both copies
+    (2n columns), and A21^T as a DIA of n columns into the first copy's
+    rows (at (0, n)).  A row of the second copy meets A21's columns before
+    its own, and a row of the first its own before A21^T's, so each row adds
+    its terms in ascending offset order, as the padded DIA of the whole
+    matrix does.
 
     Stencil offset o with flat offset f couples node i to node i + f of the
     flattened grid: A11[i, i + f] = a11_o[i], kept at column i + f of the
@@ -952,15 +886,15 @@ def _block_dia(blocks, shape, dtype):
         for k, a, first in ((1, at(A11), lo), (0, at(A21), lo), (1, at(A22), n + lo), (2, at(A21, True), lo)):
             if a.any():
                 pieces[k].append((f, first, a))
-    dias = []
-    for width, block in zip((n, 2 * n, n), pieces):
+    terms = []
+    for (row, col, size), block in zip(((n, 0, n), (0, 0, 2 * n), (0, n, n)), pieces):
         offsets = sorted({f for f, _, _ in block})
-        row = {f: k for k, f in enumerate(offsets)}
-        data = np.zeros((len(offsets), width), dtype=dtype)
+        index = {f: i for i, f in enumerate(offsets)}
+        data = np.zeros((len(offsets), size), dtype=dtype)
         for f, first, values in block:  # offsets that share a diagonal add zero to each other's entries
-            data[row[f], first:first + values.size] += values
-        dias.append(_Dia(data, np.array(offsets, dtype=np.int32), (width, width)))
-    return _BlockDia(*dias)
+            data[index[f], first:first + values.size] += values
+        terms.append((np.array(offsets, dtype=np.int32), data, row, col, size))
+    return _Dia(tuple(terms), 2 * n)
 
 
 def _chebyshev(A, dinv):
@@ -1016,8 +950,9 @@ def _smoothed(size, shape):
     return size > _COARSE_UNKNOWNS and max(shape) >= 3
 
 
-def _multigrid(K, shape):
-    """One symmetric V-cycle for K on the interior node shape, as r -> z.
+def _multigrid(data, offsets, shape):
+    """One symmetric V-cycle for K on the interior node shape, as r -> z, K
+    stored by (data, offsets) as ``_normal_matrix`` returns it.
 
     Levels are coarsened by ``_interpolation`` until at most
     ``_COARSE_UNKNOWNS`` unknowns remain, which ``_inverse`` inverts.  The first
@@ -1026,17 +961,17 @@ def _multigrid(K, shape):
     (unbuilt: a row of it reads its own block alone).  Every coarse
     operator is a float64 Galerkin product by stencil, axis by axis, with no
     sparse matrix product: ``_coarse_blocks`` builds each level from the
-    stencil readers of the one above it, first ``_augmented_stencils(K)``.
+    stencil readers of the one above it, first ``_augmented_stencils``.
 
     K is normalised (``_solve_quadratic``).  A smoothed level is a float32
-    ``_Level``: its operator is K's stored diagonals cast on level 0, and
-    below it the ``_BlockDia`` that ``_block_dia`` writes from the block
-    stencils; P is a ``_Csr`` on one copy of its node grid.  Every level's
-    inverse diagonal and Chebyshev interval come from that float32
-    operator, by one rule.  The same writer gives the coarsest level in
-    float64, whose ``full()`` DIA ``_inverse`` inverts.  With no smoothed
-    level (K has at most ``_COARSE_UNKNOWNS`` unknowns) the map is the
-    product with K's inverse, an exact solve to rounding.
+    ``_Level``: its operator is ``_symmetric`` on K's stored diagonals cast
+    on level 0, and below it the ``_Dia`` that ``_block_dia`` writes from
+    the block stencils; P is a ``_Csr`` on one copy of its node grid.
+    Every level's inverse diagonal and Chebyshev interval come from that
+    float32 operator, by one rule.  The same writer gives the coarsest level
+    in float64, which ``_inverse`` inverts.  With no smoothed level (K has at
+    most ``_COARSE_UNKNOWNS`` unknowns) the map is the product with K's
+    inverse, an exact solve to rounding.
 
     A level is set up in the order that keeps the transients apart: P
     (whose build peaks at about 1.3 times its size), the next level's
@@ -1045,11 +980,15 @@ def _multigrid(K, shape):
     is set up beside its own float64 blocks and the next level's, against
     44.5 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
     """
-    if not _smoothed(K.shape[0], shape):
+    if not _smoothed(data.shape[1], shape):
+        K = _symmetric(data, offsets)
         _positive_diagonal(K)
-        return functools.partial(_coarse_solve, _inverse(K.full()))
+        return functools.partial(_coarse_solve, _inverse(K))
+
+    def operator(dtype):
+        return _symmetric(data.astype(dtype), offsets)
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
-    levels, operator, stencils = [], K.astype, _augmented_stencils(K, shape, sign)
+    levels, stencils = [], _augmented_stencils(data, offsets, shape, sign)
     while True:  # operator(dtype): this level's matrix; stencils: its stencil readers
         P, _ = _interpolation(shape)
         blocks, shape = _coarse_blocks(stencils, shape)
@@ -1059,7 +998,7 @@ def _multigrid(K, shape):
         operator, stencils = functools.partial(_block_dia, blocks, shape), blocks  # rebound: frees this level's
         if not _smoothed(2 * math.prod(shape), shape):
             break
-    coarse = operator(np.float64).full()
+    coarse = operator(np.float64)
     _positive_diagonal(coarse)
     return functools.partial(_precondition, levels, _inverse(coarse))
 
@@ -1080,7 +1019,7 @@ def _inverse(A):
     ``NumericalError``.
     """
     n = A.shape[0]
-    w = min(n - 1, int(np.max(np.abs(A.offsets))))
+    w = min(n - 1, A.bandwidth())
     L = A.dense()
     d = np.empty(n)
     for k in range(n):
@@ -1205,13 +1144,14 @@ def _solve_quadratic(problem, coeffs, trace):
     u_bd = trace.copy()
     u_bd[interior] = 0.0
     rhs = _normal_rhs(grid, V, u_bd)
-    K = _normal_matrix(grid, V)
+    data, offsets = _normal_matrix(grid, V)
     del V, u_bd
-    e = math.frexp(float(np.max(K.diagonal(), initial=0.0)))[1]  # a cell may have no interior node
-    np.ldexp(K.data, -e, out=K.data)
+    e = math.frexp(float(np.max(data[0], initial=0.0)))[1]  # the diagonal; a cell may have no interior node
+    np.ldexp(data, -e, out=data)
     np.ldexp(rhs, -e, out=rhs)
     shape = tuple(s - 2 for s in grid.shape)
-    return _pcg(K, rhs, trace[interior], lambda K: _multigrid(K, shape), TOL_RESIDUAL, MAX_ITER)
+    return _pcg(_symmetric(data, offsets), rhs, trace[interior], lambda K: _multigrid(data, offsets, shape),
+                TOL_RESIDUAL, MAX_ITER)
 
 
 _ARMIJO = 1e-4      # sufficient decrease, as a fraction of the directional slope
@@ -1270,7 +1210,7 @@ def _solve_newton(problem, coeffs, trace):
         eta, gnorm_prev = max(eta, 0.5 * tol / gnorm), gnorm
         with np.errstate(over="ignore", invalid="ignore"):
             H = finite("Hessian factor", f.hessian_factor_cells(coeffs, G))
-        K = _normal_matrix(grid, _weighted_corners(grid, H, w)).mirrored()  # 2 kernel calls per product, not 14
+        K = _symmetric(*_normal_matrix(grid, _weighted_corners(grid, H, w)), mirrored=True)  # 2 calls, not 14
         del H
         d = _pcg(K, -gs, np.zeros_like(g), _jacobi, eta, MAX_ITER)[0] * math.ldexp(1.0, e)
         del K  # the next step's assembly should not overlap it

@@ -188,6 +188,8 @@ def monte_carlo_effective(
     e = np.stack([rep.e for rep in reports])
     growth_ok = all(rep.verdicts["bounds_ok"] for rep in reports)
     diagnostics = [rep.diagnostics for rep in reports]
+    with np.errstate(over="ignore"):  # a variance beyond the float range reads inf, as the CLI reports it
+        variance = e.var(axis=0, ddof=1)
 
     return MonteCarloReport(
         law=law,
@@ -198,7 +200,7 @@ def monte_carlo_effective(
         seeds=seeds,
         e=e,
         mean=e.mean(axis=0),
-        variance=e.var(axis=0, ddof=1),
+        variance=variance,
         growth_ok=bool(growth_ok),
         correlation_radius=tile_correlation_radius(n),
         diagnostics=diagnostics,

@@ -507,3 +507,41 @@ def test_non_finite_solve_is_a_numerical_failure(tmp_path, capsys, cfg):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("heishom: numerical failure: ")
+
+
+def test_matrix_p_growth_overflow_is_a_config_error(tmp_path, capsys):
+    """|A q|^p whose bound eig_max**p overflows a float is a config error
+    (exit 2) with one line on stderr, not an OverflowError traceback."""
+    spec = {"type": "matrix_p", "p": 2.0, "matrix": [[1e200, 0], [0, 1e-200]]}
+    assert main(["cell", "--config", write_cfg(tmp_path, {"t": 1.0, "M": 2, "integrand": spec})]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("heishom: config error: ")
+    assert "p = 2.0" in err and "1e+200" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_value_is_a_numerical_failure(tmp_path, capsys, fmt):
+    """A variance beyond the float range would print Infinity, which is not
+    JSON: the report is refused before anything is written, with exit 3, one
+    line on stderr, no RuntimeWarning (an error here) and no --out file."""
+    cfg = write_cfg(tmp_path, {"k_list": [1], "n_samples": 2, "M": 2, "delta": 0,
+                               "law": {"kind": "uniform", "lo": 1.0, "hi": 1e300}})
+    for out_path in (None, os.path.join(tmp_path, f"report.{fmt}")):
+        argv = ["stochastic", "--config", cfg, "--format", fmt] + (["--out", out_path] if out_path else [])
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["heishom: numerical failure: the reported 'variance' is not finite (inf)"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_json_output_is_strict_json(tmp_path):
+    """``emit`` writes JSON with allow_nan=False: a non-finite value that
+    reached it would raise, not print NaN or Infinity."""
+    from heishom.cli import emit
+
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit("cell", RunConfig(), ["energy"], [(math.inf,)], {"energy": math.inf}, "json",
+             os.path.join(tmp_path, "out.json"))
+    assert os.listdir(tmp_path) == []

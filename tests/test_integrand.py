@@ -130,6 +130,20 @@ def test_matrix_integrand_validation():
     assert F.eig_min > 0 and F.eig_max < 3.0
 
 
+@pytest.mark.parametrize("matrix, p", [
+    ([[1e200, 0.0], [0.0, 1e-200]], 2.0),  # eig_max**p overflows, eig_min**p underflows
+    ([[1e200, 0.0], [0.0, 1.0]], 2.0),     # eig_max**p overflows
+    ([[1.0, 0.0], [0.0, 1e-200]], 2.0),    # eig_min**p underflows to 0
+    ([[4.0, 0.0], [0.0, 1.0]], 600.0),     # a large p alone overflows
+], ids=["both", "overflow", "underflow", "large-p"])
+def test_matrix_integrand_growth_constants_must_be_floats(matrix, p):
+    """c1 = eig_min**p and c2 = eig_max**p bound the integrand; one outside
+    the float range is a ValueError naming p and the eigenvalue range, not
+    an OverflowError or a bound of 0."""
+    with pytest.raises(ValueError, match=r"p = [0-9.]+ over the eigenvalue range \[.*\]"):
+        MatrixPowerIntegrand(np.array(matrix), p=p)
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 0), (0, 2, 2), (2, 0, 2, 2, 2)])
 def test_cell_table_rejects_an_empty_table(shape):
     with pytest.raises(ValueError, match="table must not be empty"):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heishom
@@ -152,12 +152,14 @@ def test_normal_matrix_is_the_product_assembly_bitwise(grid, kind, seed):
     K_ref, rhs_ref = _product_assembly(grid, S, u)
 
     V = solve._weighted_corners(grid, S, solve._corner_weights(grid))
-    K, rhs = solve._normal_matrix(grid, V), solve._normal_rhs(grid, V, u)
-    assert isinstance(K, solve._SymmetricDia) and K.dtype == K.data.dtype == np.float64
-    assert K.offsets[0] == 0 and np.all(np.diff(K.offsets) > 0)
-    assert K.offsets.size <= (3**grid.N + 1) // 2 and K.data.shape == (K.offsets.size, K.shape[0])
-    full = K.todia()
-    assert np.all(np.diff(full.offsets) > 0) and full.offsets.size == 2 * K.offsets.size - 1
+    (data, offsets), rhs = solve._normal_matrix(grid, V), solve._normal_rhs(grid, V, u)
+    assert data.dtype == np.float64 and offsets.dtype == np.int32
+    assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
+    assert offsets.size <= (3**grid.N + 1) // 2 and data.shape == (offsets.size, len(grid.interior_flat))
+    K = solve._symmetric(data, offsets)
+    assert type(K) is solve._Dia and K.dtype == np.float64
+    full = _padded(K)
+    assert np.all(np.diff(full.offsets) > 0) and full.offsets.size == 2 * offsets.size - 1
     Kc = full.tocsr()
     assert Kc.shape == K_ref.shape
     for name in ("indptr", "indices", "data"):
@@ -174,50 +176,104 @@ def _signed_zeros_or_normal(gen, size, dtype):
     return x.astype(dtype)
 
 
-@settings(max_examples=80, deadline=None)
-@given(N=st.integers(1, 5), dtype=st.sampled_from([np.float32, np.float64]),
-       seed=st.integers(0, 2**32 - 1))
-def test_symmetric_dia_product_is_the_full_dia_product_bitwise(N, dtype, seed):
-    """``_SymmetricDia @ v``, also after ``mirrored()``, and the kernel product
-    of its ``full()`` diagonals, against ``dia_matrix @ v`` on its full form,
-    bitwise with sign bits, for random
-    symmetric 3^N-point stencils (all 243 offsets at N = 5) in float32 and
-    float64.  Most matrix and vector values are +-0.0, so a row that added
-    its terms in another order, or started from its first term instead of
-    0.0, would differ in a last bit or leave -0.0 where the full product has
-    +0.0."""
-    gen = rng(seed)
-    shape = (3,) * 5 if N == 5 else tuple(int(s) for s in gen.integers(2, 6, size=N))
-    n = int(np.prod(shape))
+def _padded(A):
+    """The padded DIA layout of the ``_Dia`` A as a ``scipy.sparse.dia_matrix``:
+    one row of n columns per offset o + col - row of its terms, ascending,
+    each entry a term stores written by assignment, so signed zeros survive.
+    A zero stored where an earlier term wrote an entry does not overwrite
+    it (a DIA over both copies of a block level spans the off-diagonal
+    blocks), and no two terms store a nonzero at one entry."""
+    entries = []  # (padded offset, columns, values)
+    for offsets, data, row, col, size in A.terms:
+        for o, values in zip(offsets.tolist(), data):
+            c = np.arange(max(0, o), min(size, size + o, values.size))  # the columns the kernel reads
+            entries.append((o + col - row, col + c, values[c]))
+    offsets = sorted({f for f, _, _ in entries})
+    data = np.zeros((len(offsets), A.n), dtype=A.dtype)
+    written = np.zeros(data.shape, dtype=bool)
+    for f, c, values in entries:
+        k = offsets.index(f)
+        assert not np.any(written[k, c] & (data[k, c] != 0) & (values != 0))
+        keep = ~written[k, c] | (values != 0)
+        data[k, c[keep]] = values[keep]
+        written[k, c] = True
+    return sp.dia_matrix((data, np.array(offsets, dtype=np.int32)), shape=A.shape)
+
+
+def _random_symmetric_rows(shape, gen, dtype):
+    """A random symmetric 3^N-point stencil on the node grid shape as its
+    full DIA rows (offsets ascending), most values +-0.0."""
+    n = math.prod(shape)
     nodes = np.arange(n).reshape(shape)
     rows = {0: _signed_zeros_or_normal(gen, n, dtype)}  # full DIA rows: A[c - f, c] at column c
-    for o in itertools.product((-1, 0, 1), repeat=N):
-        if o <= (0,) * N:
+    for o in itertools.product((-1, 0, 1), repeat=len(shape)):
+        box = solve._box(o, shape)
+        if o <= (0,) * len(shape) or box is None:
             continue  # each coupling once, from its lexicographically positive offset
-        (x, y), f = solve._box(o, shape), solve._flat_offset(o, shape)
+        (x, y), f = box, solve._flat_offset(o, shape)
         v = _signed_zeros_or_normal(gen, nodes[x].size, dtype)
         rows.setdefault(f, np.zeros(n, dtype))[nodes[y].reshape(-1)] = v
         rows.setdefault(-f, np.zeros(n, dtype))[nodes[x].reshape(-1)] = v
     offsets = np.array(sorted(rows), dtype=np.int32)
-    assert N < 5 or offsets.size == 243
-    full = sp.dia_matrix((np.array([rows[f] for f in offsets]), offsets), shape=(n, n))
-    upper = offsets >= 0
-    K = solve._SymmetricDia(full.data[upper], offsets[upper])
-    D = K.todia()
-    np.testing.assert_array_equal(D.offsets, full.offsets)
-    np.testing.assert_array_equal(D.data, full.data)
-    np.testing.assert_array_equal(np.signbit(D.data), np.signbit(full.data))
-    mirrored = K.mirrored()  # Newton's form: the lower diagonals copied out, one call
-    np.testing.assert_array_equal(mirrored.todia().data, full.data)
-    for _ in range(3):
-        v = _signed_zeros_or_normal(gen, n, dtype)
-        ref = full @ v
-        for got in (K @ v, mirrored @ v, K.full() @ v):
-            assert got.dtype == ref.dtype == dtype
-            np.testing.assert_array_equal(got, ref)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
-    np.testing.assert_array_equal(K.diagonal(), full.diagonal())
-    np.testing.assert_array_equal(K.astype(np.float32).data, K.data.astype(np.float32))
+    return np.array([rows[f] for f in offsets]), offsets
+
+
+@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 padded layout
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("kind", ["symmetric", "mirrored", "block"])
+@settings(max_examples=80, deadline=None)
+@given(shape=st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+                       st.lists(st.integers(1, 4), min_size=4, max_size=5)),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=[3, 3, 3, 3, 3], seed=0)  # all 243 offsets, as in K at n = 2
+@example(shape=[2, 9, 5], seed=0)        # a short axis, kept on the coarse level
+@example(shape=[3, 3, 3, 3, 5], seed=1)  # N = 5 axes, as at n = 2
+def test_dia_product_is_the_padded_dia_product_bitwise(kind, dtype, shape, seed):
+    """Every operator the solver builds, in float32 and float64: K by
+    ``_symmetric`` (a view per lower diagonal, or ``mirrored``, Newton's one
+    copied block), on random symmetric 3^N-point stencils, and a block level
+    by ``_block_dia`` from random SPD stencils.  ``A @ v`` is bitwise, sign
+    bits included, scipy's ``dia_matrix`` product on its padded layout, on
+    float32 and float64 vectors with signed zeros.  Most values are +-0.0,
+    so a row that added its terms in another order, or started from its
+    first term instead of 0.0, would differ in a last bit or leave -0.0
+    where the padded product has +0.0.  ``dense()``, ``diagonal()`` and
+    ``bandwidth()`` read what the padded layout holds."""
+    shape, gen = tuple(shape), rng(seed)
+    n = math.prod(shape)
+    if kind == "block":
+        assume(max(shape) >= 3)
+        sign = (-1.0) ** np.indices(shape).sum(axis=0)
+        data, offsets = _random_spd_stencil(shape, gen)
+        blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(data, offsets, shape, sign), shape)
+        A = solve._block_dia(blocks, coarse, dtype)
+        n = math.prod(coarse)  # A11 and A22 in one DIA of 2n columns, A21 and A21^T in DIAs of n columns
+        assert type(A) is solve._Dia and A.shape == (2 * n, 2 * n)
+        assert [(row, col, size) for _, _, row, col, size in A.terms] == [(n, 0, n), (0, 0, 2 * n), (0, n, n)]
+        assert [data.shape[1] for _, data, *_ in A.terms] == [n, 2 * n, n]
+        D = _padded(A)
+    else:
+        full, offsets = _random_symmetric_rows(shape, gen, dtype)
+        assert shape != (3,) * 5 or offsets.size == 243
+        upper = offsets >= 0
+        A = solve._symmetric(full[upper], offsets[upper], mirrored=kind == "mirrored")
+        assert type(A) is solve._Dia and A.shape == (n, n)
+        stored = A.terms[-1][1]
+        lower = A.terms[:-1]  # most negative first: one view each, or one copied block when mirrored
+        assert len(lower) == (1 if kind == "mirrored" else offsets.size // 2)
+        assert all(np.shares_memory(data, stored) == (kind != "mirrored") for _, data, *_ in lower)
+        D = _padded(A)
+        np.testing.assert_array_equal(D.offsets, offsets)
+        np.testing.assert_array_equal(D.data, full)
+        np.testing.assert_array_equal(np.signbit(D.data), np.signbit(full))
+    assert A.dtype == dtype and all(data.dtype == dtype for _, data, *_ in A.terms)
+    assert all(offs.dtype == np.int32 and np.all(np.diff(offs) > 0) for offs, *_ in A.terms)
+    assert np.all(np.diff(D.offsets) > 0)
+    for x in (_signed_zeros_or_normal(gen, A.n, np.float32), _signed_zeros_or_normal(gen, A.n, np.float64)):
+        _assert_bitwise(A @ x, D @ x)  # the bytes: sign bits included
+    np.testing.assert_array_equal(A.dense(), D.toarray())
+    np.testing.assert_array_equal(A.diagonal(), D.diagonal())
+    assert A.bandwidth() == max(abs(int(o)) for o in D.offsets)
 
 
 def test_quadratic_solve_does_not_build_the_gradient_operator(monkeypatch):
@@ -426,12 +482,12 @@ def jacobi(K):
 
 @pytest.mark.parametrize("d", [0.0, -1.0, np.nan])
 def test_pcg_rejects_non_positive_diagonal(d):
-    K = solve._SymmetricDia(np.array([[1.0, d]]), [0])
-    for A in (sp.csr_matrix(np.diag([1.0, d])), K):
+    data, offsets = np.array([[1.0, d]]), np.array([0], dtype=np.int32)
+    for A in (sp.csr_matrix(np.diag([1.0, d])), solve._symmetric(data, offsets)):
         with pytest.raises(NumericalError, match="diagonal"):
             _pcg(A, np.ones(2), np.zeros(2), jacobi, 1e-12, 100)
     with pytest.raises(NumericalError, match="diagonal"):
-        _multigrid(K, (2,))
+        _multigrid(data, offsets, (2,))
 
 
 def test_pcg_rejects_non_positive_curvature():
@@ -448,7 +504,7 @@ def test_solve_that_starts_converged_builds_no_v_cycle(monkeypatch):
     f = power_integrand(ConstantCoefficient(1.0), 2.0)
     expected = mu_q(f, (0.3, -1.2), 3, 4)
 
-    def refuse(K, shape):
+    def refuse(data, offsets, shape):
         raise AssertionError("_multigrid called")
 
     monkeypatch.setattr(solve, "_multigrid", refuse)
@@ -499,7 +555,7 @@ def test_multigrid_matches_jacobi_reference(monkeypatch, make_f, q, t, M, n):
         return discrete_energy(ScalarField(grid, vals.reshape(grid.shape)), f), it
 
     e_mg, it_mg = energy_and_iterations()
-    monkeypatch.setattr(solve, "_multigrid", lambda K, shape: jacobi(K))
+    monkeypatch.setattr(solve, "_multigrid", lambda data, offsets, _: jacobi(solve._symmetric(data, offsets)))
     e_ref, it_ref = energy_and_iterations()
     assert e_mg == pytest.approx(e_ref, rel=1e-10)
     assert it_mg < it_ref
@@ -521,11 +577,12 @@ def test_multigrid_iterations_on_a_smooth_coefficient():
 
 
 def _hierarchy(monkeypatch, f, q, t, M, n=1):
-    """The normal matrix K and the preconditioner that ``mu_q`` builds for it."""
+    """The normal matrix K, as (data, offsets), and the preconditioner that
+    ``mu_q`` builds for it."""
     built, multigrid = [], solve._multigrid
 
-    def capture(K, shape):
-        built.append((K, multigrid(K, shape)))
+    def capture(data, offsets, shape):
+        built.append(((data, offsets), multigrid(data, offsets, shape)))
         return built[-1][1]
 
     monkeypatch.setattr(solve, "_multigrid", capture)
@@ -555,27 +612,29 @@ class _Float32Only:
 
 
 def test_multigrid_levels_are_float32(monkeypatch):
-    K, precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
+    (data, offsets), precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 2, 4)
     levels, coarse = precond.args
-    assert len(levels) == 2 and K.dtype == np.float64
+    assert len(levels) == 2 and data.dtype == np.float64
     level = levels[0]
     # level 0 is the normalised K's stored diagonals cast to float32, at K's
-    # offsets (the 14 of offset >= 0, each coupling once), its largest
-    # diagonal entry in [0.5, 1); no index arrays
-    assert isinstance(K, solve._SymmetricDia) and K.offsets.size == 14
-    assert isinstance(level.A, solve._SymmetricDia) and level.A.dtype == level.A.data.dtype == np.float32
-    np.testing.assert_array_equal(level.A.offsets, K.offsets)
-    np.testing.assert_array_equal(level.A.data, K.data.astype(np.float32))
+    # offsets (the 14 of offset >= 0, each coupling once: every lower term a
+    # view of them), its largest diagonal entry in [0.5, 1); no index arrays
+    assert offsets.size == 14
+    assert type(level.A) is solve._Dia and level.A.dtype == np.float32
+    stored_offsets, stored, *_ = level.A.terms[-1]
+    assert all(part.dtype == np.float32 and np.shares_memory(part, stored) for _, part, *_ in level.A.terms)
+    np.testing.assert_array_equal(stored_offsets, offsets)
+    np.testing.assert_array_equal(stored, data.astype(np.float32))
     assert 0.5 <= level.A.diagonal().max() < 1.0
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
     for a in (level.dinv, level.P.data, level.sign):
         assert a.dtype == np.float32
     # P is CSR arrays applied by scipy's kernels (P^T by the CSC one), with no scipy.sparse object
     assert type(level.P) is solve._Csr and level.P.indices.dtype == level.P.indptr.dtype == np.int32
-    # level 1 is a _BlockDia on two copies of its grid, every array float32, with no sign
+    # level 1 is the three block terms on two copies of its grid, every array float32, with no sign
     below = levels[1]
-    assert type(below.A) is solve._BlockDia and below.sign is None
-    assert all(part.data.dtype == np.float32 for part in below.A)
+    assert type(below.A) is solve._Dia and len(below.A.terms) == 3 and below.sign is None
+    assert all(part.dtype == np.float32 for _, part, *_ in below.A.terms)
     for a in (below.dinv, below.P.data):
         assert a.dtype == np.float32
     assert all(type(c) is float for lv in levels for c in lv.cheb)  # a numpy scalar would upcast
@@ -584,7 +643,7 @@ def test_multigrid_levels_are_float32(monkeypatch):
     assert coarse.shape == (2 * below.P.shape[1],) * 2 and coarse.shape[0] <= solve._COARSE_UNKNOWNS
     np.testing.assert_array_equal(coarse, coarse.T)
 
-    r = np.cos(np.arange(K.shape[0]))
+    r = np.cos(np.arange(data.shape[1]))
     z = precond(r)
     assert z.dtype == np.float64
     # one V-cycle, every product checked: no silent float64 promotion inside
@@ -598,12 +657,14 @@ def test_multigrid_levels_are_float32(monkeypatch):
 def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
     """Every level's inverse diagonal and Chebyshev interval come from the
     float32 operator it stores and smooths with, through the same kernel
-    product: K's stored diagonals cast on level 0, a ``_BlockDia`` below it."""
+    product: K's stored diagonals cast on level 0, the three block terms
+    below it."""
     f = power_integrand(checkerboard_coefficient(1.0, 3.0), 2.0)
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), 3, 4)
     levels, _ = precond.args
-    assert [type(level.A) for level in levels] == [solve._SymmetricDia, solve._BlockDia, solve._BlockDia]
-    assert all(part.data.dtype == np.float32 for level in levels[1:] for part in level.A)
+    assert [type(level.A) for level in levels] == [solve._Dia] * 3
+    assert [len(level.A.terms) for level in levels] == [14, 3, 3]
+    assert all(part.dtype == np.float32 for level in levels for _, part, *_ in level.A.terms)
     for level in levels:
         assert level.A.dtype == np.float32
         dinv = 1.0 / level.A.diagonal()
@@ -640,8 +701,7 @@ def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, coarser):
     levels = precond.args[0]
     assert len(levels) == 1 + coarser
     for level in levels:
-        full = level.A.full()
-        A = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
+        A = _padded(level.A)
         h = sp.diags(np.sqrt(level.dinv.astype(np.float64)))
         lmax = eigsh(h @ A.astype(np.float64) @ h, k=1, which="LA", return_eigenvectors=False)[0]
         theta, delta, _ = level.cheb
@@ -650,9 +710,9 @@ def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, coarser):
 
 def _random_spd_stencil(shape, gen):
     """A random symmetric 3^N-point stencil operator on the node grid shape,
-    strictly diagonally dominant with a positive diagonal (so SPD), as a
-    float64 ``_SymmetricDia`` whose full form is the dia_matrix it was cut
-    from, bitwise."""
+    strictly diagonally dominant with a positive diagonal (so SPD), as its
+    float64 stored diagonals (data, offsets), whose ``_symmetric`` operator
+    has the dia_matrix it was cut from as its padded layout, bitwise."""
     n = int(np.prod(shape))
     nodes = np.arange(n).reshape(shape)
     rows, cols, vals = [], [], []
@@ -672,11 +732,11 @@ def _random_spd_stencil(shape, gen):
     D = (off + sp.diags(dominance + gen.uniform(0.5, 2.0, n))).todia()
     assert np.all(np.diff(D.offsets) > 0) and D.data.shape[1] == n
     upper = D.offsets >= 0
-    K = solve._SymmetricDia(D.data[upper], D.offsets[upper])
-    full = K.todia()
+    data, offsets = D.data[upper], D.offsets[upper]
+    full = _padded(solve._symmetric(data, offsets))
     np.testing.assert_array_equal(full.offsets, D.offsets)
     np.testing.assert_array_equal(full.data, D.data)
-    return K
+    return data, offsets
 
 
 def _kron_interpolation(shape):
@@ -697,17 +757,17 @@ def _kron_interpolation(shape):
     return P
 
 
-def _check_galerkin_levels(K, shape):
+def _check_galerkin_levels(data, offsets, shape):
     """The first two stencil Galerkin levels of ``_multigrid`` against the sparse
     products built from scipy's interpolation: [P, S P]^T A [P, S P] for
-    A = 2^-3 K, then blockdiag(P', P')^T A1 blockdiag(P', P'), each to 1e-14
-    of its largest entry."""
+    A = 2^-3 K, K stored by (data, offsets), then blockdiag(P', P')^T A1
+    blockdiag(P', P'), each to 1e-14 of its largest entry."""
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
     P, (_, coarse) = _kron_interpolation(shape), solve._interpolation(shape)
     Q = sp.hstack([P, sp.diags(sign.reshape(-1)) @ P], format="csr")
-    K = solve._SymmetricDia(K.data * 2.0**-3, K.offsets)
-    ref = (Q.T @ K.todia().tocsr() @ Q).tocsr()
-    blocks, got_shape = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
+    data = data * 2.0**-3
+    ref = (Q.T @ _padded(solve._symmetric(data, offsets)).tocsr() @ Q).tocsr()
+    blocks, got_shape = solve._coarse_blocks(solve._augmented_stencils(data, offsets, shape, sign), shape)
     assert got_shape == coarse
     _check_level(blocks, coarse, ref)
     if max(coarse) < 3:
@@ -721,28 +781,28 @@ def _check_galerkin_levels(K, shape):
 
 def _check_level(blocks, shape, ref):
     """The level ``_block_dia`` writes from the block stencils against its
-    sparse product ref: the padded DIA of its float64 storage (``full()``,
-    a ``_Dia``), its diagonal and its product; its float32 storage, the
-    float64 one cast, its diagonal and its product."""
+    sparse product ref: the padded DIA of its float64 storage, its diagonal
+    and its product; its float32 storage, the float64 one cast, its
+    diagonal and its product."""
     level = solve._block_dia(blocks, shape, np.float64)
-    assert type(level) is solve._BlockDia
-    full = level.full()
-    assert type(full) is solve._Dia and full.offsets.dtype == np.int32 and full.data.dtype == np.float64
-    D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
+    assert type(level) is solve._Dia
+    D = _padded(level)
+    assert D.offsets.dtype == np.int32 and D.data.dtype == np.float64
     assert D.shape == ref.shape
     assert np.all(np.diff(D.offsets) > 0)
     assert abs(D.tocsr() - ref).max() <= 1e-14 * abs(ref).max()
     np.testing.assert_array_equal(level.diagonal(), D.diagonal())
     single = solve._block_dia(blocks, shape, np.float32)
-    assert type(single) is solve._BlockDia and single.shape == level.shape and single.dtype == np.float32
-    for got, want in zip(single, level):
-        np.testing.assert_array_equal(got.offsets, want.offsets)
-        np.testing.assert_array_equal(got.data, want.data.astype(np.float32))
-    np.testing.assert_array_equal(single.full().data, D.data.astype(np.float32))
+    assert type(single) is solve._Dia and single.shape == level.shape and single.dtype == np.float32
+    for (got_offsets, got, *got_place), (want_offsets, want, *want_place) in zip(single.terms, level.terms):
+        np.testing.assert_array_equal(got_offsets, want_offsets)
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+        assert got_place == want_place
+    D32 = _padded(single)
+    np.testing.assert_array_equal(D32.data, D.data.astype(np.float32))
     np.testing.assert_array_equal(single.diagonal(), D.diagonal().astype(np.float32))
-    v = np.cos(np.arange(full.shape[0]))
-    _assert_bitwise(level @ v, full @ v, D @ v)
-    D32 = sp.dia_matrix((single.full().data, single.full().offsets), shape=single.shape)
+    v = np.cos(np.arange(level.n))
+    _assert_bitwise(level @ v, D @ v)
     for x in (v, v.astype(np.float32)):  # either input dtype; the smoother's and the bound's are float32
         _assert_bitwise(single @ x, D32 @ x)
 
@@ -754,45 +814,17 @@ def test_galerkin_levels_by_stencil_equal_the_sparse_products(shape, seed):
     """Odd and even axis lengths, axes under 3 nodes (kept, not coarsened) and
     N = 1..3 axes, on random SPD stencils."""
     shape = tuple(shape)
-    _check_galerkin_levels(_random_spd_stencil(shape, rng(seed)), shape)
+    _check_galerkin_levels(*_random_spd_stencil(shape, rng(seed)), shape)
 
 
 def test_galerkin_levels_of_the_n2_checkerboard(monkeypatch):
     """N = 5 axes (243 diagonals in K, 122 of them stored), from the normal
     matrix a solve builds."""
     f = power_integrand(checkerboard_coefficient(1.0, 4.0, n=2), 2.0)
-    K, _ = _hierarchy(monkeypatch, f, (1.0, 0.0, 0.0, 0.0), 1, 4, 2)
+    (data, offsets), _ = _hierarchy(monkeypatch, f, (1.0, 0.0, 0.0, 0.0), 1, 4, 2)
     grid = build_grid(1, 4, 2)
-    assert K.offsets.size == 122 and K.todia().offsets.size == 243
-    _check_galerkin_levels(K, tuple(s - 2 for s in grid.shape))
-
-
-@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()
-@settings(max_examples=80, deadline=None)
-@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(lambda s: max(s) >= 3),
-       seed=st.integers(0, 2**32 - 1))
-@example(shape=[2, 9, 5], seed=0)        # a short axis, kept on the coarse level
-@example(shape=[3, 3, 3, 3, 5], seed=1)  # N = 5 axes, as at n = 2
-def test_block_level_product_is_the_padded_dia_product_bitwise(shape, seed):
-    """A ``_BlockDia`` keeps the four blocks and nothing beside them: A11 and
-    A22 in one DIA of 2n columns, A21 and A21^T in DIAs of n columns.  Its
-    three-call product, on float32 and float64 vectors with signed zeros, is
-    bitwise scipy's ``dia_matrix`` product on its ``full()`` rows, for a
-    float32 and a float64 level."""
-    shape, gen = tuple(shape), rng(seed)
-    sign = (-1.0) ** np.indices(shape).sum(axis=0)
-    K = _random_spd_stencil(shape, gen)
-    blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
-    n = math.prod(coarse)
-    for dtype in (np.float32, np.float64):
-        level = solve._block_dia(blocks, coarse, dtype)
-        assert level.lower.shape == level.upper.shape == (n, n) and level.shape == (2 * n, 2 * n)
-        assert [part.data.shape[1] for part in level] == [n, 2 * n, n]
-        assert all(part.data.dtype == dtype and np.all(np.diff(part.offsets) > 0) for part in level)
-        full = level.full()
-        D = sp.dia_matrix((full.data, full.offsets), shape=full.shape)
-        for x in (_signed_zeros_or_normal(gen, 2 * n, np.float32), _signed_zeros_or_normal(gen, 2 * n, np.float64)):
-            _assert_bitwise(level @ x, D @ x)
+    assert offsets.size == 122 and _padded(solve._symmetric(data, offsets)).offsets.size == 243
+    _check_galerkin_levels(data, offsets, tuple(s - 2 for s in grid.shape))
 
 
 def test_first_augmented_level_stores_no_padding():
@@ -802,15 +834,15 @@ def test_first_augmented_level_stores_no_padding():
     keep 15 of their 27 float64 stencil arrays."""
     grid = build_grid(4, 4)
     S = CHECKER.quad_cells(CHECKER.coefficients_at(grid.cell_centers))
-    K = solve._normal_matrix(grid, solve._weighted_corners(grid, S, solve._corner_weights(grid)))
+    data, offsets = solve._normal_matrix(grid, solve._weighted_corners(grid, S, solve._corner_weights(grid)))
     shape = tuple(s - 2 for s in grid.shape)
     sign = (-1.0) ** np.indices(shape).sum(axis=0)
-    blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
+    blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(data, offsets, shape, sign), shape)
     assert coarse == (15, 15, 63) and [len(b.arrays) for b in blocks] == [15, 27, 15]
     level = solve._block_dia(blocks, coarse, np.float32)
-    assert [part.offsets.size for part in level] == [27, 27, 27]
-    assert sum(part.data.size for part in level) == 1_530_900
-    assert level.full().data.size == 2_296_350
+    assert [part_offsets.size for part_offsets, *_ in level.terms] == [27, 27, 27]
+    assert sum(part.size for _, part, *_ in level.terms) == 1_530_900
+    assert _padded(level).data.size == 2_296_350
 
 
 def _centre_matrix(grid):
@@ -916,7 +948,7 @@ _COARSE_SHAPES = st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=3),
     lambda s: math.prod(s) <= solve._COARSE_UNKNOWNS)
 
 
-@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 todia()
+@pytest.mark.filterwarnings("ignore:Constructing a DIA matrix")  # the oracle's N = 5 padded layout
 @settings(max_examples=80, deadline=None)
 @given(shape=_COARSE_SHAPES, seed=st.integers(0, 2**32 - 1))
 @example(shape=[7, 7, 7], seed=0)        # K's shape at k = 1, M = 4: 343 unknowns
@@ -929,13 +961,14 @@ def test_coarse_inverse_solves_like_numpy(shape, seed):
     V-cycle inverts, with offsets near +-n).  The inverse is exactly
     symmetric, and ``dense()`` is scipy's dense matrix."""
     shape, gen = tuple(shape), rng(seed)
-    K = _random_spd_stencil(shape, gen)
-    np.testing.assert_array_equal(K.full().dense(), K.todia().toarray())
-    matrices = [K.full()]
+    data, offsets = _random_spd_stencil(shape, gen)
+    K = solve._symmetric(data, offsets)
+    np.testing.assert_array_equal(K.dense(), _padded(K).toarray())
+    matrices = [K]
     if max(shape) >= 3:
         sign = (-1.0) ** np.indices(shape).sum(axis=0)
-        blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(K, shape, sign), shape)
-        matrices.append(solve._block_dia(blocks, coarse, np.float64).full())
+        blocks, coarse = solve._coarse_blocks(solve._augmented_stencils(data, offsets, shape, sign), shape)
+        matrices.append(solve._block_dia(blocks, coarse, np.float64))
     for A in matrices:
         X, D = solve._inverse(A), A.dense()
         assert X.dtype == np.float64 and X.shape == A.shape
@@ -958,7 +991,7 @@ def test_coarse_inverse_rejects_a_pivot_that_is_not_positive(A):
     for row, o in zip(data, offsets.tolist()):  # DIA rows: A[c - o, c] at column c
         c = np.arange(max(0, o), min(n, n + o))
         row[c] = A[c - o, c]
-    D = solve._Dia(data, offsets, (n, n))
+    D = solve._Dia(((offsets, data, 0, 0, n),), n)
     np.testing.assert_array_equal(D.dense(), A)
     with pytest.raises(NumericalError, match="pivot"):
         solve._inverse(D)
@@ -1020,17 +1053,18 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
     v of D^-1 K are where a smoother bound short of them makes M indefinite."""
     from scipy.sparse.linalg import eigsh
 
-    K, precond = _hierarchy(monkeypatch, _random_tile_sample(), (1.0, 0.0), 2.0, 4)
+    (data, _), precond = _hierarchy(monkeypatch, _random_tile_sample(), (1.0, 0.0), 2.0, 4)
     gen = rng(11)
     for _ in range(4):
-        r, s = gen.standard_normal((2, K.shape[0]))
+        r, s = gen.standard_normal((2, data.shape[1]))
         zr, zs = precond(r), precond(s)
         assert abs(s @ zr - r @ zs) <= 1e-5 * np.linalg.norm(s) * np.linalg.norm(zr)
         assert r @ zr > 0 and s @ zs > 0
 
     K, precond = _hierarchy(monkeypatch, SMOOTH, (1.0, 0.0), 2.0, 4)
+    K = solve._symmetric(*K)
     h = sp.diags(1.0 / np.sqrt(K.diagonal()))
-    _, W = eigsh(h @ K.todia() @ h, k=4, which="LA")
+    _, W = eigsh(h @ _padded(K) @ h, k=4, which="LA")
     for v in (h @ W).T:
         r = K @ v
         assert r @ precond(r) > 0
@@ -1053,12 +1087,12 @@ def test_solve_normalises_k_once(monkeypatch):
     captured = []
     for scale in (1.0, 2.0**-140, 2.0**130):
         f = power_integrand(checkerboard_coefficient(scale, 4.0 * scale), 2.0)
-        K, _ = _hierarchy(monkeypatch, f, (1.0, 0.0), 2, 4)
-        assert 0.5 <= K.diagonal().max() < 1.0
-        captured.append(K)
-    for K in captured[1:]:
-        np.testing.assert_array_equal(K.offsets, captured[0].offsets)
-        assert K.data.tobytes() == captured[0].data.tobytes()
+        (data, offsets), _ = _hierarchy(monkeypatch, f, (1.0, 0.0), 2, 4)
+        assert 0.5 <= solve._symmetric(data, offsets).diagonal().max() < 1.0
+        captured.append((data, offsets))
+    for data, offsets in captured[1:]:
+        np.testing.assert_array_equal(offsets, captured[0][1])
+        assert data.tobytes() == captured[0][0].tobytes()
 
 
 @pytest.mark.parametrize("e", [-140, 130])

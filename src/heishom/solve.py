@@ -31,9 +31,11 @@ Three routes:
   values and no index arrays in its memory-bound sweeps; level 0 is K's
   stored diagonals cast, each level below it its four blocks with no
   padding between them), each set up by one rule from the float32
-  operator it applies, and the coarsest, at most ``_COARSE_UNKNOWNS``
-  unknowns, is inverted in float64 by elimination in numpy (``_inverse``)
-  and applied by ``einsum``.  A solve
+  operator it applies, and smoothed by a degree-6 Chebyshev polynomial on
+  [lmax / 400, lmax] of D^-1 A, lmax 1.1 times a 10-step Lanczos estimate;
+  the coarsest, at most ``_COARSE_UNKNOWNS`` unknowns, is inverted in
+  float64 by elimination in numpy (``_inverse``) and applied by
+  ``einsum``.  A solve
   keeps no assembly input beside K: the factor S and the weighted corners
   are dropped once read, and the grid caches no matrix of cell centres.
 * first-order path (reported as "first_order"; any other convex integrand)
@@ -585,15 +587,27 @@ def _positive_diagonal(A):
 # four blocks (1.53M values at k = 4 on level 1, against 2.30M in one padded
 # DIA) and a product makes three kernel calls, not one per diagonal.  Every
 # smoothed level, level 0 included, takes its inverse diagonal and Chebyshev
-# interval from the float32 operator it stores and smooths with.  The
+# interval from the float32 operator it stores and smooths with.
+#
+# The smoother is a degree-6 Chebyshev polynomial in D^-1 A on the wide band
+# [lmax / 400, lmax] (Adams, Brezina, Hu & Tuminaro, JCP 2003).  Against
+# degree 3 on [lmax / 30, lmax] it halves CG's count: the checkerboard at
+# k = 2..5 takes 23 / 29 / 36 / 42 iterations (42 / 59 / 74 / 87), the
+# n = 2 cell at t = 1 62 (130), contrast 1e4 at k = 4 158 (322), and a
+# V-cycle costs less than twice as much.  Degree 6 on the narrow band cut a
+# third of the count and no wall time; the band was the missing half.  The
 # interval must reach the top of the spectrum of D^-1 A, or the smoother
-# amplifies the modes above it and the V-cycle is indefinite: a power
-# iteration started from cos(i) fell 4-19% short on smooth, near-flat and
-# some random-tile coefficients (CG took 1300 iterations on 2 + cos(x3) at
-# k = 2).  Started from a hashed pseudo-random vector, 1.1 times its
-# estimate covers them: the largest eigenvalue reads 0.92-0.97 of the bound
-# on level 0 at k = 2..4 and 0.96-0.996 on the coarser levels.  That margin
-# is measured, not proven.
+# amplifies the modes above it and the V-cycle is indefinite, and a wide
+# band of high degree amplifies them fast: a mode 1% above the top grows
+# by 1.53 per sweep, where degree 3 on the narrow band still damps it
+# (0.71).  A power iteration started from cos(i) fell 4-19% short on
+# smooth, near-flat and some random-tile coefficients (CG took 1300
+# iterations on 2 + cos(x3) at k = 2), and 15 power steps from a hashed
+# pseudo-random vector, times 1.1, left tile seed 44 at k = 3 at 0.996 of
+# the bound on level 1.  The top Ritz value of 10 CG (Lanczos) steps from
+# that vector, times 1.1, is the bound: the largest eigenvalue reads
+# 0.91-0.95 of it on every level measured (0.948 on that level).  That
+# margin is measured, not proven.
 #
 # The coarsest level is inverted once per solve in float64, by an LDL^T
 # elimination in numpy ufuncs and ``einsum`` (``_inverse``), and the V-cycle
@@ -606,9 +620,9 @@ def _positive_diagonal(A):
 # iterations.
 
 _COARSE_UNKNOWNS = 400    # invert directly at or below this size
-_CHEB_DEGREE = 3
-_CHEB_RATIO = 30.0        # smoothed part of the spectrum: [lmax / ratio, lmax]
-_POWER_STEPS = 15
+_CHEB_DEGREE = 6
+_CHEB_RATIO = 400.0       # smoothed part of the spectrum: [lmax / ratio, lmax]
+_LANCZOS_STEPS = 10
 
 
 class _Csr(NamedTuple):
@@ -898,33 +912,84 @@ def _block_dia(blocks, shape, dtype):
 
 
 def _chebyshev(A, dinv):
-    """Interval of the degree-3 Chebyshev smoother on D^-1 A (Adams et al.,
+    """Interval of the degree-6 Chebyshev smoother on D^-1 A (Adams et al.,
     JCP 2003), as (theta, delta, sigma), from a level's float32 operator A and
     dinv = 1 / diag(A), with the smoother's own product (no float64 copy of A
     is made).
 
-    The largest eigenvalue is 1.1 times a power-iteration estimate.  The
-    start holds no structure of the grid, so it reaches the top modes of
-    smooth coefficients too: entry i is the first output of splitmix64
-    (Steele, Lea & Flood, OOPSLA 2014) seeded with i, mapped to [-1, 1).  It
-    is hashed from the index on uint64 arrays, which wrap silently, so the
-    smoother (and the V-cycle) is deterministic without a random generator.
-    The three values are Python floats: under numpy 2 promotion a numpy
-    float64 scalar would turn the float32 smoothing vectors into float64
-    ones.
+    The largest eigenvalue is 1.1 times the top Ritz value of
+    ``_LANCZOS_STEPS`` conjugate gradient steps on A x = v preconditioned by
+    D: CG's coefficients are the Lanczos tridiagonal of D^-1 A (Saad,
+    Iterative Methods for Sparse Linear Systems, 2003, sec. 6.7.3), and
+    ``_top_eigenvalue`` finds its largest eigenvalue.  The start v holds no
+    structure of the grid, so it reaches the top modes of smooth
+    coefficients too: entry i is the first output of splitmix64 (Steele, Lea
+    & Flood, OOPSLA 2014) seeded with i, mapped to [-1, 1).  It is hashed
+    from the index on uint64 arrays, which wrap silently, so the smoother
+    (and the V-cycle) is deterministic without a random generator.  The
+    three values are Python floats: under numpy 2 promotion a numpy float64
+    scalar would turn the float32 smoothing vectors into float64 ones.
     """
     z = np.arange(A.shape[0], dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    v = ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).astype(dinv.dtype)
-    for _ in range(_POWER_STEPS):
-        w = dinv * (A @ v)
-        v = w / math.sqrt(_dot(w, w))
-    hi = 1.1 * _dot(v, A @ v) / _dot(v, v / dinv)
+    r = ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).astype(dinv.dtype)
+    p = dinv * r
+    rz = _dot(r, p)
+    diag, off, shift = [], [], 0.0
+    for step in range(_LANCZOS_STEPS):
+        Ap = A @ p
+        alpha = rz / _dot(p, Ap)
+        diag.append(1.0 / alpha + shift)
+        if step == _LANCZOS_STEPS - 1:
+            break
+        r -= alpha * Ap
+        z = dinv * r
+        rz, rz_old = _dot(r, z), rz
+        if rz == 0.0:  # the Krylov space is invariant: T's eigenvalues are exact
+            break
+        beta = rz / rz_old
+        off.append(math.sqrt(beta) / alpha)
+        shift = beta / alpha
+        p = z + beta * p
+    hi = 1.1 * _top_eigenvalue(diag, off)
     lo = hi / _CHEB_RATIO
     theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return theta, delta, theta / delta
+
+
+def _top_eigenvalue(diag, off):
+    """The largest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal diag and off-diagonal off (Python floats), by bisection on its
+    Sturm sequence in Python floats (no LAPACK call).
+
+    The number of eigenvalues below x is the number of negative pivots of
+    the LDL^T factorisation of T - x I (Sylvester's law of inertia); a pivot
+    below tiny in size is moved to -tiny, as LAPACK's dstebz does.  Bisection from
+    Gershgorin's interval stops when its midpoint is one of its ends, so the
+    result is as accurate as that count.
+    """
+    m, tiny = len(diag), sys.float_info.min * max([1.0] + [b * b for b in off])
+    radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]
+    lo = min(a - r for a, r in zip(diag, radius))
+    hi = max(a + r for a, r in zip(diag, radius))
+
+    def below(x):
+        count, d = 0, 1.0
+        for a, b in zip(diag, [0.0] + off):
+            d = a - x - b * b / d
+            if abs(d) < tiny:
+                d = -tiny
+            count += d < 0.0
+        return count
+
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid) == m:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _smooth(level, b, x=None):

@@ -79,12 +79,13 @@ def map_jobs(fn, items, threads=1):
     {-1, 0, 1}^2 at k = 1, 2 (one slope of each +-q pair) took 0.66-0.81 s
     serial, 0.60-0.69 s on 2 threads and 0.39-0.46 s as 2 processes (pool
     start-up excluded); in an 8-sample Monte Carlo ladder (k = 1..3) the 16
-    V-cycle set-ups took 0.56-0.57 s of thread time serial and 0.67-0.71 s
-    on 2 threads.  Eight random-tile solves (q = (1, 0), M = 4) ran at
-    k = 2 x1.00-1.11 the serial speed on 2 threads and
-    x1.44-1.68 as 2 forked processes, and at k = 3 x1.2-1.9 on threads and
-    x1.6-2.0 as processes.  No solve calls BLAS, so no BLAS thread pool
-    competes with these threads.
+    V-cycle set-ups took 0.44 s of thread time serial and 0.67-0.69 s on 2
+    threads.  Eight random-tile solves (q = (1, 0), M = 4; 0.46-0.62 s
+    serial at k = 2, 2.8-3.6 s at k = 3) ran at k = 2 x0.56-0.60 the serial
+    speed on 2 threads and x1.39-1.70 as 2 forked processes, and at k = 3
+    x1.20-1.37 on threads and x1.47-1.65 as processes (a shared, loaded
+    box).  No solve calls BLAS, so no BLAS thread pool competes with these
+    threads.
     """
     items = list(items)
     if threads and int(threads) > 1 and len(items) > 1:

@@ -966,9 +966,9 @@ def _top_eigenvalue(diag, off):
 
     The number of eigenvalues below x is the number of negative pivots of
     the LDL^T factorisation of T - x I (Sylvester's law of inertia); a pivot
-    below tiny in size is moved to -tiny, as LAPACK's dstebz does.  Bisection from
-    Gershgorin's interval stops when its midpoint is one of its ends, so the
-    result is as accurate as that count.
+    below tiny in size is moved to -tiny, as LAPACK's dstebz does.
+    Bisection from Gershgorin's interval stops when its midpoint is one of
+    its ends, so the result is as accurate as that count.
     """
     m, tiny = len(diag), sys.float_info.min * max([1.0] + [b * b for b in off])
     radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]

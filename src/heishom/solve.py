@@ -32,11 +32,11 @@ Three routes:
   stored diagonals cast, each level below it its four blocks with no
   padding between them), each set up by one rule from the float32
   operator it applies, and smoothed by a degree-6 Chebyshev polynomial on
-  [lmax / 400, lmax] of D^-1 A, lmax 1.1 times a 10-step Lanczos estimate;
-  the coarsest, at most ``_COARSE_UNKNOWNS`` unknowns, is inverted in
-  float64 by elimination in numpy (``_inverse``) and applied by
-  ``einsum``.  A solve
-  keeps no assembly input beside K: the factor S and the weighted corners
+  [lmax / 400, lmax] of D^-1 A, lmax 1.1 times the largest Gershgorin
+  disc of a 10-step Lanczos tridiagonal; the coarsest, at most
+  ``_COARSE_UNKNOWNS`` unknowns, is inverted in float64 by elimination in
+  numpy (``_inverse``) and applied by ``einsum``.  A solve keeps no
+  assembly input beside K: the factor S and the weighted corners
   are dropped once read, and the grid caches no matrix of cell centres.
 * first-order path (reported as "first_order"; any other convex integrand)
   inexact Newton, matrix-free in the gradient: the cell gradients B u and
@@ -46,13 +46,16 @@ Three routes:
   per-cell Hessian factor, by the same stencil and solves it by diagonals
   with Jacobi-PCG to the Eisenstat-Walker tolerance min(0.5,
   0.9 (|g_k| / |g_k-1|)^2) (SISC 1996), then backtracks on the energy
-  (Armijo); it stops at max|g| <= max(TOL_GRAD, TOL_GRAD_REL max|g_0|)
-  (0 steps at q = 0), unconverged when a step cannot decrease the energy.
+  (Armijo); it stops at max|g| <= max(TOL_GRAD min(1, s_0), TOL_GRAD_REL
+  max|g_0|), s_0 the largest entry of |B|^T |flux_0| (0 steps at q = 0),
+  unconverged when a step cannot decrease the energy.
 
 The stopping rules are constants: a relative residual of ``TOL_RESIDUAL`` on
-the quadratic path, max|g| <= max(``TOL_GRAD``, ``TOL_GRAD_REL`` max|g_0|) on
-the Newton path (g_0 the gradient at the trace), and at most ``MAX_ITER`` CG
-iterations, Newton steps and inner PCG iterations per solve.  A CG solve
+the quadratic path, max|g| <= max(``TOL_GRAD`` min(1, s_0), ``TOL_GRAD_REL``
+max|g_0|) on the Newton path (g_0 the gradient at the trace, s_0 the
+largest entry of |B|^T |flux_0|, its size without cancellation), and at
+most ``MAX_ITER`` CG iterations, Newton steps and inner PCG iterations per
+solve.  A CG solve
 whose start already meets its tolerance returns before it builds a
 preconditioner.
 
@@ -120,8 +123,8 @@ __all__ = [
 
 
 TOL_RESIDUAL = 1e-12   # stopping rule of the quadratic path: relative residual
-TOL_GRAD = 1e-8        # Newton stop: max|gradient| <= max(TOL_GRAD, TOL_GRAD_REL max|gradient_0|)
-TOL_GRAD_REL = 1e-12   # gradient_0: the gradient at the trace
+TOL_GRAD = 1e-8        # Newton stop: max|g| <= max(TOL_GRAD min(1, s_0), TOL_GRAD_REL max|g_0|)
+TOL_GRAD_REL = 1e-12   # g_0: the gradient at the trace; s_0: the largest entry of |B|^T |flux_0|
 MAX_ITER = 100_000     # bounds CG iterations, Newton steps and each inner solve
 TOL_TRANSLATION = 1e-10  # relative energy gap allowed under a lattice translation
 DENSE_MAX_UNKNOWNS = 500  # largest problem dense_reference_minimum takes
@@ -320,6 +323,16 @@ def _interior_transpose(grid, W, v):
             np.multiply(W[i][a][cells], v_at[cells], out=term)
             np.add(R, term, out=R)
     return R.reshape(-1)
+
+
+def _uncancelled_size(grid, W, v):
+    """The largest entry of |B|^T |v| on the interior nodes (0 with none):
+    the size B^T v would have if no terms cancelled, for the corner weights W
+    of ``_corner_weights``, whose 2^N m entries share 4 m arrays, each
+    taken absolutely once."""
+    absolute = {id(a): np.abs(a) for wi in W for a in wi}
+    R = _interior_transpose(grid, [[absolute[id(a)] for a in wi] for wi in W], np.abs(v))
+    return float(np.max(R, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +617,11 @@ def _positive_diagonal(A):
 # smooth, near-flat and some random-tile coefficients (CG took 1300
 # iterations on 2 + cos(x3) at k = 2), and 15 power steps from a hashed
 # pseudo-random vector, times 1.1, left tile seed 44 at k = 3 at 0.996 of
-# the bound on level 1.  The top Ritz value of 10 CG (Lanczos) steps from
-# that vector, times 1.1, is the bound: the largest eigenvalue reads
-# 0.91-0.95 of it on every level measured (0.948 on that level).  That
-# margin is measured, not proven.
+# the bound on level 1.  10 CG (Lanczos) steps from that vector give a
+# tridiagonal T whose largest Gershgorin disc, times 1.1, is the bound:
+# the largest eigenvalue reads 0.85-0.92 of it on every level measured
+# (0.917 on that level; 0.948 under T's top eigenvalue itself, with the
+# same counts).  That margin is measured, not proven.
 #
 # The coarsest level is inverted once per solve in float64, by an LDL^T
 # elimination in numpy ufuncs and ``einsum`` (``_inverse``), and the V-cycle
@@ -917,16 +931,18 @@ def _chebyshev(A, dinv):
     dinv = 1 / diag(A), with the smoother's own product (no float64 copy of A
     is made).
 
-    The largest eigenvalue is 1.1 times the top Ritz value of
+    The largest eigenvalue is 1.1 times the top of the largest Gershgorin
+    disc, max_i T_ii + |T_i,i-1| + |T_i,i+1|, of the tridiagonal T of
     ``_LANCZOS_STEPS`` conjugate gradient steps on A x = v preconditioned by
     D: CG's coefficients are the Lanczos tridiagonal of D^-1 A (Saad,
-    Iterative Methods for Sparse Linear Systems, 2003, sec. 6.7.3), and
-    ``_top_eigenvalue`` finds its largest eigenvalue.  The start v holds no
-    structure of the grid, so it reaches the top modes of smooth
-    coefficients too: entry i is the first output of splitmix64 (Steele, Lea
-    & Flood, OOPSLA 2014) seeded with i, mapped to [-1, 1).  It is hashed
-    from the index on uint64 arrays, which wrap silently, so the smoother
-    (and the V-cycle) is deterministic without a random generator.  The
+    Iterative Methods for Sparse Linear Systems, 2003, sec. 6.7.3).  The
+    disc lies above T's top eigenvalue, the top Ritz value, which falls
+    short of A's from below.  The start v holds no structure of the grid,
+    so it reaches the top modes of smooth coefficients too: entry i is the
+    first output of splitmix64 (Steele, Lea & Flood, OOPSLA 2014) seeded
+    with i, mapped to [-1, 1).  It is hashed from the index on uint64
+    arrays, which wrap silently, so the smoother (and the V-cycle) is
+    deterministic without a random generator.  The
     three values are Python floats: under numpy 2 promotion a numpy float64
     scalar would turn the float32 smoothing vectors into float64 ones.
     """
@@ -953,43 +969,11 @@ def _chebyshev(A, dinv):
         off.append(math.sqrt(beta) / alpha)
         shift = beta / alpha
         p = z + beta * p
-    hi = 1.1 * _top_eigenvalue(diag, off)
+    radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]
+    hi = 1.1 * max(a + r for a, r in zip(diag, radius))
     lo = hi / _CHEB_RATIO
     theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return theta, delta, theta / delta
-
-
-def _top_eigenvalue(diag, off):
-    """The largest eigenvalue of the symmetric tridiagonal matrix with
-    diagonal diag and off-diagonal off (Python floats), by bisection on its
-    Sturm sequence in Python floats (no LAPACK call).
-
-    The number of eigenvalues below x is the number of negative pivots of
-    the LDL^T factorisation of T - x I (Sylvester's law of inertia); a pivot
-    below tiny in size is moved to -tiny, as LAPACK's dstebz does.
-    Bisection from Gershgorin's interval stops when its midpoint is one of
-    its ends, so the result is as accurate as that count.
-    """
-    m, tiny = len(diag), sys.float_info.min * max([1.0] + [b * b for b in off])
-    radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]
-    lo = min(a - r for a, r in zip(diag, radius))
-    hi = max(a + r for a, r in zip(diag, radius))
-
-    def below(x):
-        count, d = 0, 1.0
-        for a, b in zip(diag, [0.0] + off):
-            d = a - x - b * b / d
-            if abs(d) < tiny:
-                d = -tiny
-            count += d < 0.0
-        return count
-
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if below(mid) == m:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _smooth(level, b, x=None):
@@ -1034,9 +1018,9 @@ def _multigrid(data, offsets, shape):
     the block stencils; P is a ``_Csr`` on one copy of its node grid.
     Every level's inverse diagonal and Chebyshev interval come from that
     float32 operator, by one rule.  The same writer gives the coarsest level
-    in float64, which ``_inverse`` inverts.  With no smoothed level (K has at
-    most ``_COARSE_UNKNOWNS`` unknowns) the map is the product with K's
-    inverse, an exact solve to rounding.
+    in float64, which ``_inverse`` inverts.  K of at most
+    ``_COARSE_UNKNOWNS`` unknowns has no smoothed level, and the map, still
+    ``_precondition``, is bitwise the float64 product with K's inverse.
 
     A level is set up in the order that keeps the transients apart: P
     (whose build peaks at about 1.3 times its size), the next level's
@@ -1045,24 +1029,18 @@ def _multigrid(data, offsets, shape):
     is set up beside its own float64 blocks and the next level's, against
     44.5 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
     """
-    if not _smoothed(data.shape[1], shape):
-        K = _symmetric(data, offsets)
-        _positive_diagonal(K)
-        return functools.partial(_coarse_solve, _inverse(K))
-
     def operator(dtype):
         return _symmetric(data.astype(dtype), offsets)
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
-    levels, stencils = [], _augmented_stencils(data, offsets, shape, sign)
-    while True:  # operator(dtype): this level's matrix; stencils: its stencil readers
+    levels, stencils, size = [], _augmented_stencils(data, offsets, shape, sign), data.shape[1]
+    while _smoothed(size, shape):  # operator(dtype): this level's matrix; stencils: its stencil readers
         P, _ = _interpolation(shape)
         blocks, shape = _coarse_blocks(stencils, shape)
         A = operator(np.float32)  # after the coarse blocks, so the two transients do not meet
         dinv = 1.0 / _positive_diagonal(A)
         levels.append(_Level(A, dinv, _chebyshev(A, dinv), P, None if levels else sign.reshape(-1)))
         operator, stencils = functools.partial(_block_dia, blocks, shape), blocks  # rebound: frees this level's
-        if not _smoothed(2 * math.prod(shape), shape):
-            break
+        size = 2 * math.prod(shape)
     coarse = operator(np.float64)
     _positive_diagonal(coarse)
     return functools.partial(_precondition, levels, _inverse(coarse))
@@ -1112,22 +1090,27 @@ def _coarse_solve(inverse, b):
 
 
 def _precondition(levels, coarse, r):
-    """z = M^-1 r for a float64 r, through the float32 V-cycle on the levels.
+    """z = M^-1 r for a float64 r, through the V-cycle on the levels.
 
     r is scaled by a power of two 2^-m (exact, and rounding commutes with
     it) so that its largest entry lies in [0.5, 1): the float32 range then
     limits neither a tiny nor a huge residual.  The V-cycle's result is
-    scaled back by 2^m, again exactly.
+    scaled back by 2^m, again exactly.  With no smoothed level the map is
+    the float64 product with K's inverse.
     """
     m = math.frexp(float(np.max(np.abs(r))))[1]
-    z = _vcycle(levels, coarse, (r / math.ldexp(1.0, m)).astype(np.float32))
-    return np.ldexp(z.astype(np.float64), m)
+    z = _vcycle(levels, coarse, r / math.ldexp(1.0, m))
+    return np.ldexp(z.astype(np.float64, copy=False), m)
 
 
 def _vcycle(levels, coarse, b, level=0):
+    """One V-cycle on b from level down: a smoothed level casts b to float32
+    and works and returns in it; the coarsest solves in float64 and returns
+    b's dtype, so with no smoothed level a float64 b stays float64."""
     if level == len(levels):
-        return _coarse_solve(coarse, b.astype(np.float64)).astype(np.float32)
+        return _coarse_solve(coarse, b.astype(np.float64, copy=False)).astype(b.dtype, copy=False)
     lv = levels[level]
+    b = b.astype(np.float32, copy=False)
     x = _smooth(lv, b)
     r = b - lv.A @ x
     halves = r.reshape(2, -1) if lv.sign is None else (r, lv.sign * r)
@@ -1231,10 +1214,14 @@ def _solve_newton(problem, coeffs, trace):
     which is not built), and each step's normal matrix is assembled from
     them and its inner Jacobi-PCG runs on it by diagonals.
 
-    The solve stops at max|g| <= max(TOL_GRAD, TOL_GRAD_REL max|g_0|), g_0
-    the gradient at the trace.  Each inner solve runs on the gradient scaled
-    by a power of two to a largest entry in [0.5, 1), which is exact, so a
-    huge slope overflows none of its inner products.  ``MAX_ITER`` bounds
+    The solve stops at max|g| <= max(TOL_GRAD min(1, s_0), TOL_GRAD_REL
+    max|g_0|), g_0 the gradient at the trace and s_0 the largest entry of
+    |B|^T |flux_0| (B's weights and the flux taken absolutely), the size the
+    gradient would have without cancellation: the stop scales with a small
+    coefficient or slope, which an absolute TOL_GRAD alone stopped at the
+    trace.  Each inner solve runs on the gradient scaled by a power of two
+    to a largest entry in [0.5, 1), which is exact, so a huge slope
+    overflows none of its inner products.  ``MAX_ITER`` bounds
     the steps and each inner solve, whose tolerance stops at |r| <= tol / 2.
     An energy at the trace, a gradient or a Hessian factor that is not
     finite raises ``NumericalError``; a trial step whose energy is not finite
@@ -1261,11 +1248,11 @@ def _solve_newton(problem, coeffs, trace):
     steps, gnorm_prev = 0, None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            flux = f.grad_q_cells(coeffs, G) * vol
-            g = finite("gradient", _interior_transpose(grid, w, flux.reshape(grid.cell_shape + (grid.m,))))
+            flux = (f.grad_q_cells(coeffs, G) * vol).reshape(grid.cell_shape + (grid.m,))
+            g = finite("gradient", _interior_transpose(grid, w, flux))
         gmax = float(np.max(np.abs(g))) if g.size else 0.0
         if steps == 0:
-            tol = max(TOL_GRAD, TOL_GRAD_REL * gmax)
+            tol = max(TOL_GRAD * min(1.0, _uncancelled_size(grid, w, flux)), TOL_GRAD_REL * gmax)
         if gmax <= tol or steps == MAX_ITER:
             return x, steps, gmax, gmax <= tol
         e = math.frexp(gmax)[1]

@@ -661,6 +661,23 @@ def test_multigrid_levels_are_float32(monkeypatch):
     np.testing.assert_array_equal(e, solve._vcycle(levels, coarse, b))
 
 
+def test_preconditioner_without_smoothed_levels_is_the_coarse_inverse(monkeypatch):
+    """K of at most ``_COARSE_UNKNOWNS`` unknowns (the checkerboard at k = 1,
+    343) gets the V-cycle map with no levels: the residual's power-of-two
+    scaling is exact and the coarsest level solves in float64, so the map is
+    bitwise the product with K's inverse."""
+    (data, offsets), precond = _hierarchy(monkeypatch, CHECKER, (1.0, 0.0), 1, 4)
+    levels, coarse = precond.args
+    assert data.shape[1] == 343 and levels == []
+    inverse = solve._inverse(solve._symmetric(data, offsets))
+    np.testing.assert_array_equal(coarse, inverse)
+    for scale in (1.0, 3e-7, 5e200):
+        r = scale * np.cos(np.arange(data.shape[1]))
+        z = precond(r)
+        assert z.dtype == np.float64
+        assert z.tobytes() == solve._coarse_solve(inverse, r).tobytes()
+
+
 def test_level_set_up_reads_the_operator_it_holds(monkeypatch):
     """Every level's inverse diagonal and Chebyshev interval come from the
     float32 operator it stores and smooths with, through the same kernel
@@ -696,16 +713,17 @@ NEAR_FLAT = power_integrand(checkerboard_coefficient(1.0, 1.001), 2.0)
 ])
 def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, coarser):
     """theta + delta, the top of each level's smoothing interval, lies at
-    least 5% above the largest eigenvalue of D^-1 A for the float32 operator
+    least 7% above the largest eigenvalue of D^-1 A for the float32 operator
     and inverse diagonal the level stores: the degree-6 polynomial on
     [lmax / 400, lmax] amplifies a mode 1% above its top by 1.53 per sweep,
     and the V-cycle need not be definite.  A power iteration started from
     cos(i) fell 4-19% short on the smooth coefficient 2 + cos(x3), the
     1/1.001 checkerboard and tile seed 26 at level 0; 15 power steps from
     the hashed start left tile seed 44 at k = 3 at 0.996 of the bound on
-    level 1, where the Lanczos estimate reads 0.948.  Every smoothed level
-    is checked: level 0 and the ``coarser`` smoothed levels below it (the
-    second number of the id)."""
+    level 1, the top Ritz value of 10 Lanczos steps at 0.948, and the
+    largest Gershgorin disc of their tridiagonal at 0.917.  Every smoothed
+    level is checked: level 0 and the ``coarser`` smoothed levels below it
+    (the second number of the id)."""
     from scipy.sparse.linalg import eigsh
 
     _, precond = _hierarchy(monkeypatch, f, (1.0, 0.0), k, 4)
@@ -716,32 +734,7 @@ def test_chebyshev_interval_covers_each_level(monkeypatch, f, k, coarser):
         h = sp.diags(np.sqrt(level.dinv.astype(np.float64)))
         lmax = eigsh(h @ A.astype(np.float64) @ h, k=1, which="LA", return_eigenvectors=False)[0]
         theta, delta, _ = level.cheb
-        assert lmax <= 0.95 * (theta + delta)
-
-
-def test_top_eigenvalue_of_a_tridiagonal_matches_lapack():
-    """The Sturm-sequence bisection that bounds the smoother's interval, on
-    random symmetric tridiagonals of size 1 to 12: positive diagonals, as
-    CG's Lanczos matrix has, some off-diagonals zero (the matrix splits),
-    and a block repeated so that the top eigenvalue is double."""
-    gen = rng(44)
-    for size in range(1, 13):
-        for case in range(20):
-            diag = gen.uniform(0.1, 4.0, size)
-            off = gen.standard_normal(size - 1)
-            if case % 4 == 1:
-                off[gen.random(off.size) < 0.5] = 0.0
-            if case % 4 == 2 and size >= 3:  # two copies of one block, split by a zero
-                half = size // 2
-                diag[half:2 * half] = diag[:half]
-                off[half:2 * half - 1] = off[:half - 1]
-                off[half - 1] = 0.0
-                diag, off = diag[:2 * half], off[:2 * half - 1]
-            T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            expected = np.linalg.eigvalsh(T)[-1]
-            top = solve._top_eigenvalue(diag.tolist(), off.tolist())
-            assert type(top) is float
-            assert top == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert lmax <= 0.93 * (theta + delta)
 
 
 def _random_spd_stencil(shape, gen):
@@ -1229,6 +1222,31 @@ def test_newton_stops_relative_to_a_huge_starting_gradient():
     assert sol.iterations <= base.iterations + 2 and sol.residual > solve.TOL_GRAD
     assert sol.energy == pytest.approx(1e300 * base.energy, rel=1e-12)
     np.testing.assert_allclose(sol.u.values, 1e100 * base.u.values, rtol=1e-7, atol=1e91)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_newton_stop_is_scale_covariant(alpha):
+    """The energy of c f is c times that of f, and of |q|^3 at slope s q s^3
+    times: the stop max|g| <= max(TOL_GRAD min(1, s_0), TOL_GRAD_REL
+    max|g_0|), s_0 the largest entry of |B|^T |flux_0|, scales with the
+    problem below unit size.  An absolute 1e-8 alone stopped c <= 1e-8 and
+    slope 1e-4 at the trace (energy 320 against 289.00 and 282.32, 11-13%
+    high) and c = 1e-7 after 2 steps 0.13% high.  An affine trace that is
+    the minimiser (a constant coefficient) still takes no step."""
+    f = power_integrand(checkerboard_coefficient(1.0, 4.0), alpha)
+    base = mu_q(f, (1.0, 0.0), 2, 4)
+    assert base.converged and base.iterations > 0
+    for c in (1e-100, 1e-12, 1e-8, 1e-7, 1e-4, 1e8):
+        sol = mu_q(power_integrand(checkerboard_coefficient(c, 4.0 * c), alpha), (1.0, 0.0), 2, 4)
+        assert sol.converged and sol.iterations > 0, c
+        assert sol.energy / c == pytest.approx(base.energy, rel=1e-15, abs=0.0), c
+    if alpha == 3.0:
+        for slope in (1e-4, 2.0 ** -14, 1e-6):
+            sol = mu_q(f, (slope, 0.0), 2, 4)
+            assert sol.converged and sol.iterations > 0, slope
+            assert sol.energy / slope ** 3 == pytest.approx(base.energy, rel=1e-15, abs=0.0), slope
+    flat = mu_q(power_integrand(ConstantCoefficient(1e-10), alpha), (1.0, 0.0), 2, 4)
+    assert flat.converged and flat.iterations == 0
 
 
 class _WrongGradient(PowerIntegrand):

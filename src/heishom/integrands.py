@@ -65,9 +65,13 @@ __all__ = [
 # the default guard 0) still realizes the exact half-open partition.
 BIN_GUARD = 1e-9
 
-# Floor on |q| (resp. |A q|) inside Hessian factors: keeps them finite at
-# q = 0 and for alpha < 2, where the exact Hessian blows up.  Above the floor
-# the factors are exact.
+# Relative floor on |q| (resp. |A q|) inside Hessian factors: keeps them
+# finite at q = 0 and for alpha < 2, where the exact Hessian blows up.  It is
+# HESSIAN_FLOOR times the largest slope among the cells of one call (the
+# absolute HESSIAN_FLOOR when every slope is 0), so it scales with the slope:
+# an absolute floor put the Hessian of a slope q below it off by
+# (HESSIAN_FLOOR / |q|)^(alpha - 2), and Newton at alpha = 3, q = 2^-30 took
+# 225 steps, not 5.  Above the floor the factors are exact.
 HESSIAN_FLOOR = 1e-8
 
 
@@ -218,7 +222,8 @@ class Integrand:
 
     def hessian_factor_cells(self, c, Q):
         """Per-cell S (shape (..., m, m)) with S^T S the Hessian of f in q at Q,
-        the slope magnitude floored at HESSIAN_FLOOR."""
+        the slope magnitude floored at HESSIAN_FLOOR times the largest one in
+        Q (at HESSIAN_FLOOR if every slope is 0)."""
         raise NotImplementedError
 
     def quad_cells(self, c):
@@ -250,9 +255,11 @@ def _pow_factor(s, alpha):
 
 def _power_factor(Q, alpha):
     """S with S^T S = alpha r^(alpha-2) (I + (alpha-2) qh qh^T), the Hessian of
-    |q|^alpha, for r = max(|q|, HESSIAN_FLOOR) and qh = q / r."""
+    |q|^alpha, for r = max(|q|, HESSIAN_FLOOR max |q|) over the rows q of Q
+    (HESSIAN_FLOOR if they are all 0) and qh = q / r."""
     Q = np.asarray(Q, dtype=float)
-    r = np.maximum(np.sqrt(np.sum(Q * Q, axis=-1)), HESSIAN_FLOOR)
+    r = np.sqrt(np.sum(Q * Q, axis=-1))
+    r = np.maximum(r, HESSIAN_FLOOR * (float(np.max(r, initial=0.0)) or 1.0))
     qh = Q / r[..., None]
     S = (math.sqrt(alpha - 1.0) - 1.0) * (qh[..., :, None] * qh[..., None, :])
     S += np.eye(Q.shape[-1])

@@ -22,12 +22,12 @@ Three routes:
   (``_multigrid``), to a relative residual tolerance.  K is symmetric and
   stored once per coupling, by its diagonals of offset >= 0, and applied
   as a ``_Dia`` (``_symmetric``), bitwise the full DIA matrix's product.
-  K and rhs are scaled once by 2^-e, e the exponent of K's largest
-  diagonal entry (exact, so CG's iterates do not change), and CG runs on
-  that float64 K; its residual, its stopping test and the energy are
-  float64.  The V-cycle's coarse operators are Galerkin products
-  computed by stencil in float64, one axis at a time, with no sparse-sparse
-  product.  Its smoothed levels are float32, stored by diagonals (4-byte
+  K is scaled once by 2^-e, e the exponent of K's largest diagonal entry,
+  and rhs by 2^-m, m that of its largest entry (exact, so CG's iterates
+  change only by a power of two), and CG runs on that float64 K; its
+  residual, its stopping test and the energy are float64.  The V-cycle's
+  coarse operators are Galerkin products computed by stencil in float64,
+  one axis at a time, with no sparse-sparse product.  Its smoothed levels are float32, stored by diagonals (4-byte
   values and no index arrays in its memory-bound sweeps; level 0 is K's
   stored diagonals cast, each level below it its four blocks with no
   padding between them), each set up by one rule from the float32
@@ -606,7 +606,7 @@ def _positive_diagonal(A):
 # [lmax / 400, lmax] (Adams, Brezina, Hu & Tuminaro, JCP 2003).  Against
 # degree 3 on [lmax / 30, lmax] it halves CG's count: the checkerboard at
 # k = 2..5 takes 23 / 29 / 36 / 42 iterations (42 / 59 / 74 / 87), the
-# n = 2 cell at t = 1 62 (130), contrast 1e4 at k = 4 158 (322), and a
+# n = 2 cell at t = 1 65 (130), contrast 1e4 at k = 4 163 (322), and a
 # V-cycle costs less than twice as much.  Degree 6 on the narrow band cut a
 # third of the count and no wall time; the band was the missing half.  The
 # interval must reach the top of the spectrum of D^-1 A, or the smoother
@@ -643,7 +643,11 @@ class _Csr(NamedTuple):
     """A matrix by scipy's CSR arrays: ``A @ v`` by the kernel of
     ``csr_matrix @ v``, and A^T v (``rmatvec``) by that of ``csc_matrix @ v``
     on the same arrays, bitwise the CSR product with ``A.T.tocsr()`` (each
-    entry adds its terms to 0 in ascending order of A's rows)."""
+    entry adds its terms to 0 in ascending order of A's rows).  A level
+    keeps its restriction R = P^T so: ``R @ r`` restricts and
+    ``R.rmatvec(e)`` interpolates, bitwise the CSC product P^T r and the CSR
+    product P e on P's own arrays, since each entry adds the same terms in
+    the same ascending order."""
 
     data: np.ndarray
     indices: np.ndarray  # int32, ascending in each row
@@ -668,73 +672,8 @@ class _Level(NamedTuple):
     A: _Dia              # level 0 K's stored diagonals (each coupling once), below the three block terms
     dinv: np.ndarray     # inverse diagonal of A
     cheb: tuple          # (theta, delta, sigma) of ``_chebyshev``
-    P: _Csr              # interpolation onto each copy of the node grid (two below level 0)
+    R: _Csr              # restriction P^T from one copy of the node grid (two below level 0)
     sign: np.ndarray     # (-1)^(i+j+...) on the first level, None below it
-
-
-def _interpolation(shape):
-    """Linear interpolation onto the interior nodes of ``shape`` from every
-    second node (grid indices 2, 4, ...) of each axis with at least 3 of them;
-    shorter axes are kept.  Returns the float32 ``_Csr`` of the Kronecker
-    product of the axes' interpolations and the coarse shape.
-
-    The product is built from the last axis outwards, one ``_kron`` per
-    axis, straight into its nonzeros; a value is a product of 1s and 1/2s,
-    exact in float32.  These are the arrays of ``sp.kron`` of the axes' CSR
-    matrices, cast to float32.
-    """
-    coarse = tuple(nf if nf < 3 else nf // 2 for nf in shape)
-    P = None
-    for a in reversed(range(len(shape))):
-        axis = _axis_interpolation(shape[a], coarse[a])
-        P = axis if P is None else _kron(axis, P, math.prod(coarse[a + 1:]))
-    return _Csr(*P, (math.prod(shape), math.prod(coarse))), coarse
-
-
-def _axis_interpolation(nf, nc):
-    """One axis's interpolation from nc coarse nodes, as CSR arrays (data,
-    indices, indptr).  Fine node i of an axis of at least 3 nodes takes
-    coarse node (i - 1) / 2 with weight 1 if i is odd, and i / 2 - 1 and
-    i / 2, where they exist, with weight 1/2 each if it is even; an axis of
-    fewer nodes is kept (the identity)."""
-    i = np.arange(nf, dtype=np.int32)
-    if nf < 3:
-        cols, w = i[:, None], np.ones((nf, 1))
-    else:
-        odd = i % 2 == 1
-        cols = np.stack([(i - 1) // 2, i // 2], 1)
-        w = np.stack([np.where(odd, 1.0, np.where(i >= 2, 0.5, 0.0)),
-                      np.where(odd | (i // 2 >= nc), 0.0, 0.5)], 1)
-    keep = w != 0
-    indptr = np.zeros(nf + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return w[keep].astype(np.float32), cols[keep], indptr
-
-
-def _kron(a, b, b_cols):
-    """The CSR arrays (data, indices, indptr) of kron(A, B), from those of A
-    and of B (b_cols columns).  Row (r, s) holds, for each entry of A's row
-    r in turn, B's row s with its columns shifted by b_cols times that
-    entry's column and its values times that entry's value, so its columns
-    ascend.  Each row block r is written in one piece: B's rows, each
-    repeated once per entry of A's row r."""
-    (va, ja, ia), (vb, jb, ib) = a, b
-    ca, cb = np.diff(ia), np.diff(ib)
-    indptr = np.zeros(ca.size * cb.size + 1, dtype=np.int32)
-    np.cumsum(np.multiply.outer(ca, cb), out=indptr[1:])
-    data, indices = np.empty(indptr[-1], dtype=np.float32), np.empty(indptr[-1], dtype=np.int32)
-    repeated = {}  # c -> (B's entry, which of A's c entries it pairs with) at each place of c copies
-    for r, c in enumerate(ca.tolist()):
-        if c not in repeated:
-            run = np.repeat(cb, c * cb)  # the length of B's row at each place
-            place = np.arange(c * ib[-1]) - np.repeat(c * ib[:-1], c * cb)  # within the repeated row
-            repeated[c] = np.repeat(ib[:-1], c * cb) + place % run, place // run
-        entry, which = repeated[c]
-        at = slice(indptr[r * cb.size], indptr[(r + 1) * cb.size])
-        e = ia[r] + which
-        np.multiply(va[e], vb[entry], out=data[at])
-        np.add(ja[e] * b_cols, jb[entry], out=indices[at])
-    return data, indices, indptr
 
 
 # The coarse levels, by stencil.  A level operator A on a node grid is read as
@@ -742,9 +681,50 @@ def _kron(a, b, b_cols):
 # x + o is off the grid.  The interpolation is a tensor product of one-axis
 # linear interpolations, so P^T A P is again a 3^N-point stencil, computed one
 # axis at a time (black-box multigrid: Dendy, JCP 1982) with no sparse-sparse
-# product.
+# product.  The one-axis rule is ``_WEIGHTS`` alone: ``_interpolation`` builds
+# the V-cycle's transfers from it and ``_coarsen_axis`` the Galerkin passes.
 
-_WEIGHTS = {-1: 0.5, 0: 1.0, 1: 0.5}  # coarse node I of an axis sits at fine node 2I + 1
+_WEIGHTS = {-1: 0.5, 0: 1.0, 1: 0.5}  # coarse node I of an axis sits at fine node 2I + 1, reaching 2I + 1 + p
+
+
+def _interpolation(shape):
+    """R = P^T, P the linear interpolation onto the interior nodes of
+    ``shape`` from every second node (grid indices 2, 4, ...) of each axis
+    with at least 3 of them; shorter axes are kept.  Returns the float32
+    ``_Csr`` of R, stored by coarse rows, and the coarse shape.
+
+    Coarse node I of a coarsened axis reaches fine nodes 2I + 1 + p with
+    weight ``_WEIGHTS[p]``, where that node exists: the rule
+    ``_coarsen_axis`` reads.  Row I of R holds the product of its axes'
+    weights at each fine node, in lexicographic order of p, so its columns
+    ascend; a value is a product of 1s and 1/2s, exact in float32.  These
+    are the arrays of ``sp.kron`` of the axes' CSR interpolations,
+    transposed to CSR and cast to float32.  A fine node is missing only at
+    the last coarse node of an even axis, and only then is a masked copy
+    made.
+    """
+    N = len(shape)
+    coarse = tuple(nf if nf < 3 else nf // 2 for nf in shape)
+    cols, weights, exists, counts = np.int32(0), np.float32(1.0), True, 1
+    for a, (nf, nc) in enumerate(zip(shape, coarse)):
+        p = sorted(_WEIGHTS) if nf >= 3 else [0]
+        I = np.arange(nc, dtype=np.int32)[:, None]
+        fine = 2 * I + 1 + np.array(p, dtype=np.int32) if nf >= 3 else I
+        at = [1] * (2 * N)  # axis a's coarse node at place a, its p at place N + a
+        at[a], at[N + a] = fine.shape
+        cols = cols + (fine * math.prod(shape[a + 1:])).reshape(at)
+        weights = weights * np.array([_WEIGHTS[v] for v in p], dtype=np.float32).reshape(at[N:])
+        inside = (fine < nf).reshape(at)
+        exists = exists & inside
+        counts = counts * inside.sum(axis=N + a, keepdims=True)  # a row's fine nodes, axis by axis
+    rows = math.prod(coarse)
+    indptr = np.zeros(rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    weights = np.broadcast_to(weights, cols.shape)
+    if not exists.all():
+        exists = np.broadcast_to(exists, cols.shape)
+        weights, cols = weights[exists], cols[exists]
+    return _Csr(weights.reshape(-1), cols.reshape(-1), indptr, (rows, math.prod(shape))), coarse
 
 
 def _dia_stencil(data, offsets, shape):
@@ -835,7 +815,7 @@ class _Stencils(NamedTuple):
 
 
 def _galerkin(a, shape, symmetric):
-    """P^T A P for P of ``_interpolation(shape)``, from A's stencil a(o), one
+    """P^T A P for P^T of ``_interpolation(shape)``, from A's stencil a(o), one
     pass per axis of at least 3 nodes: its ``_Stencils``.  A pass pops the
     previous pass's arrays as it reads them, so they are freed as it goes."""
     for d in range(len(shape)):
@@ -1015,30 +995,31 @@ def _multigrid(data, offsets, shape):
     K is normalised (``_solve_quadratic``).  A smoothed level is a float32
     ``_Level``: its operator is ``_symmetric`` on K's stored diagonals cast
     on level 0, and below it the ``_Dia`` that ``_block_dia`` writes from
-    the block stencils; P is a ``_Csr`` on one copy of its node grid.
+    the block stencils; R = P^T is a ``_Csr`` by coarse rows, from one
+    copy of its node grid.
     Every level's inverse diagonal and Chebyshev interval come from that
     float32 operator, by one rule.  The same writer gives the coarsest level
     in float64, which ``_inverse`` inverts.  K of at most
     ``_COARSE_UNKNOWNS`` unknowns has no smoothed level, and the map, still
     ``_precondition``, is bitwise the float64 product with K's inverse.
 
-    A level is set up in the order that keeps the transients apart: P
-    (whose build peaks at about 1.3 times its size), the next level's
+    A level is set up in the order that keeps the transients apart: R
+    (whose build peaks at about 1.2 times its size), the next level's
     blocks, then this level's float32 operator and its bounds.  At k = 4
-    the set-up's traced peak is 42.8 MiB, where level 1's float32 operator
+    the set-up's traced peak is 42.3 MiB, where level 1's float32 operator
     is set up beside its own float64 blocks and the next level's, against
-    44.5 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
+    44.0 MiB in the CG iterations (tracemalloc; Python 3.11, numpy 2.4).
     """
     def operator(dtype):
         return _symmetric(data.astype(dtype), offsets)
     sign = ((-1.0) ** np.indices(shape).sum(axis=0)).astype(np.float32)  # +-1: exact in either precision
     levels, stencils, size = [], _augmented_stencils(data, offsets, shape, sign), data.shape[1]
     while _smoothed(size, shape):  # operator(dtype): this level's matrix; stencils: its stencil readers
-        P, _ = _interpolation(shape)
+        R, _ = _interpolation(shape)
         blocks, shape = _coarse_blocks(stencils, shape)
         A = operator(np.float32)  # after the coarse blocks, so the two transients do not meet
         dinv = 1.0 / _positive_diagonal(A)
-        levels.append(_Level(A, dinv, _chebyshev(A, dinv), P, None if levels else sign.reshape(-1)))
+        levels.append(_Level(A, dinv, _chebyshev(A, dinv), R, None if levels else sign.reshape(-1)))
         operator, stencils = functools.partial(_block_dia, blocks, shape), blocks  # rebound: frees this level's
         size = 2 * math.prod(shape)
     coarse = operator(np.float64)
@@ -1114,9 +1095,8 @@ def _vcycle(levels, coarse, b, level=0):
     x = _smooth(lv, b)
     r = b - lv.A @ x
     halves = r.reshape(2, -1) if lv.sign is None else (r, lv.sign * r)
-    e1, e2 = _vcycle(levels, coarse, np.concatenate([lv.P.rmatvec(h) for h in halves]),
-                     level + 1).reshape(2, -1)
-    Pe1, Pe2 = lv.P @ e1, lv.P @ e2
+    e1, e2 = _vcycle(levels, coarse, np.concatenate([lv.R @ h for h in halves]), level + 1).reshape(2, -1)
+    Pe1, Pe2 = lv.R.rmatvec(e1), lv.R.rmatvec(e2)
     x += np.concatenate([Pe1, Pe2]) if lv.sign is None else Pe1 + lv.sign * Pe2
     return _smooth(lv, b, x)
 
@@ -1176,11 +1156,14 @@ def _solve_quadratic(problem, coeffs, trace):
 
     S is dropped once ``_weighted_corners`` has read it, and the weighted
     corners once K and rhs are summed, so neither is alive in the solve.
-    K and rhs are scaled in place by 2^-e, e the exponent of K's largest
-    diagonal entry (into [0.5, 1), for the float32 V-cycle), which changes
-    no CG iterate.  rhs lies in the range of K, and the pinned boundary keeps
-    K definite (the hourglass modes are nonzero there), so neither PCG nor
-    the coarse inverse of the V-cycle needs regularisation.
+    K is scaled in place by 2^-e, e the exponent of K's largest diagonal
+    entry (into [0.5, 1), for the float32 V-cycle), and rhs by 2^-m, m the
+    exponent of its largest entry, so CG solves for x 2^(e - m) from the
+    trace scaled alike: every iterate is CG's on K x = rhs times a power of
+    two, exactly, and no inner product underflows at a tiny slope or
+    overflows at a huge one.  rhs lies in the range of K, and the pinned
+    boundary keeps K definite (the hourglass modes are nonzero there), so
+    neither PCG nor the coarse inverse of the V-cycle needs regularisation.
     """
     grid = problem.grid
     S = problem.integrand.quad_cells(coeffs)
@@ -1195,11 +1178,15 @@ def _solve_quadratic(problem, coeffs, trace):
     data, offsets = _normal_matrix(grid, V)
     del V, u_bd
     e = math.frexp(float(np.max(data[0], initial=0.0)))[1]  # the diagonal; a cell may have no interior node
+    m = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
     np.ldexp(data, -e, out=data)
-    np.ldexp(rhs, -e, out=rhs)
+    np.ldexp(rhs, -m, out=rhs)
+    x0 = trace[interior]
+    np.ldexp(x0, e - m, out=x0)
     shape = tuple(s - 2 for s in grid.shape)
-    return _pcg(_symmetric(data, offsets), rhs, trace[interior], lambda K: _multigrid(data, offsets, shape),
-                TOL_RESIDUAL, MAX_ITER)
+    x, *rest = _pcg(_symmetric(data, offsets), rhs, x0, lambda K: _multigrid(data, offsets, shape),
+                    TOL_RESIDUAL, MAX_ITER)
+    return (np.ldexp(x, m - e, out=x), *rest)
 
 
 _ARMIJO = 1e-4      # sufficient decrease, as a fraction of the directional slope

@@ -634,27 +634,28 @@ def test_multigrid_levels_are_float32(monkeypatch):
     np.testing.assert_array_equal(stored, data.astype(np.float32))
     assert 0.5 <= level.A.diagonal().max() < 1.0
     assert not any(hasattr(level.A, name) for name in ("indices", "indptr", "coords"))
-    for a in (level.dinv, level.P.data, level.sign):
+    for a in (level.dinv, level.R.data, level.sign):
         assert a.dtype == np.float32
-    # P is CSR arrays applied by scipy's kernels (P^T by the CSC one), with no scipy.sparse object
-    assert type(level.P) is solve._Csr and level.P.indices.dtype == level.P.indptr.dtype == np.int32
+    # R = P^T is CSR arrays by coarse rows applied by scipy's kernels (P by the CSC one), with no
+    # scipy.sparse object
+    assert type(level.R) is solve._Csr and level.R.indices.dtype == level.R.indptr.dtype == np.int32
     # level 1 is the three block terms on two copies of its grid, every array float32, with no sign
     below = levels[1]
     assert type(below.A) is solve._Dia and len(below.A.terms) == 3 and below.sign is None
     assert all(part.dtype == np.float32 for _, part, *_ in below.A.terms)
-    for a in (below.dinv, below.P.data):
+    for a in (below.dinv, below.R.data):
         assert a.dtype == np.float32
     assert all(type(c) is float for lv in levels for c in lv.cheb)  # a numpy scalar would upcast
     # the coarsest level is its float64 inverse, dense and exactly symmetric
     assert type(coarse) is np.ndarray and coarse.dtype == np.float64
-    assert coarse.shape == (2 * below.P.shape[1],) * 2 and coarse.shape[0] <= solve._COARSE_UNKNOWNS
+    assert coarse.shape == (2 * below.R.shape[0],) * 2 and coarse.shape[0] <= solve._COARSE_UNKNOWNS
     np.testing.assert_array_equal(coarse, coarse.T)
 
     r = np.cos(np.arange(data.shape[1]))
     z = precond(r)
     assert z.dtype == np.float64
     # one V-cycle, every product checked: no silent float64 promotion inside
-    checked = [lv._replace(A=_Float32Only(lv.A), P=_Float32Only(lv.P)) for lv in levels]
+    checked = [lv._replace(A=_Float32Only(lv.A), R=_Float32Only(lv.R)) for lv in levels]
     b = r.astype(np.float32)
     e = solve._vcycle(checked, coarse, b)
     assert e.dtype == np.float32
@@ -769,8 +770,8 @@ def _random_spd_stencil(shape, gen):
 
 
 def _kron_interpolation(shape):
-    """``_interpolation``'s P as scipy builds it: ``sp.kron`` of the axes'
-    float64 CSR interpolations (format "csr")."""
+    """P, whose transpose ``_interpolation`` builds, as scipy builds it:
+    ``sp.kron`` of the axes' float64 CSR interpolations (format "csr")."""
     P = None
     for nf in shape:
         if nf < 3:
@@ -930,12 +931,13 @@ _SHAPES = st.one_of(st.lists(st.integers(1, 8), min_size=3, max_size=3),
 @example(shape=[1, 2, 5])
 @example(shape=[2, 1, 3, 1, 4])
 def test_interpolation_arrays_are_scipys(shape):
-    """P, built as CSR arrays, is ``sp.kron``'s (values cast to float32, as
+    """R = P^T, built as CSR arrays by coarse rows, is the CSR of the
+    transpose of ``sp.kron``'s P (int32 indices, values cast to float32, as
     the levels keep them), for N = 3 and 5 axes with axes of 1 and 2 nodes."""
     shape = tuple(shape)
-    P, _ = solve._interpolation(shape)
-    assert type(P) is solve._Csr
-    _assert_same_arrays(P, _kron_interpolation(shape), ("indptr", "indices"), np.float32)
+    R, _ = solve._interpolation(shape)
+    assert type(R) is solve._Csr and R.indices.dtype == R.indptr.dtype == np.int32
+    _assert_same_arrays(R, _kron_interpolation(shape).T.tocsr(), ("indptr", "indices"), np.float32)
 
 
 def _assert_bitwise(got, *wants):
@@ -949,12 +951,13 @@ def _assert_bitwise(got, *wants):
 @example(shape=[2, 1, 3, 1, 4], seed=1)
 def test_interpolation_products_are_scipys(shape, seed):
     """What the V-cycle applies, on float32 vectors with 0.0, -0.0 and
-    subnormal entries: P^T r by the CSC kernel on P's own arrays is bitwise
-    scipy's ``P.T @ r`` and the CSR product with ``P.T.tocsr()``; P and P^T
-    applied to each half of a two-copy vector are bitwise those products
-    with ``sp.block_diag((P, P))``."""
+    subnormal entries: R r = P^T r by the CSR kernel on R's arrays is
+    bitwise scipy's ``P.T @ r`` and the CSR product with ``P.T.tocsr()``,
+    and P e by the CSC kernel on them is bitwise scipy's ``P @ e``; R and
+    R^T applied to each half of a two-copy vector are bitwise those
+    products with ``sp.block_diag((P, P))``."""
     shape, gen = tuple(shape), rng(seed)
-    P, _ = solve._interpolation(shape)
+    R, _ = solve._interpolation(shape)
     ref = _kron_interpolation(shape).astype(np.float32)
     block = sp.block_diag((ref, ref), format="csr")
 
@@ -964,12 +967,12 @@ def test_interpolation_products_are_scipys(shape, seed):
         x[tiny] = (1e-39 * gen.standard_normal(size)).astype(np.float32)[tiny]  # float32 subnormals
         return x
 
-    r, e = vector(2 * P.shape[0]), vector(2 * P.shape[1])
-    r1 = r[:P.shape[0]]
-    _assert_bitwise(P.rmatvec(r1), ref.T @ r1, ref.T.tocsr() @ r1)
-    _assert_bitwise(np.concatenate([P.rmatvec(h) for h in r.reshape(2, -1)]),
-                    block.T @ r, block.T.tocsr() @ r)
-    _assert_bitwise(np.concatenate([P @ h for h in e.reshape(2, -1)]), block @ e)
+    r, e = vector(2 * R.shape[1]), vector(2 * R.shape[0])
+    r1, e1 = r[:R.shape[1]], e[:R.shape[0]]
+    _assert_bitwise(R @ r1, ref.T @ r1, ref.T.tocsr() @ r1)
+    _assert_bitwise(R.rmatvec(e1), ref @ e1)
+    _assert_bitwise(np.concatenate([R @ h for h in r.reshape(2, -1)]), block.T @ r, block.T.tocsr() @ r)
+    _assert_bitwise(np.concatenate([R.rmatvec(h) for h in e.reshape(2, -1)]), block @ e)
 
 
 _COARSE_SHAPES = st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=3),
@@ -1102,10 +1105,12 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(monkeypatch):
             assert r @ precond(r) > 0
 
 
-@pytest.mark.parametrize("e", [-120, 130])
+@pytest.mark.parametrize("e", [-120, 130, -510, 500])
 def test_float32_range_does_not_limit_the_slope(e):
     """mu_q is 2-homogeneous in q, and scaling q by a power of two is exact in
-    float64; the float32 V-cycle must not lose that to underflow or overflow."""
+    float64; the float32 V-cycle must not lose that to underflow or overflow,
+    nor CG's inner products at 2^-510, where |r|^2 underflowed as CG
+    converged (a NaN curvature) before rhs was scaled into [0.5, 1)."""
     base = mu_q(CHECKER, (1.0, 0.0), 2, 4)
     sol = mu_q(CHECKER, (2.0 ** e, 0.0), 2, 4)
     assert sol.converged and sol.iterations == base.iterations
@@ -1231,8 +1236,11 @@ def test_newton_stop_is_scale_covariant(alpha):
     max|g_0|), s_0 the largest entry of |B|^T |flux_0|, scales with the
     problem below unit size.  An absolute 1e-8 alone stopped c <= 1e-8 and
     slope 1e-4 at the trace (energy 320 against 289.00 and 282.32, 11-13%
-    high) and c = 1e-7 after 2 steps 0.13% high.  An affine trace that is
-    the minimiser (a constant coefficient) still takes no step."""
+    high) and c = 1e-7 after 2 steps 0.13% high.  The Hessian floor is
+    relative to the largest slope: an absolute 1e-8 took 225 steps at
+    alpha = 3, slope 2^-30, and stopped alpha = 1.5, slope 2^-300, at the
+    trace 13% high.  An affine trace that is the minimiser (a constant
+    coefficient) still takes no step."""
     f = power_integrand(checkerboard_coefficient(1.0, 4.0), alpha)
     base = mu_q(f, (1.0, 0.0), 2, 4)
     assert base.converged and base.iterations > 0
@@ -1240,11 +1248,10 @@ def test_newton_stop_is_scale_covariant(alpha):
         sol = mu_q(power_integrand(checkerboard_coefficient(c, 4.0 * c), alpha), (1.0, 0.0), 2, 4)
         assert sol.converged and sol.iterations > 0, c
         assert sol.energy / c == pytest.approx(base.energy, rel=1e-15, abs=0.0), c
-    if alpha == 3.0:
-        for slope in (1e-4, 2.0 ** -14, 1e-6):
-            sol = mu_q(f, (slope, 0.0), 2, 4)
-            assert sol.converged and sol.iterations > 0, slope
-            assert sol.energy / slope ** 3 == pytest.approx(base.energy, rel=1e-15, abs=0.0), slope
+    for slope in (1e-4, 2.0 ** -14, 1e-6, 2.0 ** -30 if alpha == 3.0 else 2.0 ** -300):
+        sol = mu_q(f, (slope, 0.0), 2, 4)
+        assert sol.converged and 0 < sol.iterations <= base.iterations + 1, slope
+        assert sol.energy / slope ** alpha == pytest.approx(base.energy, rel=1e-15, abs=0.0), slope
     flat = mu_q(power_integrand(ConstantCoefficient(1e-10), alpha), (1.0, 0.0), 2, 4)
     assert flat.converged and flat.iterations == 0
 

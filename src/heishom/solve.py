@@ -815,9 +815,10 @@ class _Stencils(NamedTuple):
 
 
 def _galerkin(a, shape, symmetric):
-    """P^T A P for P^T of ``_interpolation(shape)``, from A's stencil a(o), one
-    pass per axis of at least 3 nodes: its ``_Stencils``.  A pass pops the
-    previous pass's arrays as it reads them, so they are freed as it goes."""
+    """P^T A P for the R = P^T of ``_interpolation(shape)``, from A's
+    stencil a(o), one pass per axis of at least 3 nodes: its ``_Stencils``.
+    A pass pops the previous pass's arrays as it reads them, so they are
+    freed as it goes."""
     for d in range(len(shape)):
         if shape[d] >= 3:
             c, shape = _coarsen_axis(a, shape, d, symmetric)
